@@ -3,8 +3,7 @@ demon runs, and the oracle verification suite.
 
 Every table embeds its full effective configuration in a ``# config:`` header
 (CSV) or a ``config`` object (JSON), so any output file can be regenerated
-exactly. Grids are dispatched to a worker pool when ``--threads`` is given;
-rows are always written in grid order.
+exactly. Rows are written in grid order.
 
 Exit codes: 0 success, 1 usage error, 2 verification failure, 3 I/O failure.
 """
@@ -14,10 +13,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Sequence
+from typing import Sequence
 
-from . import demon, fridge, measurement, nswitch, thermal, verify
+from . import demon, fridge, measurement, verify
 from .cswap import cooling_reservoir_marginal, cooling_target_marginal, cswap_branches, cswap_evolve
 
 
@@ -76,14 +74,19 @@ def _emit(columns: Sequence[str], rows: list[list], config: dict, fmt: str, out:
     else:
         text = json.dumps({"config": config, "columns": list(columns), "rows": rows}, indent=1)
         text += "\n"
-    if out is None:
+    _write(out, text)
+
+
+def _write(path: str | None, text: str) -> None:
+    """Write ``text`` to ``path``, or to stdout when no path is given."""
+    if path is None:
         sys.stdout.write(text)
-    else:
-        try:
-            with open(out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise IOError(f"cannot write {out}: {exc}") from exc
+        return
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise IOError(f"cannot write {path}: {exc}") from exc
 
 
 def _cell(v) -> str:
@@ -92,33 +95,19 @@ def _cell(v) -> str:
     return str(v)
 
 
-def _map_grid(fn: Callable, grid: list, threads: int) -> list:
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, grid))
-    return [fn(point) for point in grid]
-
-
 # ---------------------------------------------------------------------------
 # subcommand implementations
 # ---------------------------------------------------------------------------
 
 
 def _cmd_branches(args) -> int:
-    grid = [(n, d, r) for n in args.n_list for d in args.d_list for r in args.r_list]
+    def row(n, d, r):
+        fridge._validate("ico", n, d, r)
+        p_c, p_h, e0, e_cool, e_heat, _ = fridge._bath_branches("ico", n, d, r)
+        p_heating = (n - 1) * p_h
+        return [n, d, r, p_c, p_heating, e_heat - e0, e_cool - e0, p_heating * (e_heat - e0)]
 
-    def row(point):
-        n, d, r = point
-        stats = nswitch.qudit_branch_stats(n, d, r)
-        spec = thermal.ThermalSpec.degenerate(d, r)
-        h = thermal.hamiltonian(spec)
-        e0 = thermal.mean_energy(thermal.gibbs_state(spec), h)
-        de_h = thermal.mean_energy(stats.rho_h, h) - e0
-        de_c = thermal.mean_energy(stats.rho_c, h) - e0
-        weighted = nswitch.weighted_energy(n, d, r)[0]
-        return [n, d, r, stats.p_c, stats.p_heating_total, de_h, de_c, weighted]
-
-    rows = _map_grid(row, grid, args.threads)
+    rows = [row(n, d, r) for n in args.n_list for d in args.d_list for r in args.r_list]
     config = _config_echo("branches", args, ("n_list", "d_list", "r_list"))
     _emit(
         ["n", "d", "r", "p_c", "p_H", "dE_h", "dE_c", "weighted_dE_h"],
@@ -131,22 +120,19 @@ def _cmd_branches(args) -> int:
 
 
 def _cmd_cop(args) -> int:
-    grid = [
-        (s, n, d, r)
-        for s in args.scheme
-        for n in args.n_list
-        for d in args.d_list
-        for r in args.r_list
-    ]
-
-    def row(point):
-        scheme, n, d, r = point
+    def row(scheme, n, d, r):
         r_hot = r if args.r_hot is None else args.r_hot
         value = fridge.cop(n, d, r, r_hot, args.beta_r, scheme)
         normalized = value / args.beta_r
         return [scheme, n, d, r, r_hot, value, normalized]
 
-    rows = _map_grid(row, grid, args.threads)
+    rows = [
+        row(s, n, d, r)
+        for s in args.scheme
+        for n in args.n_list
+        for d in args.d_list
+        for r in args.r_list
+    ]
     config = _config_echo("cop", args, ("scheme", "n_list", "d_list", "r_list", "r_hot", "beta_r"))
     _emit(
         ["scheme", "n", "d", "r", "r_hot", "cop", "cop_over_gap_beta"],
@@ -159,13 +145,10 @@ def _cmd_cop(args) -> int:
 
 
 def _cmd_limits(args) -> int:
-    grid = [(s, k, r) for s in args.scheme for k in args.k_list for r in args.r_list]
-
-    def row(point):
-        scheme, k, r = point
+    def row(scheme, k, r):
         return [scheme, k, r, fridge.lowest_r(scheme, r, k)]
 
-    rows = _map_grid(row, grid, args.threads)
+    rows = [row(s, k, r) for s in args.scheme for k in args.k_list for r in args.r_list]
     config = _config_echo("limits", args, ("scheme", "k_list", "r_list"))
     _emit(["scheme", "k", "r_start", "r_lowest"], rows, config, args.format, args.out)
     return 0
@@ -177,23 +160,12 @@ def _cmd_cycle(args) -> int:
     trace = fridge.run_cycles(
         scheme, ens, n=args.n, dim=args.d, seed=args.seed, max_cycles=args.max_cycles
     )
-    text = trace.to_csv()
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise IOError(f"cannot write {args.out}: {exc}") from exc
+    _write(args.out, trace.to_csv())
     return 0
 
 
 def _cmd_cswap(args) -> int:
-    grid = [(n, r) for n in args.n_list for r in args.r_list]
-
-    def row(point):
-        n, r = point
+    def row(n, r):
         state = cswap_evolve(n, r)
         (cool, p_c), (heat, p_h_tot) = cswap_branches(state, measurement.build_basis(n))
         t_pop = r / (1 + r)
@@ -204,7 +176,7 @@ def _cmd_cswap(args) -> int:
         heat_pop = float(heat.qubit_marginal(0)[1, 1].real)
         return [n, r, p_c, p_h_tot, target, reservoir, heat_pop, ratio]
 
-    rows = _map_grid(row, grid, args.threads)
+    rows = [row(n, r) for n in args.n_list for r in args.r_list]
     config = _config_echo("cswap", args, ("n_list", "r_list"))
     _emit(
         [
@@ -226,15 +198,12 @@ def _cmd_cswap(args) -> int:
 
 
 def _cmd_traj(args) -> int:
-    grid = [(n, r) for n in args.n_list for r in args.r_list]
-
-    def row(point):
-        n, r = point
+    def row(n, r):
         p_c, p_h = fridge.branch_probabilities(n, r, "traj")
         weighted = fridge.weighted_energy_scheme(n, 2, r, "traj")
         return [n, r, p_c, (n - 1) * p_h, weighted, fridge.cop_normalized(n, 2, r, "traj")]
 
-    rows = _map_grid(row, grid, args.threads)
+    rows = [row(n, r) for n in args.n_list for r in args.r_list]
     config = _config_echo("traj", args, ("n_list", "r_list"))
     _emit(
         ["n", "r", "p_c", "p_H", "weighted_dE_h", "cop_over_gap_beta"],
@@ -257,23 +226,15 @@ def _cmd_demon(args) -> int:
         seed=args.seed,
     )
     report = demon.run_demon(cfg)
-    summary = report.to_json()
-    if args.out is None:
-        sys.stdout.write(summary + "\n")
-    else:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(summary + "\n")
-            with open(args.out + ".hist.csv", "w", encoding="utf-8") as fh:
-                fh.write(report.histogram_csv())
-        except OSError as exc:
-            raise IOError(f"cannot write {args.out}: {exc}") from exc
+    _write(args.out, report.to_json() + "\n")
+    if args.out is not None:
+        _write(args.out + ".hist.csv", report.histogram_csv())
     return 0
 
 
 def _cmd_verify(args) -> int:
     names = args.checks if args.checks else None
-    results = verify.run_checks(names=names, threads=args.threads)
+    results = verify.run_checks(names=names)
     failures = 0
     for res in results:
         mark = "PASS" if res.passed else "FAIL"
@@ -317,7 +278,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", help="output path (default stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("branches", help="branch probabilities and energy changes over a grid")
     common(p)
@@ -391,7 +351,6 @@ _CONFIG_PARSERS = {
     "k_list": _float_list,
     "scheme": lambda s: s.split(","),
     "seed": int,
-    "threads": int,
     "particles": int,
     "n": int,
     "d": int,

@@ -21,9 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qmat
-from .measurement import MeasurementBasis
+from .fridge import _bath_energy, _branches, _validate
+from .measurement import MeasurementBasis, build_basis
 from .qmat import ALGEBRA_TOL
-from .thermal import ThermalSpec, gibbs_state
+from .thermal import ThermalSpec, degenerate_state, gibbs_state
 
 # Joint dimension N * 2**(N+1); kept at desk scale.
 MAX_QUBITS = 8
@@ -143,22 +144,19 @@ def cooling_reservoir_marginal(n: int, r: float) -> np.ndarray:
     Unnormalized over the branch: a mixture of the Gibbs state T and T^3 in
     which only 2(N-1) of the N(N-1) control off-diagonal terms contribute
     T^3; the rest contribute tr(T^3) * T. Normalization is the cooling
-    probability, the same as for the working qubit.
+    probability, the same as for the working qubit. The weights live in the
+    branch kernel ``fridge._branches``.
     """
-    t = gibbs_state(ThermalSpec.qubit(r))
-    t3 = t @ t @ t
-    alpha = ((n - 1) * (n - 2) * (1 + r**3) + n * (1 + r) ** 3) / (n**2 * (1 + r) ** 3)
-    beta = 2 * (n - 1) / n**2
-    unnorm = alpha * t + beta * t3
-    return unnorm / np.trace(unnorm).real
+    _validate("cswap", n, 2, r)
+    *_, x_res = _branches("cswap", n, 2, r, _bath_energy(2, r))
+    return degenerate_state(2, x_res)
 
 
 def cooling_target_marginal(n: int, r: float) -> np.ndarray:
     """Closed form for the working qubit's cooling-branch marginal."""
-    t = gibbs_state(ThermalSpec.qubit(r))
-    t3 = t @ t @ t
-    unnorm = t + (n - 1) * t3
-    return unnorm / np.trace(unnorm).real
+    _validate("cswap", n, 2, r)
+    _, _, x_cool, _, _ = _branches("cswap", n, 2, r, _bath_energy(2, r))
+    return degenerate_state(2, x_cool)
 
 
 def cswap_energy_identity(n: int, r: float) -> tuple[float, float]:
@@ -169,17 +167,11 @@ def cswap_energy_identity(n: int, r: float) -> tuple[float, float]:
     working qubit and the reservoir register.
     """
     state = cswap_evolve(n, r)
-    (cooling, _), _ = cswap_branches(state, _uniform_first_basis(n))
+    (cooling, _), _ = cswap_branches(state, build_basis(n))
     t_pop = r / (1 + r)
     res_pop = float(cooling.qubit_marginal(1)[1, 1].real)
     tgt_pop = float(cooling.qubit_marginal(0)[1, 1].real)
     return n * (res_pop - t_pop), 2 * (tgt_pop - t_pop)
-
-
-def _uniform_first_basis(n: int) -> MeasurementBasis:
-    from .measurement import build_basis
-
-    return build_basis(n)
 
 
 @dataclass(frozen=True)

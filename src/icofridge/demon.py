@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fridge import SCHEMES
+from .fridge import SCHEMES, _bath_energy, _branches, weighted_energy_scheme
 
 _INVERSION_ENERGY = 0.5  # mean energy above gap/2 means inverted populations
 
@@ -137,54 +137,37 @@ class DemonReport:
         return "\n".join(lines) + "\n"
 
 
-def _branch_maps(cfg: DemonConfig, x: np.ndarray):
-    """Vectorized branch data for particles with excited weight ``x``.
-
-    Returns (p_heating_total, x_cool, x_heat). Valid for diagonal particle
-    states whose excited levels are uniformly populated, which is preserved
-    by both branch maps from a thermal start.
-    """
-    n, d, r = cfg.n, cfg.dim, cfg.r
-    z = 1.0 + (d - 1) * r
-    a = (d - 1) * r / z
-    if cfg.scheme == "ico":
-        # interference term T rho T
-        tr_int = (1.0 - x + x * r * r) / (z * z)
-        e_int = x * r * r / (z * z)
-    else:
-        # interference term A rho A^dag with A = sqrt(T)
-        tr_int = (1.0 - x + x * r) / z
-        e_int = x * r / z
-    tr_heat = 1.0 - tr_int
-    p_heating = (n - 1) / n * tr_heat
-    with np.errstate(invalid="ignore", divide="ignore"):
-        x_heat = np.where(tr_heat > 0, (a - e_int) / np.where(tr_heat > 0, tr_heat, 1.0), x)
-    x_cool = (a + (n - 1) * e_int) / (1.0 + (n - 1) * tr_int)
-    return p_heating, x_cool, x_heat
-
-
-def run_demon(cfg: DemonConfig) -> DemonReport:
-    """Sort a thermal sample by heralded branch over one or more rounds."""
-    z = 1.0 + (cfg.dim - 1) * cfg.r
-    e0 = (cfg.dim - 1) * cfg.r / z
-    x = np.full(cfg.particles, e0)
+def _rounds(cfg: DemonConfig):
+    """Yield (x, heated) after each round: every particle's excited weight
+    and box (True -> C), from one uniform draw per particle per round."""
+    x = np.full(cfg.particles, _bath_energy(cfg.dim, cfg.r))
     draws = np.random.Generator(np.random.Philox(key=cfg.seed)).random(
         (cfg.rounds, cfg.particles)
     )
-    heated = np.zeros(cfg.particles, dtype=bool)
-    rounds_heated = []
-    for rnd in range(cfg.rounds):
-        p_heating, x_cool, x_heat = _branch_maps(cfg, x)
-        heated = draws[rnd] < p_heating
+    for draw in draws:
+        _, p_h, x_cool, x_heat, _ = _branches(cfg.scheme, cfg.n, cfg.dim, cfg.r, x)
+        heated = draw < (cfg.n - 1) * p_h
         x = np.where(heated, x_heat, x_cool)
-        rounds_heated.append(int(np.count_nonzero(heated)))
+        yield x, heated
+
+
+def _report(cfg: DemonConfig, rounds) -> DemonReport:
+    """Consume the per-round (x, heated) pairs into the final report."""
+    heated_counts = []
+    for x, heated in rounds:
+        heated_counts.append(int(np.count_nonzero(heated)))
     return DemonReport(
         config=cfg,
         final_energies=x,
         heated=heated,
-        initial_energy=e0,
-        rounds_heated_count=rounds_heated,
+        initial_energy=_bath_energy(cfg.dim, cfg.r),
+        rounds_heated_count=heated_counts,
     )
+
+
+def run_demon(cfg: DemonConfig) -> DemonReport:
+    """Sort a thermal sample by heralded branch over one or more rounds."""
+    return _report(cfg, _rounds(cfg))
 
 
 def analytic_transfer_fraction(n: int, dim: int, r: float) -> float:
@@ -194,12 +177,7 @@ def analytic_transfer_fraction(n: int, dim: int, r: float) -> float:
     energy: (N-1)(1-r^2) / (N (1+(D-1)r)^3) ... evaluated from the branch
     closed forms rather than a separate formula.
     """
-    cfg = DemonConfig(particles=1, n=n, r=r, dim=dim)
-    z = 1.0 + (dim - 1) * r
-    e0 = (dim - 1) * r / z
-    x0 = np.array([e0])
-    p_heating, _, x_heat = _branch_maps(cfg, x0)
-    return float(p_heating[0] * (x_heat[0] - e0) / e0)
+    return weighted_energy_scheme(n, dim, r, "ico") / _bath_energy(dim, r)
 
 
 def expected_transfer_exact(n: int, dim: int, r: float, rounds: int, scheme: str = "ico") -> float:
@@ -212,20 +190,19 @@ def expected_transfer_exact(n: int, dim: int, r: float, rounds: int, scheme: str
     """
     if rounds > 16:
         raise ValueError("branch tree is desk-scale only (rounds <= 16)")
-    cfg = DemonConfig(particles=1, n=n, r=r, dim=dim, scheme=scheme)
-    z = 1.0 + (dim - 1) * r
-    e0 = (dim - 1) * r / z
+    DemonConfig(particles=1, n=n, r=r, dim=dim, scheme=scheme, rounds=rounds)  # validates
+    e0 = _bath_energy(dim, r)
     total = 0.0
     stack = [(0, 1.0, e0)]
     while stack:
         depth, prob, x = stack.pop()
-        p_heating, x_cool, x_heat = _branch_maps(cfg, np.array([x]))
-        ph = float(p_heating[0])
+        _, p_h, x_cool, x_heat, _ = _branches(scheme, n, dim, r, x)
+        ph = (n - 1) * p_h
         if depth == rounds - 1:
-            total += prob * ph * (float(x_heat[0]) - e0)
+            total += prob * ph * (x_heat - e0)
         else:
-            stack.append((depth + 1, prob * ph, float(x_heat[0])))
-            stack.append((depth + 1, prob * (1.0 - ph), float(x_cool[0])))
+            stack.append((depth + 1, prob * ph, x_heat))
+            stack.append((depth + 1, prob * (1.0 - ph), x_cool))
     return total / e0
 
 
@@ -247,40 +224,23 @@ def heat_jump_scan(cfg: DemonConfig) -> HeatJumpReport:
     """Track per-round maximum energies and population-inversion events.
 
     A particle counts as inverted in the round where its mean energy first
-    exceeds half the gap. With a single round this reduces to run_demon
-    (a thermal particle cannot overshoot in one pass).
+    exceeds half the gap. The rounds are run_demon's, so the report inside
+    is bit-identical to it (a thermal particle cannot overshoot in one pass).
     """
-    z = 1.0 + (cfg.dim - 1) * cfg.r
-    e0 = (cfg.dim - 1) * cfg.r / z
-    x = np.full(cfg.particles, e0)
-    draws = np.random.Generator(np.random.Philox(key=cfg.seed)).random(
-        (cfg.rounds, cfg.particles)
-    )
-    heated = np.zeros(cfg.particles, dtype=bool)
-    already_inverted = np.zeros(cfg.particles, dtype=bool)
-    max_energy = []
-    inversions = []
-    first_round = None
-    rounds_heated = []
-    for rnd in range(cfg.rounds):
-        p_heating, x_cool, x_heat = _branch_maps(cfg, x)
-        heated = draws[rnd] < p_heating
-        x = np.where(heated, x_heat, x_cool)
-        rounds_heated.append(int(np.count_nonzero(heated)))
-        max_energy.append(float(np.max(x)))
-        new_inversions = (x > _INVERSION_ENERGY) & ~already_inverted
-        count = int(np.count_nonzero(new_inversions))
-        inversions.append(count)
-        if count and first_round is None:
-            first_round = rnd + 1
-        already_inverted |= new_inversions
-    report = DemonReport(
-        config=cfg,
-        final_energies=x,
-        heated=heated,
-        initial_energy=e0,
-        rounds_heated_count=rounds_heated,
-    )
+    max_energy: list[float] = []
+    inversions: list[int] = []
+    inverted = np.zeros(cfg.particles, dtype=bool)
+
+    def watched():
+        for x, heated in _rounds(cfg):
+            new = (x > _INVERSION_ENERGY) & ~inverted
+            inverted[new] = True
+            max_energy.append(float(np.max(x)))
+            inversions.append(int(np.count_nonzero(new)))
+            yield x, heated
+
+    report = _report(cfg, watched())
+    first_round = next((rnd for rnd, count in enumerate(inversions, start=1) if count), None)
     return HeatJumpReport(
         report=report,
         max_energy_per_round=max_energy,

@@ -20,6 +20,11 @@ Schemes
     temperature-limit and efficiency curves follow the convention used
     here.)
 
+Every branch statistic in the package (switch, controlled SWAP, cycles,
+demon, CLI tables) comes from one kernel, ``_branches``: the heralded
+branches T + (N-1) M rho M^dag and T - M rho M^dag of a degenerate working
+system, with M = T (``ico``, ``cswap``) or M = A (``traj``).
+
 Reservoirs are mean field: a bath is its particle count and current ratio.
 Per cycle the reservoir energies move by the probability-weighted heat flows
 of the two branches, which conserves total energy identically and drives the
@@ -47,57 +52,87 @@ STOP_POPULATION_TOL = 1e-6
 COLD_EXHAUSTED_TOL = 1e-7
 
 
-def _point(scheme: str, n: int, dim: int, r: float):
-    """Scalar branch data at ratio ``r``: (p_c, p_h_each, e_bath, e_cool_sum,
-    e_heat_sum, n_mediums). Energy sums run over all working mediums."""
+def _validate(scheme: str, n: int, dim: int, r: float) -> None:
+    """Reject inputs the branch kernel is not defined for."""
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     if not 0.0 < r <= 1.0:
         raise ValueError(f"ratio {r} outside (0, 1]")
     if n < 2:
         raise ValueError("need at least two channels")
+    if dim < 2:
+        raise ValueError("dimension must be at least 2")
     if scheme in ("cswap", "traj") and dim != 2:
         raise ValueError(f"scheme {scheme!r} is defined for qubit working systems")
-    x = (dim - 1) * r
-    z = 1.0 + x
-    a = x / z
+
+
+def _branches(scheme: str, n: int, dim: int, r: float, x):
+    """The branch kernel: heralded branches of a degenerate working system.
+
+    The input is diagonal with excited weight ``x`` spread evenly over the
+    D-1 excited levels; T is the reservoirs' Gibbs state at ratio ``r``. The
+    cooling branch is (T + (N-1) M rho M^dag)/N and each of the N-1 heating
+    branches is (T - M rho M^dag)/N, with M = T (``ico``, ``cswap``) or
+    M = A = sqrt(T) (``traj``).
+
+    Returns (p_c, p_h, x_cool, x_heat, x_res): each branch's own trace, summed
+    level by level, over N; its normalized excited weight; and for ``cswap``
+    each reservoir qubit's cooling-branch excited weight from alpha T + beta
+    T^3, valid at the thermal input only (None otherwise). Not validated;
+    + - * / and one guard touch ``x``, so it may be a float or an array.
+    """
+    z = 1.0 + (dim - 1) * r
+    g = 1.0 / z  # ground weight of T
+    a = (dim - 1) * r / z  # excited weight of T
+    k = r / z  # weight of each excited level of T
+    # diagonal of M rho M^dag
     if scheme == "traj":
-        tr2 = (1.0 + r * r) / (z * z)
-        e2 = r * r / (z * z)
-        tr_h = 1.0 - tr2
-        p_h = tr_h / n
-        p_c = 1.0 - (n - 1) * p_h
-        e_heat = (a - e2) / tr_h if tr_h > 0 else a
-        e_cool = (a + (n - 1) * e2) / (1.0 + (n - 1) * tr2)
-        return p_c, p_h, a, e_cool, e_heat, 1
+        m_g, m_e = g * (1.0 - x), k * x
+    else:
+        m_g, m_e = g * g * (1.0 - x), k * k * x
+    cool_e = a + (n - 1) * m_e
+    tr_c = g + (n - 1) * m_g + cool_e
+    heat_e = a - m_e
+    tr_h = g - m_g + heat_e
+    # tr_h > 0 for every r in (0, 1] unless it underflows; a heating branch
+    # of zero weight passes its input through
+    if isinstance(x, np.ndarray):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x_heat = np.where(tr_h > 0, heat_e / tr_h, x)
+    else:
+        x_heat = heat_e / tr_h if tr_h > 0 else x
+    x_res = None
+    if scheme == "cswap":
+        alpha = (n + (n - 1) * (n - 2) * (m_g + m_e)) / (n * n)
+        beta = 2 * (n - 1) / (n * n)
+        x_res = (alpha * a + beta * m_e) / (alpha + beta * (m_g + m_e))
+    return tr_c / n, tr_h / n, cool_e / tr_c, x_heat, x_res
 
-    z3 = z * z * z
-    tr3 = (1.0 + (dim - 1) * r**3) / z3
-    e3 = (dim - 1) * r**3 / z3
-    tr_h = 1.0 - tr3
-    p_h = tr_h / n
-    p_c = 1.0 - (n - 1) * p_h
-    pop_h = (a - e3) / tr_h if tr_h > 0 else a
-    pop_c = (a + (n - 1) * e3) / (1.0 + (n - 1) * tr3)
-    if scheme == "ico":
-        return p_c, p_h, a, pop_c, pop_h, 1
 
-    # cswap: target plus N reservoir qubits are all working mediums
-    alpha = ((n - 1) * (n - 2) * (1 + r**3) + n * z3) / (n * n * z3)
-    beta = 2 * (n - 1) / (n * n)
-    pop_res = (alpha * a + beta * e3) / p_c
-    e_cool_sum = pop_c + n * pop_res
+def _bath_branches(scheme: str, n: int, dim: int, r: float):
+    """Kernel at the thermal input, summed over working mediums.
+
+    Returns (p_c, p_h, a, e_cool, e_heat, n_mediums), where ``a`` is the
+    bath's excited weight. For ``cswap`` the N reservoir qubits are working
+    mediums too, and the heating-branch sum follows from energy conservation.
+    """
+    a = _bath_energy(dim, r)
+    p_c, p_h, x_cool, x_heat, x_res = _branches(scheme, n, dim, r, a)
+    if scheme != "cswap":
+        return p_c, p_h, a, x_cool, x_heat, 1
+    e_cool = x_cool + n * x_res
     p_heating = (n - 1) * p_h
     if p_heating > 0:
-        e_heat_sum = ((n + 1) * a - p_c * e_cool_sum) / p_heating
+        e_heat = ((n + 1) * a - p_c * e_cool) / p_heating
     else:
-        e_heat_sum = (n + 1) * a
-    return p_c, p_h, a, e_cool_sum, e_heat_sum, n + 1
+        e_heat = (n + 1) * a
+    return p_c, p_h, a, e_cool, e_heat, n + 1
 
 
 def branch_probabilities(n: int, r: float, scheme: str = "ico", dim: int = 2) -> tuple[float, float]:
     """(cooling probability, per-branch heating probability) for a scheme."""
-    p_c, p_h, *_ = _point(scheme, n, dim, r)
+    _validate(scheme, n, dim, r)
+    p_c, p_h, *_ = _branches(scheme, n, dim, r, _bath_energy(dim, r))
     return p_c, p_h
 
 
@@ -107,7 +142,11 @@ def register_entropy(n: int, r: float, scheme: str = "ico", dim: int = 2) -> flo
     One cooling outcome and N-1 individually recorded heating outcomes:
     S = -p_c ln p_c - (N-1) p_h ln p_h.
     """
-    p_c, p_h, *_ = _point(scheme, n, dim, r)
+    p_c, p_h = branch_probabilities(n, r, scheme, dim)
+    return _entropy(n, p_c, p_h)
+
+
+def _entropy(n: int, p_c: float, p_h: float) -> float:
     return -_xlogx(p_c) - (n - 1) * _xlogx(p_h)
 
 
@@ -120,7 +159,8 @@ def work_cost(entropy: float, beta_r: float) -> float:
 
 def weighted_energy_scheme(n: int, dim: int, r: float, scheme: str) -> float:
     """Average heat moved per cycle, summed over all working mediums."""
-    p_c, p_h, a, _, e_heat, n_med = _point(scheme, n, dim, r)
+    _validate(scheme, n, dim, r)
+    _, p_h, a, _, e_heat, n_med = _bath_branches(scheme, n, dim, r)
     return (n - 1) * p_h * (e_heat - n_med * a)
 
 
@@ -132,11 +172,12 @@ def cop(n: int, dim: int, r: float, r_hot: float, beta_r: float, scheme: str = "
     branches) divided by the register erasure work. Zero exactly when the
     hot bath matches the heating-branch mediums; maximal at r_hot = r.
     """
-    p_c, p_h, a, _, e_heat, n_med = _point(scheme, n, dim, r)
+    _validate(scheme, n, dim, r)
+    p_c, p_h, a, _, e_heat, n_med = _bath_branches(scheme, n, dim, r)
     p_heating = (n - 1) * p_h
-    a_hot = (dim - 1) * r_hot / (1.0 + (dim - 1) * r_hot)
+    a_hot = _bath_energy(dim, r_hot)
     numerator = p_heating * (e_heat - n_med * a) - p_heating * n_med * (a_hot - a)
-    return numerator / work_cost(register_entropy(n, r, scheme, dim), beta_r)
+    return numerator / work_cost(_entropy(n, p_c, p_h), beta_r)
 
 
 def cop_normalized(n: int, dim: int, r: float, scheme: str = "ico") -> float:
@@ -150,7 +191,8 @@ def stop_ratio(n: int, dim: int, r: float, scheme: str = "ico") -> float:
     At this r_hot the heating branch no longer dumps heat into the hot bath
     and the COP is exactly zero.
     """
-    _, _, _, _, e_heat, n_med = _point(scheme, n, dim, r)
+    _validate(scheme, n, dim, r)
+    _, _, _, _, e_heat, n_med = _bath_branches(scheme, n, dim, r)
     pop = e_heat / n_med
     x = pop / (1.0 - pop)
     return x / (dim - 1)
@@ -283,6 +325,7 @@ def run_cycles(
     gain every cycle. Stops when the heating-branch mediums match the hot
     bath within STOP_POPULATION_TOL in excited population, else on budget.
     """
+    _validate(scheme, n, dim, ensemble.r_cold)
     rng = np.random.default_rng(seed)
     nc, nh = ensemble.n_cold, ensemble.n_hot
     a_c = _bath_energy(dim, ensemble.r_cold)
@@ -299,15 +342,16 @@ def run_cycles(
         max_cycles=max_cycles,
     )
     work_total = 0.0
+    r_cold = _bath_ratio(dim, a_c)
     for cycle in range(1, max_cycles + 1):
         # branch statistics degenerate at absolute zero; freeze just above it
-        r_c = max(_bath_ratio(dim, a_c), 1e-12)
-        p_c, p_h, a, e_cool, e_heat, n_med = _point(scheme, n, dim, r_c)
+        r_c = max(r_cold, 1e-12)
+        p_c, p_h, _, e_cool, e_heat, n_med = _bath_branches(scheme, n, dim, r_c)
         p_heating = (n - 1) * p_h
         mean_heat_pop = e_heat / n_med
 
         branch = "cooling" if rng.random() < p_c else "heating"
-        s = -_xlogx(p_c) - (n - 1) * _xlogx(p_h)
+        s = _entropy(n, p_c, p_h)
         work_total += s  # erasure work per cycle at beta_R = 1
 
         # heating-branch round trip: mediums equilibrate with the hot bath
@@ -319,7 +363,8 @@ def run_cycles(
 
         trace.cycles.append(cycle)
         trace.branches.append(branch)
-        trace.r_cold.append(_bath_ratio(dim, a_c))
+        r_cold = _bath_ratio(dim, a_c)
+        trace.r_cold.append(r_cold)
         trace.r_hot.append(_bath_ratio(dim, a_h))
         trace.heat_cold.append(-d_cold)
         trace.heat_hot.append(d_hot)
@@ -329,7 +374,7 @@ def run_cycles(
         if abs(mean_heat_pop - a_h) < STOP_POPULATION_TOL:
             trace.stop_reason = "converged"
             break
-        if trace.r_cold[-1] < COLD_EXHAUSTED_TOL:
+        if r_cold < COLD_EXHAUSTED_TOL:
             trace.stop_reason = "cold-exhausted"
             break
     return trace

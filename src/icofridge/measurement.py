@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fridge import _xlogx
 from .nswitch import SwitchOutput
 from .qmat import ALGEBRA_TOL
 
@@ -162,7 +163,3 @@ def povm_ancilla_scheme(m: int, out: SwitchOutput) -> AncillaSchemeResult:
         register_entropy_flag=s_flag,
         control_entropy=math.log(n - 1),
     )
-
-
-def _xlogx(p: float) -> float:
-    return p * math.log(p) if p > 0.0 else 0.0

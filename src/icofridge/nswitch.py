@@ -12,7 +12,9 @@ Two independent routes to the control-target output state:
 
 Branch statistics after the control measurement (one cooling branch
 proportional to T + (N-1)T^3, N-1 identical heating branches proportional to
-T - T^3) are provided for qubit and degenerate-qudit working systems.
+T - T^3) are provided for qubit and degenerate-qudit working systems by the
+branch kernel in ``fridge``; ``measure_control`` on ``switch_closed_form`` is
+their oracle.
 """
 
 from __future__ import annotations
@@ -24,8 +26,9 @@ from itertools import permutations as _permutations
 import numpy as np
 
 from .channels import thermalizing_kraus
+from .fridge import _bath_energy, _branches, _validate, weighted_energy_scheme
 from .qmat import ALGEBRA_TOL
-from .thermal import ThermalSpec, gibbs_state, hamiltonian, mean_energy
+from .thermal import ThermalSpec, degenerate_state
 
 # Hard ceiling on the number of Kraus-index tuples the brute force will sum.
 BRUTEFORCE_BUDGET = 10**6
@@ -216,23 +219,19 @@ def branch_stats(n: int, spec: ThermalSpec) -> BranchStats:
 
     Cooling branch state ~ T + (N-1) T^3 with probability tr(...)/N, each of
     the N-1 heating branches ~ T - T^3 with probability tr(T - T^3)/N. The
-    normalized heating state does not depend on N.
+    normalized heating state does not depend on N. The states are the
+    diagonal of the branch kernel's output, so ``spec`` must be degenerate
+    (ValueError otherwise).
     """
-    if n < 2:
-        raise ValueError("need at least two channels")
-    t = gibbs_state(spec)
-    t3 = t @ t @ t
-    cool = t + (n - 1) * t3
-    heat = t - t3
-    p_c = float(np.trace(cool).real) / n
-    p_h = float(np.trace(heat).real) / n
-    rho_h = heat / np.trace(heat).real if p_h > 0 else gibbs_state(spec)
+    r = spec.r
+    _validate("ico", n, spec.dim, r)
+    p_c, p_h, x_cool, x_heat, _ = _branches("ico", n, spec.dim, r, _bath_energy(spec.dim, r))
     return BranchStats(
         n=n,
         p_c=p_c,
         p_h=p_h,
-        rho_c=cool / np.trace(cool).real,
-        rho_h=rho_h,
+        rho_c=degenerate_state(spec.dim, x_cool),
+        rho_h=degenerate_state(spec.dim, x_heat),
     )
 
 
@@ -252,11 +251,7 @@ def weighted_energy(n: int, dim: int, r: float) -> tuple[float, float]:
     The heating value is p_H * (E[heating branch] - E[Gibbs]); the cooling
     value is its negative, since the branch average conserves energy.
     """
-    spec = ThermalSpec.degenerate(dim, r)
-    stats = branch_stats(n, spec)
-    h = hamiltonian(spec)
-    e_thermal = mean_energy(gibbs_state(spec), h)
-    de_h = stats.p_heating_total * (mean_energy(stats.rho_h, h) - e_thermal)
+    de_h = weighted_energy_scheme(n, dim, r, "ico")
     return de_h, -de_h
 
 

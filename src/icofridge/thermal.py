@@ -90,6 +90,12 @@ def gibbs_state(spec: ThermalSpec) -> np.ndarray:
     return np.diag(weights / weights.real.sum())
 
 
+def degenerate_state(dim: int, x: float) -> np.ndarray:
+    """Diagonal D-level state with excited weight x spread evenly over the
+    D-1 excited levels; the Gibbs state when x = (D-1)r / (1 + (D-1)r)."""
+    return np.diag(np.array((1.0 - x,) + (x / (dim - 1),) * (dim - 1), dtype=complex))
+
+
 def hamiltonian(spec: ThermalSpec) -> np.ndarray:
     """Diagonal Hamiltonian diag(0, gaps...) in units of the qubit gap."""
     return np.diag(np.array((0.0,) + spec.gaps, dtype=complex))

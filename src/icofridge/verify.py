@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -494,7 +493,7 @@ CHECKS: dict[str, Callable[[], tuple[bool, str]]] = {
 }
 
 
-def run_checks(names: list[str] | None = None, threads: int = 1) -> list[CheckResult]:
+def run_checks(names: list[str] | None = None) -> list[CheckResult]:
     """Run the named checks (all by default), in declaration order."""
     selected = list(CHECKS) if names is None else list(names)
     unknown = [n for n in selected if n not in CHECKS]
@@ -509,7 +508,4 @@ def run_checks(names: list[str] | None = None, threads: int = 1) -> list[CheckRe
             passed, detail = False, f"raised {type(exc).__name__}: {exc}"
         return CheckResult(name=name, passed=passed, detail=detail, seconds=time.perf_counter() - start)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(run_one, selected))
     return [run_one(name) for name in selected]

@@ -211,8 +211,22 @@ def test_verify_unknown_check(capsys):
     assert cli.main(["verify", "--checks", "nonesuch"]) == 1
 
 
-def test_threads_flag_preserves_order(capsys):
-    args = ["branches", "--n-list", "2,3,4,5,6", "--d-list", "2", "--r-list", "0.2,0.8"]
-    _, serial = run(args, capsys)
-    _, threaded = run(args + ["--threads", "4"], capsys)
-    assert serial == threaded
+def test_rows_follow_grid_order(capsys):
+    code, out = run(["branches", "--n-list", "3,2", "--d-list", "3,2", "--r-list", "0.8,0.2"], capsys)
+    assert code == 0
+    rows = [line.split(",")[:3] for line in out.strip().splitlines()[2:]]
+    assert rows == [[n, d, r] for n in ("3", "2") for d in ("3", "2") for r in ("0.8", "0.2")]
+
+    code, out = run(["cop", "--scheme", "traj,ico", "--n-list", "2,4", "--r-list", "0.5"], capsys)
+    assert code == 0
+    schemes = [line.split(",")[0] for line in out.strip().splitlines()[2:]]
+    assert schemes == ["traj", "traj", "ico", "ico"]
+
+    # the worker pool is gone: the flag and its config key are usage errors
+    assert cli.main(["branches", "--threads", "2"]) == 1
+
+
+def test_cycle_and_demon_io_error_exit_code(capsys):
+    assert cli.main(["cycle", "--max-cycles", "5", "--out", "/nonexistent/dir/x.csv"]) == 3
+    assert cli.main(["demon", "--particles", "10", "--out", "/nonexistent/dir/x.json"]) == 3
+    assert "cannot write /nonexistent/dir/x.json" in capsys.readouterr().err

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from icofridge import demon, nswitch, thermal
+from icofridge import fridge, nswitch, thermal
 from icofridge.demon import DemonConfig, analytic_transfer_fraction, expected_transfer_exact, heat_jump_scan, qubit_never_inverts, run_demon
 from icofridge.thermal import ThermalSpec
 
@@ -106,12 +106,16 @@ def test_heat_jump_never_at_two_reservoirs():
 
 
 def test_heat_jump_single_round_matches_run():
-    cfg = DemonConfig(particles=1000, n=100, r=0.33, rounds=1, seed=42)
-    scan = heat_jump_scan(cfg)
-    rep = run_demon(cfg)
-    assert np.array_equal(scan.report.final_energies, rep.final_energies)
-    assert np.array_equal(scan.report.heated, rep.heated)
-    assert scan.ever_inverted_count == 0
+    # a thermal particle cannot overshoot in one pass; over ten rounds some do
+    for rounds, inverts in ((1, False), (10, True)):
+        cfg = DemonConfig(particles=1000, n=100, r=0.33, rounds=rounds, seed=42)
+        scan = heat_jump_scan(cfg)
+        rep = run_demon(cfg)
+        assert np.array_equal(scan.report.final_energies, rep.final_energies)
+        assert np.array_equal(scan.report.heated, rep.heated)
+        assert scan.report.rounds_heated_count == rep.rounds_heated_count
+        assert len(scan.max_energy_per_round) == rounds
+        assert (scan.ever_inverted_count > 0) == inverts
 
 
 def test_report_json_and_histogram():
@@ -130,9 +134,9 @@ def test_report_json_and_histogram():
 
 def test_energy_conservation_in_expectation():
     # branch-averaged single-pass energy equals the reservoir energy
-    cfg = DemonConfig(particles=1, n=5, r=0.37, seed=0)
     x = np.array([0.37 / 1.37])
-    p_heating, x_cool, x_heat = demon._branch_maps(cfg, x)
+    _, p_h, x_cool, x_heat, _ = fridge._branches("ico", 5, 2, 0.37, x)
+    p_heating = 4 * p_h
     avg = (1 - p_heating[0]) * x_cool[0] + p_heating[0] * x_heat[0]
     t_energy = 0.37 / 1.37
     assert abs(avg - t_energy) < 1e-14

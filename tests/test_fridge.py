@@ -5,6 +5,9 @@ import pytest
 
 from icofridge import fridge
 from icofridge.fridge import ReservoirEnsemble, cop, lowest_r, register_entropy, run_cycles, stop_ratio, work_cost
+from icofridge.measurement import build_basis, measure_control
+from icofridge.nswitch import SwitchOutput, switch_closed_form
+from icofridge.thermal import ThermalSpec, degenerate_state, gibbs_state
 
 
 def test_register_entropy_hot_two_channel():
@@ -21,7 +24,7 @@ def test_register_entropy_deterministic_limit():
 
 def test_register_entropy_counts_heating_outcomes_individually():
     n, r = 8, 0.5
-    p_c, p_h, *_ = fridge._point("ico", n, 2, r)
+    p_c, p_h = fridge.branch_probabilities(n, r)
     s = register_entropy(n, r, "ico")
     assert abs(s - (-p_c * math.log(p_c) - (n - 1) * p_h * math.log(p_h))) < 1e-15
     # coarse record plus leftover control mixedness reproduces it
@@ -167,7 +170,7 @@ def test_trace_deterministic_given_seed():
 def test_sampled_branch_frequencies_follow_probabilities():
     ens = ReservoirEnsemble.from_ratio(1.0, 0.9, n_cold=1e12)  # quasi-static
     trace = run_cycles("ico", ens, n=2, seed=9, max_cycles=4000)
-    p_c = fridge._point("ico", 2, 2, 0.9)[0]
+    p_c = fridge.branch_probabilities(2, 0.9)[0]
     freq = trace.branches.count("cooling") / len(trace.branches)
     assert abs(freq - p_c) < 4 * math.sqrt(p_c * (1 - p_c) / len(trace.branches))
 
@@ -181,14 +184,23 @@ def test_ensemble_validation():
 
 
 def test_point_validation():
-    with pytest.raises(ValueError):
-        fridge._point("bogus", 2, 2, 0.5)
-    with pytest.raises(ValueError):
-        fridge._point("traj", 2, 3, 0.5)
-    with pytest.raises(ValueError):
-        fridge._point("ico", 1, 2, 0.5)
-    with pytest.raises(ValueError):
-        fridge._point("ico", 2, 2, 0.0)
+    ens = ReservoirEnsemble.from_ratio(1.0, 0.5, n_cold=16)
+    with pytest.raises(ValueError, match="unknown scheme"):
+        fridge.branch_probabilities(2, 0.5, "bogus")
+    with pytest.raises(ValueError, match="unknown scheme"):
+        run_cycles("bogus", ens, n=2)
+    with pytest.raises(ValueError, match="qubit"):
+        cop(2, 3, 0.5, 0.5, 1.0, "traj")
+    with pytest.raises(ValueError, match="qubit"):
+        run_cycles("cswap", ens, n=2, dim=3)
+    with pytest.raises(ValueError, match="two channels"):
+        fridge.branch_probabilities(1, 0.5)
+    with pytest.raises(ValueError, match="two channels"):
+        run_cycles("ico", ens, n=1)
+    with pytest.raises(ValueError, match="outside"):
+        fridge.branch_probabilities(2, 0.0)
+    with pytest.raises(ValueError, match="outside"):
+        cop(2, 2, 1.5, 0.5, 1.0)
 
 
 def test_qudit_ico_cycle_runs():
@@ -196,3 +208,52 @@ def test_qudit_ico_cycle_runs():
     trace = run_cycles("ico", ens, n=2, dim=3, seed=10, max_cycles=20_000)
     assert trace.final_r_cold < 0.4
     assert trace.audit_defect() < 1e-10
+
+
+def _measured(out, n):
+    """(p_c, per-branch p_h, cooling and heating excited weights) of a switch output."""
+    outcomes = measure_control(out, build_basis(n))
+    excited = [1.0 - float(o.state[0, 0].real) for o in outcomes]
+    for o, e in zip(outcomes[2:], excited[2:]):
+        assert abs(o.probability - outcomes[1].probability) < 1e-12 and abs(e - excited[1]) < 1e-12
+    return outcomes[0].probability, outcomes[1].probability, excited[0], excited[1]
+
+
+@pytest.mark.parametrize("dim", (2, 3))
+@pytest.mark.parametrize("n", (2, 5))
+def test_branch_kernel_matches_measured_switch_off_thermal(n, dim):
+    # the demon feeds non-thermal particles back in; check the kernel there
+    # against the measured closed-form switch, for floats and for arrays
+    xs = (0.0, 0.1, 0.5, 0.9)
+    for r in (0.2, 0.7):
+        spec = ThermalSpec.degenerate(dim, r)
+        t = gibbs_state(spec)
+        batch = fridge._branches("ico", n, dim, r, np.array(xs))[:4]
+        for i, x in enumerate(xs):
+            rho = degenerate_state(dim, x)
+            ref = _measured(switch_closed_form(n, rho, t), n)
+            got = fridge._branches("ico", n, dim, r, x)[:4]
+            assert max(abs(g - e) for g, e in zip(got, ref)) < 1e-12
+            assert [float(b[i]) for b in batch] == list(got)
+
+
+@pytest.mark.parametrize("n", (2, 5))
+def test_traj_branch_kernel_matches_measured_paths(n):
+    # fridge and demon use blocks A rho A^dag for the traj scheme
+    for r in (0.2, 0.7):
+        t = gibbs_state(ThermalSpec.qubit(r))
+        a = np.sqrt(t)
+        for x in (0.0, 0.1, 0.5, 0.9):
+            rho = degenerate_state(2, x)
+            off = a @ rho @ a.conj().T
+            joint = (np.kron(np.eye(n), t) + np.kron(np.ones((n, n)) - np.eye(n), off)) / n
+            ref = _measured(SwitchOutput(joint=joint, control_dim=n, target_dim=2), n)
+            got = fridge._branches("traj", n, 2, r, x)[:4]
+            assert max(abs(g - e) for g, e in zip(got, ref)) < 1e-12
+
+
+def test_branch_kernel_guard_passes_input_through():
+    # a heating branch of zero weight (only at r = 0, which callers reject)
+    # leaves the input unchanged instead of dividing by zero
+    assert fridge._branches("ico", 2, 2, 0.0, 0.0)[3] == 0.0
+    assert fridge._branches("ico", 2, 2, 0.0, np.array([0.0, 0.3]))[3].tolist() == [0.0, 0.0]

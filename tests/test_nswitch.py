@@ -227,6 +227,14 @@ def test_qudit_reduces_to_qubit():
             assert np.max(np.abs(a.rho_h - b.rho_h)) < 1e-15
 
 
+def test_branch_stats_needs_degenerate_spec():
+    # the states are the diagonal of the degenerate-family branch kernel
+    with pytest.raises(ValueError, match="not degenerate"):
+        branch_stats(2, ThermalSpec(r_list=(0.5, 0.2)))
+    with pytest.raises(ValueError, match="two channels"):
+        branch_stats(1, ThermalSpec.qubit(0.5))
+
+
 def test_qudit_low_temperature_asymptote():
     r = 1e-4
     stats = qudit_branch_stats(2, 3, r)
