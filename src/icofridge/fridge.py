@@ -26,11 +26,14 @@ branches T + (N-1) M rho M^dag and T - M rho M^dag of a degenerate working
 system, with M = T (``ico``, ``cswap``) or M = A (``traj``).
 
 Reservoirs are mean field: a bath is its particle count and current ratio.
+A refrigeration run iterates the bath state; the trace is derived from it.
 Per cycle the reservoir energies move by the probability-weighted heat flows
 of the two branches, which conserves total energy identically and drives the
-cold ratio to the closed-form fixed point; the sampled branch label, register
-entropy and erasure work are recorded on the trace. Energies are in units of
-the level gap; work uses a unit-inverse-temperature erasure reservoir.
+cold ratio to the closed-form fixed point. After the loop, one kernel call on
+the array of cold ratios the run passed through gives every cycle's branch
+probabilities, and from them its register entropy, cumulative erasure work
+and sampled branch label. Energies are in units of the level gap; work uses a
+unit-inverse-temperature erasure reservoir.
 """
 
 from __future__ import annotations
@@ -50,6 +53,10 @@ STOP_POPULATION_TOL = 1e-6
 # Stop when the cold ratio has iterated this close to absolute zero: the
 # branch probabilities (hence all flows) vanish with r, so the run has frozen.
 COLD_EXHAUSTED_TOL = 1e-7
+
+# branch labels indexed by "cooling drawn": a trace's label list holds these
+# two objects, not one new string per cycle
+_LABELS = np.array(["heating", "cooling"], dtype=object)
 
 
 def _validate(scheme: str, n: int, dim: int, r: float) -> None:
@@ -173,6 +180,9 @@ def cop(n: int, dim: int, r: float, r_hot: float, beta_r: float, scheme: str = "
     hot bath matches the heating-branch mediums; maximal at r_hot = r.
     """
     _validate(scheme, n, dim, r)
+    # no upper bound: stop_ratio may round just above 1 and cop is zero there
+    if not 0.0 < r_hot < math.inf:
+        raise ValueError(f"hot ratio {r_hot} must be positive and finite")
     p_c, p_h, a, _, e_heat, n_med = _bath_branches(scheme, n, dim, r)
     p_heating = (n - 1) * p_h
     a_hot = _bath_energy(dim, r_hot)
@@ -207,8 +217,8 @@ def lowest_r(scheme: str, r_start: float, k: float) -> float:
     """
     if not 0.0 < r_start <= 1.0:
         raise ValueError(f"starting ratio {r_start} outside (0, 1]")
-    if k <= 0:
-        raise ValueError("reservoir size ratio k must be positive")
+    if not 0.0 < k < math.inf:
+        raise ValueError(f"reservoir size ratio k={k} must be positive and finite")
     r = r_start
     if scheme == "ico":
         raw = (k - (2 * k + 3) * r) / (k * r - 3 - 2 * k)
@@ -229,8 +239,9 @@ class ReservoirEnsemble:
     r_hot: float
 
     def __post_init__(self):
-        if self.n_cold <= 0 or self.n_hot <= 0:
-            raise ValueError("particle counts must be positive")
+        for count in (self.n_cold, self.n_hot):
+            if not 0.0 < count < math.inf:
+                raise ValueError(f"particle count {count} must be positive and finite")
         for r in (self.r_cold, self.r_hot):
             if not 0.0 < r <= 1.0:
                 raise ValueError(f"ratio {r} outside (0, 1]")
@@ -318,19 +329,60 @@ def run_cycles(
 ) -> CycleTrace:
     """Drive the fridge until the heating branch matches the hot bath.
 
-    Each cycle rebuilds the branch statistics at the current cold ratio,
-    samples a branch label for the record, and applies the mean-field heat
-    flows: cooling-branch extraction from the cold pool, and the heating
-    mediums' round trip through the hot bath. Cold-side loss equals hot-side
-    gain every cycle. Stops when the heating-branch mediums match the hot
-    bath within STOP_POPULATION_TOL in excited population, else on budget.
+    The loop iterates the bath state; the trace is derived from it. Each
+    cycle rebuilds the branch statistics at the current cold ratio and
+    applies the mean-field heat flows: cooling-branch extraction from the
+    cold pool, and the heating mediums' round trip through the hot bath.
+    Cold-side loss equals hot-side gain every cycle. The run stops when the
+    heating-branch mediums match the hot bath within STOP_POPULATION_TOL in
+    excited population, when the cold ratio falls below COLD_EXHAUSTED_TOL,
+    or after ``max_cycles`` (at least 1) cycles.
+
+    The loop records the cold ratio, the hot excited weight and the two
+    flows of each cycle. After it, one kernel call on the cold ratios the
+    run passed through gives every cycle's branch probabilities; from them
+    come the register entropy, the cumulative erasure work and the branch
+    labels, drawn from ``seed``'s generator one uniform per cycle.
     """
     _validate(scheme, n, dim, ensemble.r_cold)
-    rng = np.random.default_rng(seed)
+    if max_cycles < 1:
+        raise ValueError(f"max_cycles must be at least 1, got {max_cycles}")
     nc, nh = ensemble.n_cold, ensemble.n_hot
     a_c = _bath_energy(dim, ensemble.r_cold)
     a_h = _bath_energy(dim, ensemble.r_hot)
-    trace = CycleTrace(
+    r_cold = r_first = _bath_ratio(dim, a_c)
+    cold_ratios, hot_weights, heat_cold, heat_hot = [], [], [], []
+    stop_reason = "budget"
+    for _ in range(max_cycles):
+        # branch statistics degenerate at absolute zero; freeze just above it
+        r_c = 1e-12 if r_cold < 1e-12 else r_cold  # max(r_cold, 1e-12)
+        p_c, p_h, _, e_cool, e_heat, n_med = _bath_branches(scheme, n, dim, r_c)
+        p_heating = (n - 1) * p_h
+        # heating-branch round trip: mediums equilibrate with the hot bath
+        a_h_eq = (nh * a_h + e_heat) / (nh + n_med)
+        d_cold = p_c * (e_cool - n_med * a_c) + p_heating * n_med * (a_h_eq - a_c)
+        d_hot = p_heating * nh * (a_h_eq - a_h)
+        a_c += d_cold / nc
+        a_h += d_hot / nh
+        r_cold = _bath_ratio(dim, a_c)
+        cold_ratios.append(r_cold)
+        hot_weights.append(a_h)
+        heat_cold.append(-d_cold)
+        heat_hot.append(d_hot)
+        if abs(e_heat / n_med - a_h) < STOP_POPULATION_TOL:
+            stop_reason = "converged"
+            break
+        if r_cold < COLD_EXHAUSTED_TOL:
+            stop_reason = "cold-exhausted"
+            break
+
+    m = len(cold_ratios)
+    # the ratio each cycle started from, clamped as in the loop
+    r_c = np.maximum([r_first] + cold_ratios[:-1], 1e-12)
+    p_c, p_h, *_ = _branches(scheme, n, dim, r_c, _bath_energy(dim, r_c))
+    entropy = _entropy(n, p_c, p_h)
+    cooling = np.random.default_rng(seed).random(m) < p_c
+    return CycleTrace(
         scheme=scheme,
         n=n,
         dim=dim,
@@ -340,44 +392,16 @@ def run_cycles(
         r_start_cold=ensemble.r_cold,
         r_start_hot=ensemble.r_hot,
         max_cycles=max_cycles,
+        cycles=list(range(1, m + 1)),
+        branches=_LABELS[cooling.astype(int)].tolist(),
+        r_cold=cold_ratios,
+        r_hot=_bath_ratio(dim, np.array(hot_weights)).tolist(),
+        heat_cold=heat_cold,
+        heat_hot=heat_hot,
+        work=np.cumsum(entropy).tolist(),  # erasure work at beta_R = 1
+        entropy=entropy.tolist(),
+        stop_reason=stop_reason,
     )
-    work_total = 0.0
-    r_cold = _bath_ratio(dim, a_c)
-    for cycle in range(1, max_cycles + 1):
-        # branch statistics degenerate at absolute zero; freeze just above it
-        r_c = max(r_cold, 1e-12)
-        p_c, p_h, _, e_cool, e_heat, n_med = _bath_branches(scheme, n, dim, r_c)
-        p_heating = (n - 1) * p_h
-        mean_heat_pop = e_heat / n_med
-
-        branch = "cooling" if rng.random() < p_c else "heating"
-        s = _entropy(n, p_c, p_h)
-        work_total += s  # erasure work per cycle at beta_R = 1
-
-        # heating-branch round trip: mediums equilibrate with the hot bath
-        a_h_eq = (nh * a_h + e_heat) / (nh + n_med)
-        d_cold = p_c * (e_cool - n_med * a_c) + p_heating * n_med * (a_h_eq - a_c)
-        d_hot = p_heating * nh * (a_h_eq - a_h)
-        a_c += d_cold / nc
-        a_h += d_hot / nh
-
-        trace.cycles.append(cycle)
-        trace.branches.append(branch)
-        r_cold = _bath_ratio(dim, a_c)
-        trace.r_cold.append(r_cold)
-        trace.r_hot.append(_bath_ratio(dim, a_h))
-        trace.heat_cold.append(-d_cold)
-        trace.heat_hot.append(d_hot)
-        trace.work.append(work_total)
-        trace.entropy.append(s)
-
-        if abs(mean_heat_pop - a_h) < STOP_POPULATION_TOL:
-            trace.stop_reason = "converged"
-            break
-        if r_cold < COLD_EXHAUSTED_TOL:
-            trace.stop_reason = "cold-exhausted"
-            break
-    return trace
 
 
 def _bath_energy(dim: int, r: float) -> float:
@@ -385,11 +409,20 @@ def _bath_energy(dim: int, r: float) -> float:
     return x / (1.0 + x)
 
 
-def _bath_ratio(dim: int, a: float) -> float:
-    a = min(max(a, 0.0), 1.0 - 1e-15)
-    x = a / (1.0 - a)
-    return min(x / (dim - 1), 1.0)
+def _bath_ratio(dim: int, a):
+    if isinstance(a, np.ndarray):
+        a = np.clip(a, 0.0, 1.0 - 1e-15)
+        return np.minimum(a / (1.0 - a) / (dim - 1), 1.0)
+    # min(max(a, 0.0), 1 - 1e-15) and min(x, 1.0), spelled as conditionals:
+    # the builtins cost about four times as much in the cycle loop
+    a = 0.0 if a < 0.0 else a
+    a = 1.0 - 1e-15 if a > 1.0 - 1e-15 else a
+    x = a / (1.0 - a) / (dim - 1)
+    return 1.0 if x > 1.0 else x
 
 
-def _xlogx(p: float) -> float:
+def _xlogx(p):
+    if isinstance(p, np.ndarray):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(p > 0.0, p * np.log(p), 0.0)
     return p * math.log(p) if p > 0.0 else 0.0

@@ -187,6 +187,26 @@ def test_usage_error_exit_code(capsys):
     assert cfg_err == 3
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    (
+        (["cycle", "--k", "inf"], "particle count inf must be positive and finite"),
+        (["cycle", "--n-cold", "nan"], "particle count nan must be positive and finite"),
+        (["cycle", "--max-cycles", "0"], "max_cycles must be at least 1"),
+        (["cycle", "--max-cycles", "-3"], "max_cycles must be at least 1"),
+        (["limits", "--k-list", "nan"], "reservoir size ratio k=nan must be positive and finite"),
+        (["limits", "--k-list", "inf"], "reservoir size ratio k=inf must be positive and finite"),
+        (["cop", "--r-hot", "nan"], "hot ratio nan must be positive and finite"),
+        (["cop", "--r-hot", "inf"], "hot ratio inf must be positive and finite"),
+    ),
+)
+def test_nonfinite_and_empty_inputs_exit_1(argv, message, capsys):
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
 def test_unknown_config_key(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("bogus_key=1\n")

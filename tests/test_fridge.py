@@ -66,6 +66,16 @@ def test_cop_zero_at_infinite_temperature():
     assert cop(2, 2, 1.0, 1.0, 1.0, "ico") == 0.0
 
 
+def test_cop_rejects_nonfinite_hot_ratio():
+    for r_hot in (math.nan, math.inf, 0.0, -0.5):
+        with pytest.raises(ValueError, match="hot ratio"):
+            cop(2, 2, 0.5, r_hot, 1.0, "ico")
+    # the traj stop point (infinite temperature) can round just above 1 and
+    # stays a valid input
+    r_hot = stop_ratio(2, 2, 0.999, "traj")
+    assert r_hot > 1.0 and abs(cop(2, 2, 0.999, r_hot, 1.0, "traj")) < 1e-10
+
+
 def test_cop_nonnegative_in_refrigeration_region():
     for scheme in ("ico", "cswap", "traj"):
         for r in (0.2, 0.6, 0.95):
@@ -103,6 +113,9 @@ def test_lowest_r_closed_forms():
         lowest_r("cswap", 0.5, 1.0)
     with pytest.raises(ValueError):
         lowest_r("ico", 0.5, 0.0)
+    for k in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            lowest_r("ico", 0.5, k)
 
 
 def test_run_cycles_reaches_absolute_zero_boundary():
@@ -159,6 +172,72 @@ def test_trace_csv_format():
     assert len(lines) == 2 + 5
 
 
+TRACE_COLUMNS = ("cycles", "branches", "r_cold", "r_hot", "heat_cold", "heat_hot", "work", "entropy")
+
+
+def _reference_cycles(scheme, ens, n, dim, seed, max_cycles):
+    """Per-cycle reference: one kernel call and one scalar draw per cycle."""
+    rng = np.random.default_rng(seed)
+    nc, nh = ens.n_cold, ens.n_hot
+    a_c = fridge._bath_energy(dim, ens.r_cold)
+    a_h = fridge._bath_energy(dim, ens.r_hot)
+    cols = {name: [] for name in TRACE_COLUMNS}
+    work, stop = 0.0, "budget"
+    r_cold = fridge._bath_ratio(dim, a_c)
+    for cycle in range(1, max_cycles + 1):
+        p_c, p_h, _, e_cool, e_heat, n_med = fridge._bath_branches(scheme, n, dim, max(r_cold, 1e-12))
+        p_heating = (n - 1) * p_h
+        branch = "cooling" if rng.random() < p_c else "heating"
+        s = -p_c * math.log(p_c) - (n - 1) * p_h * math.log(p_h)
+        work += s
+        a_h_eq = (nh * a_h + e_heat) / (nh + n_med)
+        d_cold = p_c * (e_cool - n_med * a_c) + p_heating * n_med * (a_h_eq - a_c)
+        d_hot = p_heating * nh * (a_h_eq - a_h)
+        a_c += d_cold / nc
+        a_h += d_hot / nh
+        r_cold = fridge._bath_ratio(dim, a_c)
+        row = (cycle, branch, r_cold, fridge._bath_ratio(dim, a_h), -d_cold, d_hot, work, s)
+        for name, value in zip(TRACE_COLUMNS, row):
+            cols[name].append(value)
+        if abs(e_heat / n_med - a_h) < fridge.STOP_POPULATION_TOL:
+            stop = "converged"
+            break
+        if r_cold < fridge.COLD_EXHAUSTED_TOL:
+            stop = "cold-exhausted"
+            break
+    return cols, stop
+
+
+@pytest.mark.parametrize("scheme, dim", (("ico", 2), ("cswap", 2), ("traj", 2), ("ico", 3)))
+@pytest.mark.parametrize(
+    "k, r0, max_cycles, stop",
+    (
+        (2.0, 0.6, 20_000, "converged"),
+        (5.0, 0.1, 20_000, "cold-exhausted"),
+        (2.0, 0.6, 1, "budget"),
+        (2.0, 0.6, 3, "budget"),
+    ),
+)
+def test_run_cycles_matches_per_cycle_reference(scheme, dim, k, r0, max_cycles, stop):
+    # the loop iterates the bath state and the columns are derived after it;
+    # every column must match a loop that records each cycle as it goes
+    ens = ReservoirEnsemble.from_ratio(k, r0, n_cold=4)
+    trace = run_cycles(scheme, ens, n=3, dim=dim, seed=5, max_cycles=max_cycles)
+    ref, ref_stop = _reference_cycles(scheme, ens, 3, dim, 5, max_cycles)
+    assert trace.stop_reason == ref_stop == stop
+    for name in TRACE_COLUMNS:
+        got, want = getattr(trace, name), ref[name]
+        assert isinstance(got, list) and len(got) == len(want)
+        assert all(type(g) is type(w) for g, w in zip(got, want)), name
+        if name in ("work", "entropy"):
+            # np.log and math.log may differ in the last place
+            assert all(abs(g - w) <= 1e-15 * abs(w) for g, w in zip(got, want)), name
+        else:
+            assert got == want, name
+    # labels are references to two shared strings, not one string per cycle
+    assert {id(b) for b in trace.branches} <= {id(label) for label in fridge._LABELS}
+
+
 def test_trace_deterministic_given_seed():
     ens = ReservoirEnsemble.from_ratio(1.0, 0.5, n_cold=16)
     a = run_cycles("ico", ens, n=2, seed=8, max_cycles=50)
@@ -181,6 +260,18 @@ def test_ensemble_validation():
     with pytest.raises(ValueError):
         ReservoirEnsemble(n_cold=1, n_hot=1, r_cold=0.0, r_hot=0.5)
     assert ReservoirEnsemble.from_ratio(2.5, 0.5, n_cold=10).k == 2.5
+    for n_cold, n_hot in ((math.nan, 1.0), (1.0, math.inf), (math.inf, 1.0), (1.0, math.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            ReservoirEnsemble(n_cold=n_cold, n_hot=n_hot, r_cold=0.5, r_hot=0.5)
+    with pytest.raises(ValueError, match="finite"):
+        ReservoirEnsemble.from_ratio(math.inf, 0.5)
+
+
+def test_run_cycles_rejects_empty_budget():
+    ens = ReservoirEnsemble.from_ratio(1.0, 0.5, n_cold=16)
+    for max_cycles in (0, -3):
+        with pytest.raises(ValueError, match="max_cycles"):
+            run_cycles("ico", ens, n=2, max_cycles=max_cycles)
 
 
 def test_point_validation():
