@@ -19,6 +19,7 @@ from .cswap import (
     cswap_branches,
     cswap_energy_identity,
     cswap_evolve,
+    cswap_populations,
     sequential_discard,
 )
 from .demon import (
@@ -81,6 +82,7 @@ __all__ = [
     "cswap_branches",
     "cswap_energy_identity",
     "cswap_evolve",
+    "cswap_populations",
     "sequential_discard",
     "DemonConfig",
     "DemonReport",

@@ -29,6 +29,9 @@ from .thermal import ThermalSpec, degenerate_state, gibbs_state
 # Joint dimension N * 2**(N+1); kept at desk scale.
 MAX_QUBITS = 8
 
+# cswap_populations holds N index arrays of length 2**(N+1) instead.
+MAX_POPULATION_QUBITS = 16
+
 
 @dataclass(frozen=True)
 class CswapState:
@@ -136,6 +139,39 @@ def cswap_branches(
         branch="heating",
     )
     return (cooling, p_c), (heating, p_h)
+
+
+def cswap_populations(n: int, r: float) -> tuple[float, float, np.ndarray, np.ndarray]:
+    """Branch probabilities and excited populations without the joint state.
+
+    Returns (p_c, p_H, cooling, heating): the two branch probabilities and
+    each branch's excited population of the target (index 0) and the N
+    reservoir qubits (1..N). The Gibbs product is diagonal, so diagonal
+    entry x of the control block S_i rho S_j is rho[pi_i(x)] when the swap
+    permutations agree, pi_i(x) = pi_j(x), and 0 otherwise; the cooling
+    branch sums all N^2 blocks and the control diagonal gives their total.
+    Only swap indices and the Gibbs diagonal enter, none of the branch
+    closed forms, so this stays an oracle for them; ``cswap_evolve`` with
+    ``cswap_branches`` is the dense reference at n <= MAX_QUBITS.
+    """
+    _validate("cswap", n, 2, r)
+    if n > MAX_POPULATION_QUBITS:
+        raise ValueError(
+            f"{n} reservoir qubits exceed the population guard (n <= {MAX_POPULATION_QUBITS})"
+        )
+    t = np.diag(gibbs_state(ThermalSpec.qubit(r))).real
+    rho = qmat.kron_all([t] * (n + 1))
+    perms = np.array([_swap_permutation(n + 1, 0, k + 1) for k in range(n)])
+    rho_perm = rho[perms]
+    # sum over i, j of [pi_i(x) = pi_j(x)] rho[pi_i(x)]
+    agree = sum(rho_perm[i] * np.count_nonzero(perms == perms[i], axis=0) for i in range(n))
+    cool = agree / (n * n)
+    heat = rho_perm.sum(axis=0) / n - cool
+    p_c, p_h = float(cool.sum()), float(heat.sum())
+    bits = (np.arange(1 << (n + 1))[:, None] >> np.arange(n, -1, -1)) & 1
+    cooling = cool @ bits / p_c
+    heating = heat @ bits / p_h if p_h > ALGEBRA_TOL else cooling
+    return p_c, p_h, cooling, heating
 
 
 def cooling_reservoir_marginal(n: int, r: float) -> np.ndarray:

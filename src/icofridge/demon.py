@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fridge import SCHEMES, _bath_energy, _branches, weighted_energy_scheme
+from .fridge import SCHEMES, _bath_energy, _branches, _validate_ratio, weighted_energy_scheme
 
 _INVERSION_ENERGY = 0.5  # mean energy above gap/2 means inverted populations
 
@@ -43,8 +43,7 @@ class DemonConfig:
             raise ValueError("particles and rounds must be positive")
         if self.n < 2:
             raise ValueError("need at least two reservoirs")
-        if not 0.0 < self.r <= 1.0:
-            raise ValueError(f"ratio {self.r} outside (0, 1]")
+        _validate_ratio(self.r)
         if self.scheme not in SCHEMES or self.scheme == "cswap":
             raise ValueError("demon runs support schemes 'ico' and 'traj'")
         if self.scheme == "traj" and self.dim != 2:
@@ -139,16 +138,28 @@ class DemonReport:
 
 def _rounds(cfg: DemonConfig):
     """Yield (x, heated) after each round: every particle's excited weight
-    and box (True -> C), from one uniform draw per particle per round."""
-    x = np.full(cfg.particles, _bath_energy(cfg.dim, cfg.r))
-    draws = np.random.Generator(np.random.Philox(key=cfg.seed)).random(
-        (cfg.rounds, cfg.particles)
-    )
-    for draw in draws:
-        _, p_h, x_cool, x_heat, _ = _branches(cfg.scheme, cfg.n, cfg.dim, cfg.r, x)
-        heated = draw < (cfg.n - 1) * p_h
-        x = np.where(heated, x_heat, x_cool)
-        yield x, heated
+    and box (True -> C), from one uniform draw per particle per round.
+
+    A particle's weight is fixed by its branch history, so the kernel runs on
+    a table of the distinct histories' weights: ``code`` indexes a particle's
+    history, and each round doubles the table to the interleaved (cooling,
+    heating) children. The table is compacted to the histories still held
+    once it outgrows the sample, which bounds it for any number of rounds.
+    The per-round draws continue one generator stream, the same numbers as a
+    single (rounds, particles) draw.
+    """
+    rng = np.random.Generator(np.random.Philox(key=cfg.seed))
+    table = np.array([_bath_energy(cfg.dim, cfg.r)])
+    code = np.zeros(cfg.particles, dtype=np.intp)
+    for _ in range(cfg.rounds):
+        _, p_h, x_cool, x_heat, _ = _branches(cfg.scheme, cfg.n, cfg.dim, cfg.r, table)
+        heated = rng.random(cfg.particles) < ((cfg.n - 1) * p_h)[code]
+        code = 2 * code + heated
+        table = np.column_stack((x_cool, x_heat)).ravel()
+        if table.size > cfg.particles:
+            held, code = np.unique(code, return_inverse=True)
+            table = table[held]
+        yield table[code], heated
 
 
 def _report(cfg: DemonConfig, rounds) -> DemonReport:

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import io
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,12 +60,20 @@ COLD_EXHAUSTED_TOL = 1e-7
 _LABELS = np.array(["heating", "cooling"], dtype=object)
 
 
+def _validate_ratio(r: float) -> None:
+    """Reject ratios outside (0, 1], NaN, and subnormal ratios, which carry
+    fewer significant bits than a double and underflow in the kernel."""
+    if not 0.0 < r <= 1.0:
+        raise ValueError(f"ratio {r} outside (0, 1]")
+    if r < sys.float_info.min:
+        raise ValueError(f"ratio {r} is subnormal (below {sys.float_info.min})")
+
+
 def _validate(scheme: str, n: int, dim: int, r: float) -> None:
     """Reject inputs the branch kernel is not defined for."""
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
-    if not 0.0 < r <= 1.0:
-        raise ValueError(f"ratio {r} outside (0, 1]")
+    _validate_ratio(r)
     if n < 2:
         raise ValueError("need at least two channels")
     if dim < 2:
@@ -92,15 +101,18 @@ def _branches(scheme: str, n: int, dim: int, r: float, x):
     g = 1.0 / z  # ground weight of T
     a = (dim - 1) * r / z  # excited weight of T
     k = r / z  # weight of each excited level of T
-    # diagonal of M rho M^dag
+    # diagonal of M rho M^dag; the heating ground weight g - m_g is written
+    # out (1 - g = a) because the subtraction loses every digit as r -> 0
     if scheme == "traj":
         m_g, m_e = g * (1.0 - x), k * x
+        heat_g = g * x
     else:
         m_g, m_e = g * g * (1.0 - x), k * k * x
+        heat_g = g * (a + g * x)
     cool_e = a + (n - 1) * m_e
     tr_c = g + (n - 1) * m_g + cool_e
     heat_e = a - m_e
-    tr_h = g - m_g + heat_e
+    tr_h = heat_g + heat_e
     # tr_h > 0 for every r in (0, 1] unless it underflows; a heating branch
     # of zero weight passes its input through
     if isinstance(x, np.ndarray):

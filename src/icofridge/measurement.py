@@ -91,15 +91,12 @@ def measure_control(out: SwitchOutput, basis: MeasurementBasis) -> list[BranchOu
     n, d = out.control_dim, out.target_dim
     if basis.dim != n:
         raise ValueError(f"basis dimension {basis.dim} does not match control {n}")
+    v = basis.vectors
+    # outcome i: sum over control blocks (j, k) of conj(v_ij) v_ik <j|joint|k>
+    blocks = out.joint.reshape(n, d, n, d)
+    unnorms = np.einsum("ij,ik,jakb->iab", v.conj(), v, blocks, optimize=True)
     outcomes = []
-    for i in range(n):
-        v = basis.vectors[i]
-        unnorm = np.zeros((d, d), dtype=complex)
-        for j in range(n):
-            for k in range(n):
-                coeff = np.conj(v[j]) * v[k]
-                if coeff != 0:
-                    unnorm += coeff * out.block(j, k)
+    for i, unnorm in enumerate(unnorms):
         p = float(np.trace(unnorm).real)
         state = unnorm / p if p > ALGEBRA_TOL else np.eye(d, dtype=complex) / d
         outcomes.append(

@@ -207,6 +207,54 @@ def test_nonfinite_and_empty_inputs_exit_1(argv, message, capsys):
     assert message in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    (
+        (["cop", "--scheme", "foo"], "unknown scheme 'foo'"),
+        (["limits", "--scheme", "foo"], "no closed-form temperature limit for scheme 'foo'"),
+        (["cycle", "--scheme", "foo"], "unknown scheme 'foo'"),
+        (["demon", "--scheme", "foo"], "demon runs support schemes 'ico' and 'traj'"),
+        (["verify", "--checks", "nosuch"], "unknown checks: ['nosuch']"),
+        (["traj", "--n-list", "1"], "need at least two channels"),
+        (["branches", "--r-list", "1e-320"], "ratio 1e-320 is subnormal"),
+        (["demon", "--r", "1e-320"], "ratio 1e-320 is subnormal"),
+        (["cswap", "--n-list", "17"], "17 reservoir qubits exceed the population guard (n <= 16)"),
+    ),
+)
+def test_user_errors_exit_1_with_message(argv, message, capsys):
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"usage error: {message}" in captured.err
+
+
+def test_internal_key_error_is_not_a_usage_error(monkeypatch):
+    def broken(*args):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(cli.fridge, "lowest_r", broken)
+    with pytest.raises(KeyError):
+        cli.main(["limits"])
+
+
+@pytest.mark.parametrize("command", ("branches", "cop", "limits", "cycle", "cswap", "traj", "demon"))
+def test_default_grid_succeeds(command, capsys):
+    code, out = run([command], capsys)
+    assert code == 0
+    assert out
+
+
+def test_cswap_default_n_list_and_config_precedence(tmp_path, capsys):
+    code, out = run(["cswap", "--r-list", "0.5"], capsys)
+    assert code == 0
+    assert [line.split(",")[0] for line in out.strip().splitlines()[2:]] == ["2", "3", "4", "10"]
+    cfg = tmp_path / "cswap.cfg"
+    cfg.write_text("n_list=5,12\n")
+    code, out = run(["cswap", "--config", str(cfg), "--r-list", "0.5"], capsys)
+    assert code == 0
+    assert [line.split(",")[0] for line in out.strip().splitlines()[2:]] == ["5", "12"]
+
+
 def test_unknown_config_key(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("bogus_key=1\n")

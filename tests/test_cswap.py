@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from icofridge import cswap, nswitch, qmat, thermal
-from icofridge.cswap import cooling_reservoir_marginal, cooling_target_marginal, cswap_branches, cswap_energy_identity, cswap_evolve, sequential_discard
+from icofridge.cswap import cooling_reservoir_marginal, cooling_target_marginal, cswap_branches, cswap_energy_identity, cswap_evolve, cswap_populations, sequential_discard
 from icofridge.measurement import build_basis
 from icofridge.thermal import ThermalSpec
 
@@ -174,6 +174,23 @@ def test_ordered_circuit_equivalence():
 def test_size_guard():
     with pytest.raises(ValueError):
         cswap_evolve(9, 0.5)
+    with pytest.raises(ValueError, match="population guard"):
+        cswap_populations(17, 0.5)
+    with pytest.raises(ValueError, match="two channels"):
+        cswap_populations(1, 0.5)
+    p_c, p_h, cooling, heating = cswap_populations(16, 0.5)
+    assert abs(p_c + p_h - 1.0) < 1e-12 and cooling.shape == heating.shape == (17,)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_populations_match_dense_register(n):
+    for r in (0.1, 0.5, 0.9, 1.0):
+        (cool, p_c), (heat, p_h) = branches(n, r)
+        got_c, got_h, cooling, heating = cswap_populations(n, r)
+        assert abs(got_c - p_c) < 1e-14 and abs(got_h - p_h) < 1e-14
+        for q in range(n + 1):
+            assert abs(cooling[q] - cool.qubit_marginal(q)[1, 1].real) < 1e-14
+            assert abs(heating[q] - heat.qubit_marginal(q)[1, 1].real) < 1e-14
 
 
 def test_branch_requires_control():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from icofridge import fridge, nswitch, thermal
+from icofridge.fridge import _bath_energy, _branches
 from icofridge.demon import DemonConfig, analytic_transfer_fraction, expected_transfer_exact, heat_jump_scan, qubit_never_inverts, run_demon
 from icofridge.thermal import ThermalSpec
 
@@ -149,6 +150,8 @@ def test_config_validation():
         DemonConfig(particles=1, n=1, r=0.5)
     with pytest.raises(ValueError):
         DemonConfig(particles=1, n=2, r=0.0)
+    with pytest.raises(ValueError, match="subnormal"):
+        DemonConfig(particles=1, n=2, r=1e-320)
     with pytest.raises(ValueError):
         DemonConfig(particles=1, n=2, r=0.5, scheme="cswap")
     with pytest.raises(ValueError):
@@ -169,3 +172,41 @@ def test_traj_demon_uses_damping_interference():
     # heating branch of the trajectory fridge is maximally mixed
     heated_energy = rep.final_energies[rep.heated]
     assert np.all(np.abs(heated_energy - 0.5) < 1e-12)
+
+
+def _reference_rounds(cfg):
+    """Every particle's weight carried through the kernel, one draw of all
+    rounds up front."""
+    x = np.full(cfg.particles, _bath_energy(cfg.dim, cfg.r))
+    draws = np.random.Generator(np.random.Philox(key=cfg.seed)).random((cfg.rounds, cfg.particles))
+    for draw in draws:
+        _, p_h, x_cool, x_heat, _ = _branches(cfg.scheme, cfg.n, cfg.dim, cfg.r, x)
+        heated = draw < (cfg.n - 1) * p_h
+        x = np.where(heated, x_heat, x_cool)
+        yield x, heated
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    (
+        DemonConfig(particles=5000, n=10, r=0.3, rounds=6, seed=1),
+        DemonConfig(particles=3000, n=3, r=0.6, scheme="traj", rounds=8, seed=2),
+        DemonConfig(particles=2000, n=4, r=0.2, dim=3, rounds=4, seed=3),
+        # 2**12 histories outgrow 100 particles: the table is compacted
+        DemonConfig(particles=100, n=100, r=0.33, rounds=12, seed=4),
+        DemonConfig(particles=100, n=2, r=0.8, scheme="traj", rounds=12, seed=5),
+    ),
+)
+def test_rounds_match_per_particle_reference(cfg):
+    ref = list(_reference_rounds(cfg))
+    rep, scan = run_demon(cfg), heat_jump_scan(cfg)
+    for report in (rep, scan.report):
+        assert np.array_equal(report.final_energies, ref[-1][0])
+        assert np.array_equal(report.heated, ref[-1][1])
+        assert report.rounds_heated_count == [int(np.count_nonzero(h)) for _, h in ref]
+    assert scan.max_energy_per_round == [float(np.max(x)) for x, _ in ref]
+    inverted = np.zeros(cfg.particles, dtype=bool)
+    for (x, _), count in zip(ref, scan.inversion_count_per_round):
+        new = (x > 0.5) & ~inverted
+        inverted |= new
+        assert count == int(np.count_nonzero(new))

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -292,6 +293,8 @@ def test_point_validation():
         fridge.branch_probabilities(2, 0.0)
     with pytest.raises(ValueError, match="outside"):
         cop(2, 2, 1.5, 0.5, 1.0)
+    with pytest.raises(ValueError, match="subnormal"):
+        fridge.branch_probabilities(2, 1e-320)
 
 
 def test_qudit_ico_cycle_runs():
@@ -348,3 +351,34 @@ def test_branch_kernel_guard_passes_input_through():
     # leaves the input unchanged instead of dividing by zero
     assert fridge._branches("ico", 2, 2, 0.0, 0.0)[3] == 0.0
     assert fridge._branches("ico", 2, 2, 0.0, np.array([0.0, 0.3]))[3].tolist() == [0.0, 0.0]
+
+
+def _exact_branches(scheme, n, dim, r, x):
+    """The kernel's defining expressions in exact rational arithmetic."""
+    r, x = Fraction(r), Fraction(x)
+    z = 1 + (dim - 1) * r
+    g, a, k = 1 / z, (dim - 1) * r / z, r / z
+    if scheme == "traj":
+        m_g, m_e = g * (1 - x), k * x
+    else:
+        m_g, m_e = g * g * (1 - x), k * k * x
+    cool_e, heat_e = a + (n - 1) * m_e, a - m_e
+    tr_c, tr_h = g + (n - 1) * m_g + cool_e, g - m_g + heat_e
+    out = [tr_c / n, tr_h / n, cool_e / tr_c, heat_e / tr_h]
+    if scheme == "cswap":
+        alpha = (n + (n - 1) * (n - 2) * (m_g + m_e)) / (n * n)
+        beta = Fraction(2 * (n - 1), n * n)
+        out.append((alpha * a + beta * m_e) / (alpha + beta * (m_g + m_e)))
+    return out
+
+
+@pytest.mark.parametrize("scheme, dim", (("ico", 2), ("ico", 3), ("cswap", 2), ("traj", 2)))
+def test_branch_kernel_exact_at_small_ratios(scheme, dim):
+    # g - m_g cancels as r -> 0; the kernel must keep every output's digits
+    for n in (2, 5):
+        for r in (1e-6, 1e-12, 1e-15, 1e-300):
+            for x in (fridge._bath_energy(dim, r), 0.0, 0.5):
+                got = fridge._branches(scheme, n, dim, r, x)
+                ref = _exact_branches(scheme, n, dim, r, x)
+                for value, exact in zip(got, ref):
+                    assert abs(value - exact) <= 1e-12 * abs(exact)

@@ -135,3 +135,26 @@ def test_basis_json():
     parsed = json.loads(basis.to_json())
     assert parsed["dim"] == 3
     assert len(parsed["re"]) == 9
+
+
+@pytest.mark.parametrize("d", (2, 3))
+@pytest.mark.parametrize("n", (2, 3, 7, 16))
+def test_measure_control_matches_block_loop(n, d):
+    rng = np.random.default_rng(100 * n + d)
+    m = rng.normal(size=(n * d, n * d)) + 1j * rng.normal(size=(n * d, n * d))
+    joint = m @ m.conj().T
+    out = nswitch.SwitchOutput(joint=joint / np.trace(joint).real, control_dim=n, target_dim=d)
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    basis = measurement.MeasurementBasis(vectors=q.T)
+    outcomes = measure_control(out, basis)
+    assert len(outcomes) == n
+    for i, outcome in enumerate(outcomes):
+        v = basis.vectors[i]
+        unnorm = np.zeros((d, d), dtype=complex)
+        for j in range(n):
+            for k in range(n):
+                unnorm += np.conj(v[j]) * v[k] * out.block(j, k)
+        p = float(np.trace(unnorm).real)
+        assert abs(outcome.probability - p) < 1e-14
+        assert np.max(np.abs(outcome.state - unnorm / p)) < 1e-14
+        assert outcome.label == ("cooling" if i == 0 else "heating")
