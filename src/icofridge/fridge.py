@@ -101,17 +101,17 @@ def _branches(scheme: str, n: int, dim: int, r: float, x):
     g = 1.0 / z  # ground weight of T
     a = (dim - 1) * r / z  # excited weight of T
     k = r / z  # weight of each excited level of T
-    # diagonal of M rho M^dag; the heating ground weight g - m_g is written
-    # out (1 - g = a) because the subtraction loses every digit as r -> 0
+    # diagonal of M rho M^dag; the heating weights g - m_g and a - m_e are
+    # written out (1 - g = a, a = (D-1) k) because the subtractions lose every
+    # digit as r -> 0 and, for traj at D = 2, as x -> 1
     if scheme == "traj":
         m_g, m_e = g * (1.0 - x), k * x
-        heat_g = g * x
+        heat_g, heat_e = g * x, k * ((dim - 1) - x)
     else:
         m_g, m_e = g * g * (1.0 - x), k * k * x
-        heat_g = g * (a + g * x)
+        heat_g, heat_e = g * (a + g * x), a - m_e
     cool_e = a + (n - 1) * m_e
     tr_c = g + (n - 1) * m_g + cool_e
-    heat_e = a - m_e
     tr_h = heat_g + heat_e
     # tr_h > 0 for every r in (0, 1] unless it underflows; a heating branch
     # of zero weight passes its input through

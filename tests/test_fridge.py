@@ -372,12 +372,13 @@ def _exact_branches(scheme, n, dim, r, x):
     return out
 
 
-@pytest.mark.parametrize("scheme, dim", (("ico", 2), ("ico", 3), ("cswap", 2), ("traj", 2)))
+@pytest.mark.parametrize("scheme, dim", (("ico", 2), ("ico", 3), ("cswap", 2), ("traj", 2), ("traj", 3)))
 def test_branch_kernel_exact_at_small_ratios(scheme, dim):
-    # g - m_g cancels as r -> 0; the kernel must keep every output's digits
+    # g - m_g cancels as r -> 0, and the traj a - m_e as x -> 1 at d = 2;
+    # the kernel must keep every output's digits
     for n in (2, 5):
-        for r in (1e-6, 1e-12, 1e-15, 1e-300):
-            for x in (fridge._bath_energy(dim, r), 0.0, 0.5):
+        for r in (0.3, 1e-6, 1e-12, 1e-15, 1e-300):
+            for x in (fridge._bath_energy(dim, r), 0.0, 0.5, 0.992, 1 - 1e-9):
                 got = fridge._branches(scheme, n, dim, r, x)
                 ref = _exact_branches(scheme, n, dim, r, x)
                 for value, exact in zip(got, ref):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from icofridge import nswitch, thermal
+from icofridge import channels, nswitch, thermal
 from icofridge.nswitch import OrderSet, SwitchOutput, branch_stats, qudit_branch_stats, switch_bruteforce, switch_closed_form, weighted_energy
 from icofridge.qmat import dagger
 from icofridge.thermal import ThermalSpec
@@ -170,8 +170,73 @@ def test_latin_square_offdiagonals_pairwise_equal():
 def test_bruteforce_budget_guard():
     spec = ThermalSpec.qubit(0.5)
     t = thermal.gibbs_state(spec)
-    with pytest.raises(ValueError, match="budget"):
+    with pytest.raises(ValueError, match="^enumeration of 16777216 Kraus tuples exceeds budget 1000000$"):
         switch_bruteforce(OrderSet.cyclic(12), t, spec)
+
+
+def test_bruteforce_rejects_wrong_state_shape():
+    spec = ThermalSpec.qubit(0.5)
+    with pytest.raises(ValueError, match="does not match dim 2"):
+        switch_bruteforce(OrderSet.cyclic(2), np.eye(3) / 3, spec)
+
+
+def _random_state(rng, dim):
+    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = m @ dagger(m)
+    return rho / np.trace(rho).real
+
+
+def _bruteforce_reference(orderset, rho, spec):
+    """Every tuple's products at once, then one einsum per pair of branches."""
+    d, n, m = spec.dim, orderset.n_channels, orderset.n_orders
+    n_ops = d * d
+    kraus = np.stack(channels.thermalizing_kraus(spec).operators)
+    flat = np.arange(n_ops**n)
+    # tuple digit j = channel j+1's Kraus index, base d^2, most significant first
+    digits = (flat[:, None] // n_ops ** np.arange(n - 1, -1, -1)[None, :]) % n_ops
+    prods = []
+    for order in orderset.orders:
+        p = kraus[digits[:, order[0] - 1]]
+        for label in order[1:]:
+            p = p @ kraus[digits[:, label - 1]]
+        prods.append(p)
+    joint = np.zeros((m * d, m * d), dtype=complex)
+    for i in range(m):
+        left = prods[i] @ rho
+        for j in range(m):
+            joint[i * d : (i + 1) * d, j * d : (j + 1) * d] = np.einsum("tab,tcb->ac", left, prods[j].conj()) / m
+    return joint
+
+
+@pytest.mark.parametrize(
+    "oset, dim",
+    [
+        (OrderSet.cyclic(7), 2),  # 4 chunks
+        (OrderSet.cyclic(4), 3),  # 9 chunks
+        (OrderSet.cyclic(3), 4),
+        (nswitch.noncyclic_order_set(4), 2),
+        (OrderSet(orders=((1, 2, 3), (3, 2, 1))), 3),
+        (OrderSet(orders=((2, 3, 1),)), 2),
+    ],
+    ids=["cyclic7-d2", "cyclic4-d3", "cyclic3-d4", "noncyclic4-d2", "two-orders-d3", "one-order-d2"],
+)
+def test_bruteforce_matches_per_pair_reference(oset, dim):
+    rng = np.random.default_rng(11)
+    spec = ThermalSpec.degenerate(dim, 0.37)
+    rho = _random_state(rng, dim)
+    got = switch_bruteforce(oset, rho, spec)
+    assert (got.control_dim, got.target_dim) == (oset.n_orders, dim)
+    assert np.max(np.abs(got.joint - _bruteforce_reference(oset, rho, spec))) < 1e-12
+
+
+def test_bruteforce_nine_channels_matches_closed_form():
+    # 4**9 = 262,144 tuples in 64 chunks
+    rng = np.random.default_rng(12)
+    spec = ThermalSpec.qubit(0.4)
+    rho = _random_state(rng, 2)
+    bf = switch_bruteforce(OrderSet.cyclic(9), rho, spec)
+    cf = switch_closed_form(9, rho, thermal.gibbs_state(spec))
+    assert np.max(np.abs(bf.joint - cf.joint)) < 1e-10
 
 
 # ---------------------------------------------------------------------------
