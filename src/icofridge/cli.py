@@ -240,7 +240,9 @@ def _cmd_verify(args) -> int:
         mark = "PASS" if res.passed else "FAIL"
         print(f"{mark}  {res.name:36s} {res.seconds:7.2f}s  {res.detail}")
         failures += 0 if res.passed else 1
-    print(f"{len(results) - failures}/{len(results)} checks passed")
+    # the summed check time, excluding import and start-up
+    seconds = sum(res.seconds for res in results)
+    print(f"{len(results) - failures}/{len(results)} checks passed in {seconds:.2f} s")
     return 0 if failures == 0 else 2
 
 

@@ -76,6 +76,12 @@ def _swap_permutation(n_qubits: int, a: int, b: int) -> np.ndarray:
     return idx ^ (toggle << sa) ^ (toggle << sb)
 
 
+def _excited_bits(n_qubits: int) -> np.ndarray:
+    """Bit table: entry (x, q) is qubit q's excitation in basis state x, so a
+    register diagonal times it gives every qubit's excited population."""
+    return (np.arange(1 << n_qubits)[:, None] >> np.arange(n_qubits - 1, -1, -1)) & 1
+
+
 def cswap_evolve(n: int, r: float) -> CswapState:
     """Apply the control-conditioned SWAP to uniform control x thermal qubits.
 
@@ -88,19 +94,14 @@ def cswap_evolve(n: int, r: float) -> CswapState:
         raise ValueError("need at least two reservoir qubits")
     if n > MAX_QUBITS:
         raise ValueError(f"joint dimension {n * 2 ** (n + 1)} exceeds the desk-scale guard")
-    spec = ThermalSpec.qubit(r)
-    t = gibbs_state(spec)
-    rho_q = qmat.kron_all([t] * (n + 1))
-    q = 1 << (n + 1)
-    perms = [_swap_permutation(n + 1, 0, k + 1) for k in range(n)]
-    joint = np.zeros((n * q, n * q), dtype=complex)
-    for i in range(n):
-        rows = perms[i]
-        for j in range(n):
-            # SWAPs are involutions, so S_i rho S_j is a row/column reindexing
-            joint[i * q : (i + 1) * q, j * q : (j + 1) * q] = (
-                rho_q[np.ix_(rows, perms[j])] / n
-            )
+    _validate("cswap", n, 2, r)
+    rho_q = qmat.kron_all([gibbs_state(ThermalSpec.qubit(r))] * (n + 1))
+    perms = np.concatenate([_swap_permutation(n + 1, 0, k + 1) for k in range(n)])
+    # SWAPs are involutions, so block (i, j) = S_i rho S_j is a row/column
+    # reindexing; all N^2 blocks come from one gather, divided in place so
+    # the n=8 register (268 MB) is never held twice
+    joint = rho_q[np.ix_(perms, perms)]
+    joint /= n
     return CswapState(joint=joint, n=n, r=r)
 
 
@@ -168,7 +169,7 @@ def cswap_populations(n: int, r: float) -> tuple[float, float, np.ndarray, np.nd
     cool = agree / (n * n)
     heat = rho_perm.sum(axis=0) / n - cool
     p_c, p_h = float(cool.sum()), float(heat.sum())
-    bits = (np.arange(1 << (n + 1))[:, None] >> np.arange(n, -1, -1)) & 1
+    bits = _excited_bits(n + 1)
     cooling = cool @ bits / p_c
     heating = heat @ bits / p_h if p_h > ALGEBRA_TOL else cooling
     return p_c, p_h, cooling, heating
@@ -241,19 +242,18 @@ def sequential_discard(
     t = gibbs_state(spec)
     t_energy = float(t[1, 1].real)
     dims = state.dims
+    bits = _excited_bits(n_sub)
     rho = state.joint
+    pops = tuple(float(p) for p in rho.diagonal().real @ bits)
     snapshots = []
     cumulative = 0.0
     discarded: tuple[int, ...] = ()
     for step, q in enumerate(order, start=1):
-        marg = qmat.partial_trace(rho, dims, keep={q})
-        released = float(marg[1, 1].real) - t_energy
+        released = pops[q] - t_energy
         rho = qmat.replace_subsystem(rho, dims, q, t)
         cumulative += released
         discarded = discarded + (q,)
-        pops = tuple(
-            float(qmat.partial_trace(rho, dims, keep={k})[1, 1].real) for k in range(n_sub)
-        )
+        pops = tuple(float(p) for p in rho.diagonal().real @ bits)
         snapshots.append(
             DiscardSnapshot(
                 step=step,
@@ -288,7 +288,6 @@ def ico_cswap_equivalent(r: float) -> tuple[np.ndarray, np.ndarray]:
     spec = ThermalSpec.qubit(r)
     t = gibbs_state(spec)
     rho_q = qmat.kron_all([t] * (n + 1))
-    q = 1 << (n + 1)
     s1 = _swap_permutation(n + 1, 0, 1)
     s2 = _swap_permutation(n + 1, 0, 2)
     plain = [s1, s2]
@@ -301,12 +300,7 @@ def ico_cswap_equivalent(r: float) -> tuple[np.ndarray, np.ndarray]:
 
     outs = []
     for perms in (plain, ordered):
-        inv = [invert(p) for p in perms]
-        joint = np.zeros((n * q, n * q), dtype=complex)
-        for i in range(n):
-            for j in range(n):
-                joint[i * q : (i + 1) * q, j * q : (j + 1) * q] = (
-                    rho_q[np.ix_(inv[i], inv[j])] / n
-                )
-        outs.append(joint)
+        # block (i, j) is rho reindexed by the inverse permutations i and j
+        inv = np.concatenate([invert(p) for p in perms])
+        outs.append(rho_q[np.ix_(inv, inv)] / n)
     return outs[0], outs[1]

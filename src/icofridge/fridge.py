@@ -21,19 +21,20 @@ Schemes
     here.)
 
 Every branch statistic in the package (switch, controlled SWAP, cycles,
-demon, CLI tables) comes from one kernel, ``_branches``: the heralded
+demon, CLI tables) comes from one kernel, ``_kernel``: the heralded
 branches T + (N-1) M rho M^dag and T - M rho M^dag of a degenerate working
 system, with M = T (``ico``, ``cswap``) or M = A (``traj``).
 
 Reservoirs are mean field: a bath is its particle count and current ratio.
-A refrigeration run iterates the bath state; the trace is derived from it.
-Per cycle the reservoir energies move by the probability-weighted heat flows
-of the two branches, which conserves total energy identically and drives the
-cold ratio to the closed-form fixed point. After the loop, one kernel call on
-the array of cold ratios the run passed through gives every cycle's branch
-probabilities, and from them its register entropy, cumulative erasure work
-and sampled branch label. Energies are in units of the level gap; work uses a
-unit-inverse-temperature erasure reservoir.
+A refrigeration run builds its step once and makes one call to it per
+cycle; it iterates the bath state, and the trace is derived from it. Per
+cycle the reservoir energies move by the probability-weighted heat flows of
+the two branches, which conserves total energy identically and drives the
+cold ratio to the closed-form fixed point. After the loop, one kernel call
+on the array of cold ratios the run passed through gives every cycle's
+branch probabilities, and from them its register entropy, cumulative
+erasure work and sampled branch label. Energies are in units of the level
+gap; work uses a unit-inverse-temperature erasure reservoir.
 """
 
 from __future__ import annotations
@@ -82,50 +83,62 @@ def _validate(scheme: str, n: int, dim: int, r: float) -> None:
         raise ValueError(f"scheme {scheme!r} is defined for qubit working systems")
 
 
-def _branches(scheme: str, n: int, dim: int, r: float, x):
-    """The branch kernel: heralded branches of a degenerate working system.
+def _kernel(scheme: str, n: int, dim: int):
+    """The branch kernel for one (scheme, N, D): returns ``step(r, x)``.
 
     The input is diagonal with excited weight ``x`` spread evenly over the
     D-1 excited levels; T is the reservoirs' Gibbs state at ratio ``r``. The
     cooling branch is (T + (N-1) M rho M^dag)/N and each of the N-1 heating
     branches is (T - M rho M^dag)/N, with M = T (``ico``, ``cswap``) or
-    M = A = sqrt(T) (``traj``).
+    M = A = sqrt(T) (``traj``). The scheme dispatch and the N, D constants
+    are resolved here, once per run; ``step`` holds the per-point algebra.
 
-    Returns (p_c, p_h, x_cool, x_heat, x_res): each branch's own trace, summed
-    level by level, over N; its normalized excited weight; and for ``cswap``
-    each reservoir qubit's cooling-branch excited weight from alpha T + beta
-    T^3, valid at the thermal input only (None otherwise). Not validated;
-    + - * / and one guard touch ``x``, so it may be a float or an array.
+    ``step`` returns (p_c, p_h, x_cool, x_heat, x_res): each branch's own
+    trace, summed level by level, over N; its normalized excited weight; and
+    for ``cswap`` each reservoir qubit's cooling-branch excited weight from
+    alpha T + beta T^3, valid at the thermal input only (None otherwise). Not
+    validated; + - * / and one guard touch ``x``, a float or an array.
     """
-    z = 1.0 + (dim - 1) * r
-    g = 1.0 / z  # ground weight of T
-    a = (dim - 1) * r / z  # excited weight of T
-    k = r / z  # weight of each excited level of T
-    # diagonal of M rho M^dag; the heating weights g - m_g and a - m_e are
-    # written out (1 - g = a, a = (D-1) k) because the subtractions lose every
-    # digit as r -> 0 and, for traj at D = 2, as x -> 1
-    if scheme == "traj":
-        m_g, m_e = g * (1.0 - x), k * x
-        heat_g, heat_e = g * x, k * ((dim - 1) - x)
-    else:
-        m_g, m_e = g * g * (1.0 - x), k * k * x
-        heat_g, heat_e = g * (a + g * x), a - m_e
-    cool_e = a + (n - 1) * m_e
-    tr_c = g + (n - 1) * m_g + cool_e
-    tr_h = heat_g + heat_e
-    # tr_h > 0 for every r in (0, 1] unless it underflows; a heating branch
-    # of zero weight passes its input through
-    if isinstance(x, np.ndarray):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x_heat = np.where(tr_h > 0, heat_e / tr_h, x)
-    else:
-        x_heat = heat_e / tr_h if tr_h > 0 else x
-    x_res = None
-    if scheme == "cswap":
-        alpha = (n + (n - 1) * (n - 2) * (m_g + m_e)) / (n * n)
-        beta = 2 * (n - 1) / (n * n)
-        x_res = (alpha * a + beta * m_e) / (alpha + beta * (m_g + m_e))
-    return tr_c / n, tr_h / n, cool_e / tr_c, x_heat, x_res
+    d1, n1, nn = dim - 1, n - 1, n * n
+    traj, cswap = scheme == "traj", scheme == "cswap"
+    c_alpha, beta = n1 * (n - 2), 2 * n1 / nn
+
+    def step(r, x):
+        z = 1.0 + d1 * r
+        g = 1.0 / z  # ground weight of T
+        a = d1 * r / z  # excited weight of T
+        k = r / z  # weight of each excited level of T
+        # diagonal of M rho M^dag; the heating weights g - m_g and a - m_e are
+        # written out (1 - g = a, a = (D-1) k) because the subtractions lose
+        # every digit as r -> 0 and, for traj at D = 2, as x -> 1
+        if traj:
+            m_g, m_e = g * (1.0 - x), k * x
+            heat_g, heat_e = g * x, k * (d1 - x)
+        else:
+            m_g, m_e = g * g * (1.0 - x), k * k * x
+            heat_g, heat_e = g * (a + g * x), a - m_e
+        cool_e = a + n1 * m_e
+        tr_c = g + n1 * m_g + cool_e
+        tr_h = heat_g + heat_e
+        # tr_h > 0 for every r in (0, 1] unless it underflows; a heating
+        # branch of zero weight passes its input through
+        if isinstance(x, np.ndarray):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                x_heat = np.where(tr_h > 0, heat_e / tr_h, x)
+        else:
+            x_heat = heat_e / tr_h if tr_h > 0 else x
+        x_res = None
+        if cswap:
+            alpha = (n + c_alpha * (m_g + m_e)) / nn
+            x_res = (alpha * a + beta * m_e) / (alpha + beta * (m_g + m_e))
+        return tr_c / n, tr_h / n, cool_e / tr_c, x_heat, x_res
+
+    return step
+
+
+def _branches(scheme: str, n: int, dim: int, r: float, x):
+    """One point of the branch kernel: ``_kernel(scheme, n, dim)(r, x)``."""
+    return _kernel(scheme, n, dim)(r, x)
 
 
 def _bath_branches(scheme: str, n: int, dim: int, r: float):
@@ -141,10 +154,7 @@ def _bath_branches(scheme: str, n: int, dim: int, r: float):
         return p_c, p_h, a, x_cool, x_heat, 1
     e_cool = x_cool + n * x_res
     p_heating = (n - 1) * p_h
-    if p_heating > 0:
-        e_heat = ((n + 1) * a - p_c * e_cool) / p_heating
-    else:
-        e_heat = (n + 1) * a
+    e_heat = ((n + 1) * a - p_c * e_cool) / p_heating if p_heating > 0 else (n + 1) * a
     return p_c, p_h, a, e_cool, e_heat, n + 1
 
 
@@ -341,14 +351,15 @@ def run_cycles(
 ) -> CycleTrace:
     """Drive the fridge until the heating branch matches the hot bath.
 
-    The loop iterates the bath state; the trace is derived from it. Each
-    cycle rebuilds the branch statistics at the current cold ratio and
-    applies the mean-field heat flows: cooling-branch extraction from the
-    cold pool, and the heating mediums' round trip through the hot bath.
-    Cold-side loss equals hot-side gain every cycle. The run stops when the
-    heating-branch mediums match the hot bath within STOP_POPULATION_TOL in
-    excited population, when the cold ratio falls below COLD_EXHAUSTED_TOL,
-    or after ``max_cycles`` (at least 1) cycles.
+    The loop iterates the bath state; the trace is derived from it. The
+    kernel's step is built once, before the loop; each cycle calls it at the
+    current cold ratio (bath energy, cswap medium sums and ratio update are
+    inline) and applies the mean-field heat flows: cooling-branch extraction
+    from the cold pool, and the heating mediums' round trip through the hot
+    bath. Cold-side loss equals hot-side gain every cycle. The run stops
+    when the heating-branch mediums match the hot bath within
+    STOP_POPULATION_TOL in excited population, when the cold ratio falls
+    below COLD_EXHAUSTED_TOL, or after ``max_cycles`` (at least 1) cycles.
 
     The loop records the cold ratio, the hot excited weight and the two
     flows of each cycle. After it, one kernel call on the cold ratios the
@@ -362,21 +373,35 @@ def run_cycles(
     nc, nh = ensemble.n_cold, ensemble.n_hot
     a_c = _bath_energy(dim, ensemble.r_cold)
     a_h = _bath_energy(dim, ensemble.r_hot)
-    r_cold = r_first = _bath_ratio(dim, a_c)
+    r_cold = r_first = float(_bath_ratio(dim, a_c))
     cold_ratios, hot_weights, heat_cold, heat_hot = [], [], [], []
     stop_reason = "budget"
+    step = _kernel(scheme, n, dim)
+    cswap = scheme == "cswap"
+    n_med = n + 1 if cswap else 1
     for _ in range(max_cycles):
         # branch statistics degenerate at absolute zero; freeze just above it
         r_c = 1e-12 if r_cold < 1e-12 else r_cold  # max(r_cold, 1e-12)
-        p_c, p_h, _, e_cool, e_heat, n_med = _bath_branches(scheme, n, dim, r_c)
+        # _bath_branches(scheme, n, dim, r_c), inlined
+        x = (dim - 1) * r_c
+        a = x / (1.0 + x)
+        p_c, p_h, e_cool, e_heat, x_res = step(r_c, a)
         p_heating = (n - 1) * p_h
+        if cswap:
+            e_cool = e_cool + n * x_res
+            e_heat = ((n + 1) * a - p_c * e_cool) / p_heating if p_heating > 0 else (n + 1) * a
         # heating-branch round trip: mediums equilibrate with the hot bath
         a_h_eq = (nh * a_h + e_heat) / (nh + n_med)
         d_cold = p_c * (e_cool - n_med * a_c) + p_heating * n_med * (a_h_eq - a_c)
         d_hot = p_heating * nh * (a_h_eq - a_h)
         a_c += d_cold / nc
         a_h += d_hot / nh
-        r_cold = _bath_ratio(dim, a_c)
+        # _bath_ratio(dim, a_c), inlined; min and max are spelled as
+        # conditionals because the builtins cost about four times as much
+        a = 0.0 if a_c < 0.0 else a_c
+        a = 1.0 - 1e-15 if a > 1.0 - 1e-15 else a
+        x = a / (1.0 - a) / (dim - 1)
+        r_cold = 1.0 if x > 1.0 else x
         cold_ratios.append(r_cold)
         hot_weights.append(a_h)
         heat_cold.append(-d_cold)
@@ -422,15 +447,8 @@ def _bath_energy(dim: int, r: float) -> float:
 
 
 def _bath_ratio(dim: int, a):
-    if isinstance(a, np.ndarray):
-        a = np.clip(a, 0.0, 1.0 - 1e-15)
-        return np.minimum(a / (1.0 - a) / (dim - 1), 1.0)
-    # min(max(a, 0.0), 1 - 1e-15) and min(x, 1.0), spelled as conditionals:
-    # the builtins cost about four times as much in the cycle loop
-    a = 0.0 if a < 0.0 else a
-    a = 1.0 - 1e-15 if a > 1.0 - 1e-15 else a
-    x = a / (1.0 - a) / (dim - 1)
-    return 1.0 if x > 1.0 else x
+    a = np.clip(a, 0.0, 1.0 - 1e-15)
+    return np.minimum(a / (1.0 - a) / (dim - 1), 1.0)
 
 
 def _xlogx(p):

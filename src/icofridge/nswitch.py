@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import permutations as _permutations
 from itertools import product as _product
 
 import numpy as np
@@ -290,22 +289,3 @@ def offdiagonal_blocks_equal(out: SwitchOutput, tol: float = ALGEBRA_TOL) -> boo
             elif np.max(np.abs(b - ref)) > tol:
                 return False
     return True
-
-
-def all_order_sets(n: int) -> list[OrderSet]:
-    """All Latin-square order sets on n channels (dev-scale helper, n <= 4)."""
-    if n > 4:
-        raise ValueError("full Latin-square enumeration is desk-scale only (n <= 4)")
-    perms = list(_permutations(range(1, n + 1)))
-    squares: list[OrderSet] = []
-
-    def extend(rows: list[tuple[int, ...]]):
-        if len(rows) == n:
-            squares.append(OrderSet(orders=tuple(rows)))
-            return
-        for p in perms:
-            if all(all(p[i] != row[i] for i in range(n)) for row in rows):
-                extend(rows + [p])
-
-    extend([])
-    return squares

@@ -9,6 +9,7 @@ and validated where it matters.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -54,7 +55,7 @@ def check_shape(m: np.ndarray, dims: Sequence[int]) -> None:
     dims = tuple(int(d) for d in dims)
     if any(d <= 0 for d in dims):
         raise ValueError(f"subsystem dimensions must be positive, got {dims}")
-    if int(np.prod(dims)) != m.shape[0]:
+    if math.prod(dims) != m.shape[0]:
         raise ValueError(
             f"subsystem dims {dims} do not factor matrix dimension {m.shape[0]}"
         )
@@ -77,11 +78,15 @@ def partial_trace(m: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> np
     if keep[0] < 0 or keep[-1] >= n:
         raise ValueError(f"keep indices {keep} out of range for {n} subsystems")
 
-    tensor = m.reshape(dims + dims)
-    # Trace out the complement, highest index first so positions stay valid.
-    for idx in sorted(set(range(n)) - set(keep), reverse=True):
-        tensor = np.trace(tensor, axis1=idx, axis2=idx + tensor.ndim // 2)
-    d_keep = int(np.prod([dims[k] for k in keep]))
+    # one einsum, whose 52 labels allow 26 subsystems: subsystem k's row index
+    # is chr(97 + k), and its column index chr(65 + k) if kept, else the same
+    if n > 26:
+        raise ValueError(f"{n} subsystems exceed the 26 that one einsum can label")
+    rows = [chr(97 + k) for k in range(n)]
+    cols = [chr(65 + k) if k in keep else rows[k] for k in range(n)]
+    out = "".join(rows[k] for k in keep) + "".join(cols[k] for k in keep)
+    tensor = np.einsum("".join(rows + cols) + "->" + out, m.reshape(dims + dims))
+    d_keep = math.prod(dims[k] for k in keep)
     return tensor.reshape(d_keep, d_keep)
 
 

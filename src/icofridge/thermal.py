@@ -45,7 +45,7 @@ class ThermalSpec:
         r_list = tuple(float(r) for r in self.r_list)
         if not r_list:
             raise ValueError("need at least one excited level")
-        if any(r <= 0.0 or r > 1.0 for r in r_list):
+        if any(not 0.0 < r <= 1.0 for r in r_list):
             raise ValueError(f"ratios must lie in (0, 1], got {r_list}")
         gaps = tuple(float(g) for g in self.gaps)
         if not gaps:

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -273,6 +274,7 @@ def test_verify_subset(capsys):
     assert code == 0
     assert "PASS  kraus_completeness" in out
     assert "2/2 checks passed" in out
+    assert re.search(r"^2/2 checks passed in \d+\.\d\d s$", out, re.MULTILINE)
 
 
 def test_verify_unknown_check(capsys):

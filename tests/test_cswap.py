@@ -193,6 +193,40 @@ def test_populations_match_dense_register(n):
             assert abs(heating[q] - heat.qubit_marginal(q)[1, 1].real) < 1e-14
 
 
+@pytest.mark.parametrize("n", range(2, 6))
+def test_evolve_matches_block_reference(n):
+    # each control block S_i rho S_j built on its own, divided by N
+    for r in (0.1, 0.5, 1.0):
+        rho_q = qmat.kron_all([gibbs(r)] * (n + 1))
+        q = 1 << (n + 1)
+        perms = [cswap._swap_permutation(n + 1, 0, k + 1) for k in range(n)]
+        ref = np.zeros((n * q, n * q), dtype=complex)
+        for i in range(n):
+            for j in range(n):
+                ref[i * q : (i + 1) * q, j * q : (j + 1) * q] = rho_q[np.ix_(perms[i], perms[j])] / n
+        assert np.array_equal(cswap_evolve(n, r).joint, ref)
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_sequential_discard_populations_match_partial_trace(n):
+    (cool, _), _ = branches(n, 0.3)
+    spec = ThermalSpec.qubit(0.6)
+    rho = cool.joint
+    for snap in sequential_discard(cool, [n, 0, 1], spec):
+        rho = qmat.replace_subsystem(rho, cool.dims, snap.discarded[-1], gibbs(0.6))
+        for q in range(n + 1):
+            marg = qmat.partial_trace(rho, cool.dims, {q})
+            assert abs(snap.excited_populations[q] - marg[1, 1].real) < 1e-14
+
+
+def test_evolve_rejects_invalid_ratios():
+    for r in (float("nan"), 0.0, 1.5, 1e-320):
+        with pytest.raises(ValueError, match="ratio"):
+            cswap_evolve(3, r)
+    with pytest.raises(ValueError, match="two reservoir qubits"):
+        cswap_evolve(1, 0.5)
+
+
 def test_branch_requires_control():
     state = cswap_evolve(2, 0.5)
     (cool, _), _ = cswap_branches(state, build_basis(2))

@@ -184,7 +184,7 @@ def _reference_cycles(scheme, ens, n, dim, seed, max_cycles):
     a_h = fridge._bath_energy(dim, ens.r_hot)
     cols = {name: [] for name in TRACE_COLUMNS}
     work, stop = 0.0, "budget"
-    r_cold = fridge._bath_ratio(dim, a_c)
+    r_cold = float(fridge._bath_ratio(dim, a_c))
     for cycle in range(1, max_cycles + 1):
         p_c, p_h, _, e_cool, e_heat, n_med = fridge._bath_branches(scheme, n, dim, max(r_cold, 1e-12))
         p_heating = (n - 1) * p_h
@@ -196,8 +196,8 @@ def _reference_cycles(scheme, ens, n, dim, seed, max_cycles):
         d_hot = p_heating * nh * (a_h_eq - a_h)
         a_c += d_cold / nc
         a_h += d_hot / nh
-        r_cold = fridge._bath_ratio(dim, a_c)
-        row = (cycle, branch, r_cold, fridge._bath_ratio(dim, a_h), -d_cold, d_hot, work, s)
+        r_cold = float(fridge._bath_ratio(dim, a_c))
+        row = (cycle, branch, r_cold, float(fridge._bath_ratio(dim, a_h)), -d_cold, d_hot, work, s)
         for name, value in zip(TRACE_COLUMNS, row):
             cols[name].append(value)
         if abs(e_heat / n_med - a_h) < fridge.STOP_POPULATION_TOL:
@@ -344,6 +344,27 @@ def test_traj_branch_kernel_matches_measured_paths(n):
             ref = _measured(SwitchOutput(joint=joint, control_dim=n, target_dim=2), n)
             got = fridge._branches("traj", n, 2, r, x)[:4]
             assert max(abs(g - e) for g, e in zip(got, ref)) < 1e-12
+
+
+@pytest.mark.parametrize("dim", (2, 3))
+@pytest.mark.parametrize("scheme", fridge.SCHEMES)
+def test_kernel_float_and_array_paths_agree(scheme, dim):
+    # one step per (scheme, N, D), called on floats and on an array, equals
+    # the one-point wrapper bit for bit
+    xs = [0.0, 0.1, 0.5, 0.9, 1.0]
+    for n in (2, 5):
+        step = fridge._kernel(scheme, n, dim)
+        for r in (1e-9, 0.2, 0.7, 1.0):
+            xs_r = xs + [fridge._bath_energy(dim, r)]
+            batch = step(r, np.array(xs_r))
+            for i, x in enumerate(xs_r):
+                got = step(r, x)
+                assert got == fridge._branches(scheme, n, dim, r, x)
+                assert [float(b[i]) for b in batch[:4]] == list(got[:4])
+                if scheme == "cswap":
+                    assert float(batch[4][i]) == got[4]
+                else:
+                    assert batch[4] is None and got[4] is None
 
 
 def test_branch_kernel_guard_passes_input_through():

@@ -48,6 +48,45 @@ def test_partial_trace_product_state():
         assert np.max(np.abs(reduced - a * np.trace(b))) < 1e-12
 
 
+def _partial_trace_loop(m, dims, keep):
+    """Reference: trace out one subsystem at a time with np.trace."""
+    n = len(dims)
+    tensor = m.reshape(tuple(dims) * 2)
+    for idx in sorted(set(range(n)) - set(keep), reverse=True):
+        tensor = np.trace(tensor, axis1=idx, axis2=idx + tensor.ndim // 2)
+    d_keep = int(np.prod([dims[k] for k in keep]))
+    return tensor.reshape(d_keep, d_keep)
+
+
+@pytest.mark.parametrize(
+    "dims, keep",
+    [
+        ((2, 3), {1}),
+        ((3, 2, 4), {0}),
+        ((3, 2, 4), {0, 2}),
+        ((2, 3, 4, 2), {1, 3}),
+        ((4, 2, 3, 2), {0, 2, 3}),
+        ((2, 4, 3, 2, 2), {0, 2, 4}),
+        ((2, 2, 2), {0, 1, 2}),
+    ],
+)
+def test_partial_trace_matches_trace_loop(dims, keep):
+    # mixed dimensions, non-adjacent kept subsystems, complex entries
+    rng = np.random.default_rng(sum(dims) + len(keep))
+    m = random_matrix(rng, int(np.prod(dims)))
+    got = qmat.partial_trace(m, dims, keep)
+    ref = _partial_trace_loop(m, dims, sorted(keep))
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) < 1e-13
+
+
+def test_partial_trace_subsystem_limit():
+    # one einsum labels at most 26 subsystems; size-1 factors keep it small
+    assert qmat.partial_trace(np.eye(1), (1,) * 26, {0}).shape == (1, 1)
+    with pytest.raises(ValueError, match="27 subsystems exceed the 26"):
+        qmat.partial_trace(np.eye(1), (1,) * 27, {0})
+
+
 def test_partial_trace_all_subsystems_gives_trace():
     rho = np.diag([0.3, 0.2, 0.25, 0.25]).astype(complex)
     out = qmat.partial_trace(rho, (4,), {0})

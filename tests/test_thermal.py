@@ -76,6 +76,11 @@ def test_effective_r_rejects_unnormalized():
 def test_spec_validation():
     with pytest.raises(ValueError):
         ThermalSpec(r_list=(0.0,))
+    for r in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="ratios must lie in"):
+            ThermalSpec.qubit(r)
+        with pytest.raises(ValueError, match="ratios must lie in"):
+            ThermalSpec(r_list=(0.5, r), gaps=(1.0, 2.0))
     with pytest.raises(ValueError):
         ThermalSpec(r_list=(1.2,))
     with pytest.raises(ValueError):
