@@ -14,6 +14,11 @@ does not grow with rounds (the branch-averaged state after one pass is the
 reservoir Gibbs state, and the transferred energy is linear in the input
 state), but the distribution spreads: a particle that got cold and then
 draws a heating branch overshoots, up to population inversion.
+
+The oracle for that invariance, ``expected_transfer_exact``, walks the exact
+branch tree one level at a time: each depth's histories are one array, and
+one kernel call per level gives all their children. It draws nothing and
+shares no code with the sampled rounds beyond the branch kernel itself.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fridge import SCHEMES, _bath_energy, _branches, _validate_ratio, weighted_energy_scheme
+from .fridge import SCHEMES, _bath_energy, _kernel, _validate_ratio, weighted_energy_scheme
 
 _INVERSION_ENERGY = 0.5  # mean energy above gap/2 means inverted populations
 
@@ -137,39 +142,44 @@ class DemonReport:
 
 
 def _rounds(cfg: DemonConfig):
-    """Yield (x, heated) after each round: every particle's excited weight
-    and box (True -> C), from one uniform draw per particle per round.
+    """Yield (table, code, heated) after each round, from one uniform draw
+    per particle per round: particle i's excited weight is
+    ``table[code[i]]`` and its box is ``heated[i]`` (True -> C).
 
     A particle's weight is fixed by its branch history, so the kernel runs on
     a table of the distinct histories' weights: ``code`` indexes a particle's
     history, and each round doubles the table to the interleaved (cooling,
     heating) children. The table is compacted to the histories still held
     once it outgrows the sample, which bounds it for any number of rounds.
-    The per-round draws continue one generator stream, the same numbers as a
-    single (rounds, particles) draw.
+    The per-round draws fill one buffer from one generator stream, the same
+    numbers as a single (rounds, particles) draw. Consumers gather
+    ``table[code]`` only for the rounds they read.
     """
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
+    step = _kernel(cfg.scheme, cfg.n, cfg.dim)
     table = np.array([_bath_energy(cfg.dim, cfg.r)])
     code = np.zeros(cfg.particles, dtype=np.intp)
+    u = np.empty(cfg.particles)
     for _ in range(cfg.rounds):
-        _, p_h, x_cool, x_heat, _ = _branches(cfg.scheme, cfg.n, cfg.dim, cfg.r, table)
-        heated = rng.random(cfg.particles) < ((cfg.n - 1) * p_h)[code]
+        _, p_h, x_cool, x_heat, _ = step(cfg.r, table)
+        heated = rng.random(out=u) < ((cfg.n - 1) * p_h)[code]
         code = 2 * code + heated
         table = np.column_stack((x_cool, x_heat)).ravel()
         if table.size > cfg.particles:
             held, code = np.unique(code, return_inverse=True)
             table = table[held]
-        yield table[code], heated
+        yield table, code, heated
 
 
 def _report(cfg: DemonConfig, rounds) -> DemonReport:
-    """Consume the per-round (x, heated) pairs into the final report."""
+    """Consume the per-round (table, code, heated) triples into the final
+    report; only the last round's weights are gathered."""
     heated_counts = []
-    for x, heated in rounds:
+    for table, code, heated in rounds:
         heated_counts.append(int(np.count_nonzero(heated)))
     return DemonReport(
         config=cfg,
-        final_energies=x,
+        final_energies=table[code],
         heated=heated,
         initial_energy=_bath_energy(cfg.dim, cfg.r),
         rounds_heated_count=heated_counts,
@@ -194,27 +204,26 @@ def analytic_transfer_fraction(n: int, dim: int, r: float) -> float:
 def expected_transfer_exact(n: int, dim: int, r: float, rounds: int, scheme: str = "ico") -> float:
     """Exact branch-tree expectation of the transferred fraction.
 
-    Walks all 2**rounds branch histories; the transferred energy is booked
-    against the final round's box assignment. Independent of run_demon's
-    sampling, this is the oracle for the rounds-invariance of the expected
-    transfer.
+    Walks all 2**rounds branch histories one level at a time; the
+    transferred energy is booked against the final round's box assignment.
+    Independent of run_demon's sampling, this is the oracle for the
+    rounds-invariance of the expected transfer.
     """
     if rounds > 16:
         raise ValueError("branch tree is desk-scale only (rounds <= 16)")
     DemonConfig(particles=1, n=n, r=r, dim=dim, scheme=scheme, rounds=rounds)  # validates
+    step = _kernel(scheme, n, dim)
     e0 = _bath_energy(dim, r)
-    total = 0.0
-    stack = [(0, 1.0, e0)]
-    while stack:
-        depth, prob, x = stack.pop()
-        _, p_h, x_cool, x_heat, _ = _branches(scheme, n, dim, r, x)
+    # excited weight and probability of every history at the current depth
+    x, prob = np.array([e0]), np.array([1.0])
+    for _ in range(rounds - 1):
+        _, p_h, x_cool, x_heat, _ = step(r, x)
         ph = (n - 1) * p_h
-        if depth == rounds - 1:
-            total += prob * ph * (x_heat - e0)
-        else:
-            stack.append((depth + 1, prob * ph, x_heat))
-            stack.append((depth + 1, prob * (1.0 - ph), x_cool))
-    return total / e0
+        x = np.column_stack((x_heat, x_cool)).ravel()
+        prob = np.column_stack((prob * ph, prob * (1.0 - ph))).ravel()
+    _, p_h, _, x_heat, _ = step(r, x)
+    ph = (n - 1) * p_h
+    return float(np.sum(prob * ph * (x_heat - e0))) / e0
 
 
 @dataclass
@@ -243,12 +252,13 @@ def heat_jump_scan(cfg: DemonConfig) -> HeatJumpReport:
     inverted = np.zeros(cfg.particles, dtype=bool)
 
     def watched():
-        for x, heated in _rounds(cfg):
+        for table, code, heated in _rounds(cfg):
+            x = table[code]
             new = (x > _INVERSION_ENERGY) & ~inverted
             inverted[new] = True
             max_energy.append(float(np.max(x)))
             inversions.append(int(np.count_nonzero(new)))
-            yield x, heated
+            yield table, code, heated
 
     report = _report(cfg, watched())
     first_round = next((rnd for rnd, count in enumerate(inversions, start=1) if count), None)

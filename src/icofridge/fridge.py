@@ -39,7 +39,6 @@ gap; work uses a unit-inverse-temperature erasure reservoir.
 
 from __future__ import annotations
 
-import io
 import math
 import sys
 from dataclasses import dataclass, field
@@ -59,6 +58,9 @@ COLD_EXHAUSTED_TOL = 1e-7
 # branch labels indexed by "cooling drawn": a trace's label list holds these
 # two objects, not one new string per cycle
 _LABELS = np.array(["heating", "cooling"], dtype=object)
+
+# one trace row: cycle, branch label and six numbers at 12 significant digits
+_CSV_ROW = "%d,%s" + ",%.12g" * 6 + "\n"
 
 
 def _validate_ratio(r: float) -> None:
@@ -183,6 +185,8 @@ def work_cost(entropy: float, beta_r: float) -> float:
     """Erasure work for a register of given entropy against a bath at beta_r."""
     if entropy < 0:
         raise ValueError("entropy must be nonnegative")
+    if not 0.0 < beta_r < math.inf:
+        raise ValueError(f"erasure inverse temperature beta_r={beta_r} must be positive and finite")
     return entropy / beta_r
 
 
@@ -316,15 +320,14 @@ class CycleTrace:
         return max(abs(hc - hh) for hc, hh in zip(self.heat_cold, self.heat_hot))
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write(
+        header = (
             f"# config: command=cycle scheme={self.scheme} n={self.n} d={self.dim} "
             f"seed={self.seed} n_cold={self.n_cold:.12g} n_hot={self.n_hot:.12g} "
             f"r_start={self.r_start_cold:.12g} r_hot_start={self.r_start_hot:.12g} "
             f"max_cycles={self.max_cycles} stop={self.stop_reason}\n"
+            "cycle,branch,r_cold,r_hot,heat_cold,heat_hot,work,entropy\n"
         )
-        buf.write("cycle,branch,r_cold,r_hot,heat_cold,heat_hot,work,entropy\n")
-        for row in zip(
+        columns = (
             self.cycles,
             self.branches,
             self.r_cold,
@@ -333,12 +336,8 @@ class CycleTrace:
             self.heat_hot,
             self.work,
             self.entropy,
-        ):
-            buf.write(
-                f"{row[0]},{row[1]},{row[2]:.12g},{row[3]:.12g},{row[4]:.12g},"
-                f"{row[5]:.12g},{row[6]:.12g},{row[7]:.12g}\n"
-            )
-        return buf.getvalue()
+        )
+        return header + "".join([_CSV_ROW % row for row in zip(*columns)])
 
 
 def run_cycles(

@@ -55,6 +55,9 @@ class ThermalSpec:
                 gaps = tuple(-math.log(r) for r in r_list)
         if len(gaps) != len(r_list):
             raise ValueError("gaps and r_list must have the same length")
+        # 0 and -0.0 stay legal: the default gap -ln(1) of an r = 1 level is -0.0
+        if any(not 0.0 <= g < math.inf for g in gaps):
+            raise ValueError(f"gaps must be finite and nonnegative, got {gaps}")
         for (ra, ga), (rb, gb) in zip(zip(r_list, gaps), list(zip(r_list, gaps))[1:]):
             if (gb - ga) * (ra - rb) < 0:
                 raise ValueError("ratios must be nonincreasing where gaps increase")

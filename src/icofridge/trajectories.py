@@ -9,7 +9,10 @@ the Stinespring dilation unitaries of the channels, the environments are
 traced out, and the two routes must agree entrywise. This payload is the
 module's oracle; the interference scale (e.g. M = A/sqrt(2) for the
 damping-based thermalizing channel, giving blocks of A rho A^dag / 2) is
-whatever the dilation produces, never assumed.
+whatever the dilation produces, never assumed. The purified vector is built
+from broadcast outer products: one contraction applies every Kraus operator
+to the purified state, and each path's branch is that result times the
+environment vector of every other path, slot by slot.
 """
 
 from __future__ import annotations
@@ -135,12 +138,15 @@ def dilation_oracle(cfg: TrajectoryConfig, rho: np.ndarray) -> SwitchOutput:
     if size > DILATION_BUDGET:
         raise ValueError(f"dilation vector of {size} amplitudes exceeds the desk budget")
 
-    # Purify rho against a d-dimensional ancilla.
+    # Purify rho against a d-dimensional ancilla: psi[t, b] = sqrt(p_b) v_b[t].
     evals, evecs = np.linalg.eigh(rho)
     evals = np.clip(evals.real, 0.0, None)
-    psi_t = np.zeros(d * d, dtype=complex)
-    for a in range(d):
-        psi_t += np.sqrt(evals[a]) * np.kron(evecs[:, a], _unit(d, a))
+    psi = evecs * np.sqrt(evals)
+
+    # (K_a (x) I) psi for every Kraus operator, one column per pointer level a
+    # that flags it; no operator flags the extra level, whose column stays zero
+    target_anc = np.zeros((d * d, e_dim), dtype=complex)
+    target_anc[:, :n_ops] = np.einsum("aij,jb->iba", np.asarray(cfg.kraus.operators), psi).reshape(d * d, n_ops)
 
     env_states = []
     for o in cfg.env_overlaps:
@@ -149,29 +155,23 @@ def dilation_oracle(cfg: TrajectoryConfig, rho: np.ndarray) -> SwitchOutput:
         vec[n_ops] = np.sqrt(max(0.0, 1.0 - float(np.sum(np.abs(vec) ** 2))))
         env_states.append(vec)
 
-    total = np.zeros(size, dtype=complex)
-    env_dim = e_dim**n
+    # environment states shaped to broadcast along their own slot
+    slots = [vec.reshape((1,) * j + (e_dim,) + (1,) * (n - 1 - j)) for j, vec in enumerate(env_states)]
+    total = np.empty((n, d * d) + (e_dim,) * n, dtype=complex)
     for k in range(n):
-        branch = np.zeros(d * d * env_dim, dtype=complex)
-        for a, op in enumerate(cfg.kraus.operators):
-            target_anc = np.kron(op, np.eye(d)) @ psi_t
-            env = None
-            for j in range(n):
-                factor = _unit(e_dim, a) if j == k else env_states[j]
-                env = factor if env is None else np.kron(env, factor)
-            branch += np.kron(target_anc, env)
-        total += np.kron(_unit(n, k), branch) / np.sqrt(n)
+        # path k's slot holds the pointer of the Kraus operator that acted,
+        # every other slot its initial environment state
+        env = np.ones((1,) * n, dtype=complex)
+        for j in range(n):
+            if j != k:
+                env = env * slots[j]
+        pointer = target_anc.reshape((d * d,) + (1,) * k + (e_dim,) + (1,) * (n - 1 - k))
+        total[k] = pointer * env / np.sqrt(n)
 
     # Trace out ancilla + environments: they are the trailing tensor factors.
     m = total.reshape(n * d, -1)
     joint = m @ m.conj().T
     return SwitchOutput(joint=joint, control_dim=n, target_dim=d)
-
-
-def _unit(dim: int, index: int) -> np.ndarray:
-    v = np.zeros(dim, dtype=complex)
-    v[index] = 1.0
-    return v
 
 
 def traj_branches(cfg: TrajectoryConfig, spec: ThermalSpec) -> BranchStats:

@@ -199,6 +199,9 @@ def test_usage_error_exit_code(capsys):
         (["limits", "--k-list", "inf"], "reservoir size ratio k=inf must be positive and finite"),
         (["cop", "--r-hot", "nan"], "hot ratio nan must be positive and finite"),
         (["cop", "--r-hot", "inf"], "hot ratio inf must be positive and finite"),
+        (["cop", "--beta-r", "0"], "beta_r=0.0 must be positive and finite"),
+        (["cop", "--beta-r", "nan"], "beta_r=nan must be positive and finite"),
+        (["cop", "--beta-r", "-1"], "beta_r=-1.0 must be positive and finite"),
     ),
 )
 def test_nonfinite_and_empty_inputs_exit_1(argv, message, capsys):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from icofridge import fridge, nswitch, thermal
+from icofridge import demon, fridge, nswitch, thermal
 from icofridge.fridge import _bath_energy, _branches
 from icofridge.demon import DemonConfig, analytic_transfer_fraction, expected_transfer_exact, heat_jump_scan, qubit_never_inverts, run_demon
 from icofridge.thermal import ThermalSpec
@@ -210,3 +210,64 @@ def test_rounds_match_per_particle_reference(cfg):
         new = (x > 0.5) & ~inverted
         inverted |= new
         assert count == int(np.count_nonzero(new))
+
+
+def _dfs_transfer(n, dim, r, rounds, scheme):
+    """Reference tree walk: one node per stack entry, one kernel call each."""
+    e0 = _bath_energy(dim, r)
+    total = 0.0
+    stack = [(0, 1.0, e0)]
+    while stack:
+        depth, prob, x = stack.pop()
+        _, p_h, x_cool, x_heat, _ = _branches(scheme, n, dim, r, x)
+        ph = (n - 1) * p_h
+        if depth == rounds - 1:
+            total += prob * ph * (x_heat - e0)
+        else:
+            stack.append((depth + 1, prob * ph, x_heat))
+            stack.append((depth + 1, prob * (1.0 - ph), x_cool))
+    return total / e0
+
+
+@pytest.mark.parametrize("scheme, dim", (("ico", 2), ("ico", 3), ("traj", 2)))
+def test_tree_levels_match_depth_first_reference(scheme, dim):
+    for n, r in ((2, 0.3), (100, 0.1)):
+        for rounds in range(1, 13):
+            got = expected_transfer_exact(n, dim, r, rounds, scheme)
+            assert abs(got - _dfs_transfer(n, dim, r, rounds, scheme)) <= 1e-13
+
+
+def test_tree_is_independent_of_sampling(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the oracle must not use the sampled rounds it checks")
+
+    monkeypatch.setattr(demon, "_rounds", forbidden)
+    monkeypatch.setattr(demon, "run_demon", forbidden)
+    assert abs(expected_transfer_exact(10, 2, 0.3, 6) - analytic_transfer_fraction(10, 2, 0.3)) < 1e-10
+    with pytest.raises(ValueError, match="rounds <= 16"):
+        expected_transfer_exact(10, 2, 0.3, 17)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    (
+        DemonConfig(particles=3000, n=100, r=0.33, rounds=10, seed=6),
+        DemonConfig(particles=50, n=10, r=0.2, rounds=9, seed=8),  # compacted table
+        # 64 histories fit the 64-particle table uncompacted, and at r = 0.01
+        # most of them, the hottest included, are held by no particle
+        DemonConfig(particles=64, n=2, r=0.01, rounds=6, seed=9),
+    ),
+)
+def test_heat_jump_matches_gathered_rounds(cfg):
+    # the scan gathers each round's weights itself; so does this reference
+    max_energy, inversions = [], []
+    inverted = np.zeros(cfg.particles, dtype=bool)
+    for table, code, _ in demon._rounds(cfg):
+        x = table[code]
+        new = (x > 0.5) & ~inverted
+        inverted |= new
+        max_energy.append(float(np.max(x)))
+        inversions.append(int(np.count_nonzero(new)))
+    scan = heat_jump_scan(cfg)
+    assert scan.max_energy_per_round == max_energy
+    assert scan.inversion_count_per_round == inversions

@@ -1,3 +1,4 @@
+import io
 import math
 from fractions import Fraction
 
@@ -40,6 +41,11 @@ def test_work_cost():
     assert abs(work_cost(register_entropy(2, 1.0, "ico"), 1.0) - 0.6616) < 1e-4
     with pytest.raises(ValueError):
         work_cost(-0.1, 1.0)
+    for beta_r in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="beta_r"):
+            work_cost(0.5, beta_r)
+        with pytest.raises(ValueError, match="beta_r"):
+            cop(2, 2, 0.5, 0.5, beta_r, "ico")
 
 
 def test_cop_zero_at_stop_point():
@@ -174,6 +180,45 @@ def test_trace_csv_format():
 
 
 TRACE_COLUMNS = ("cycles", "branches", "r_cold", "r_hot", "heat_cold", "heat_hot", "work", "entropy")
+
+
+def _fstring_csv(trace):
+    """Reference writer: one f-string per row, written to a buffer."""
+    buf = io.StringIO()
+    buf.write(
+        f"# config: command=cycle scheme={trace.scheme} n={trace.n} d={trace.dim} "
+        f"seed={trace.seed} n_cold={trace.n_cold:.12g} n_hot={trace.n_hot:.12g} "
+        f"r_start={trace.r_start_cold:.12g} r_hot_start={trace.r_start_hot:.12g} "
+        f"max_cycles={trace.max_cycles} stop={trace.stop_reason}\n"
+    )
+    buf.write("cycle,branch,r_cold,r_hot,heat_cold,heat_hot,work,entropy\n")
+    for row in zip(*(getattr(trace, name) for name in TRACE_COLUMNS)):
+        buf.write(
+            f"{row[0]},{row[1]},{row[2]:.12g},{row[3]:.12g},{row[4]:.12g},"
+            f"{row[5]:.12g},{row[6]:.12g},{row[7]:.12g}\n"
+        )
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("scheme, dim", (("ico", 2), ("cswap", 2), ("traj", 2), ("ico", 3)))
+def test_trace_csv_matches_fstring_reference(scheme, dim):
+    for k, r0 in ((2.0, 0.6), (5.0, 0.1), (100.0, 0.5)):
+        trace = run_cycles(scheme, ReservoirEnsemble.from_ratio(k, r0, n_cold=4), n=3, dim=dim, seed=5)
+        assert trace.to_csv() == _fstring_csv(trace)
+
+
+def test_trace_csv_extreme_values_match_fstring_reference():
+    values = [-0.0, 1e-300, 1e300, 0.1 + 0.2, -1.5e-7, 123456789012345.0]
+    m = len(values)
+    trace = fridge.CycleTrace(
+        scheme="ico", n=2, dim=2, seed=0, n_cold=16.0, n_hot=1e300, r_start_cold=-0.0,
+        r_start_hot=1e-300, max_cycles=m, cycles=list(range(1, m + 1)),
+        branches=["cooling", "heating"] * (m // 2), r_cold=values, r_hot=values[::-1],
+        heat_cold=values, heat_hot=values[::-1], work=values, entropy=values[::-1],
+    )
+    text = trace.to_csv()
+    assert text == _fstring_csv(trace)
+    assert "\n1,cooling,-0,1.23456789012e+14,-0," in text and ",1e+300," in text
 
 
 def _reference_cycles(scheme, ens, n, dim, seed, max_cycles):

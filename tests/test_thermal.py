@@ -85,6 +85,12 @@ def test_spec_validation():
         ThermalSpec(r_list=(1.2,))
     with pytest.raises(ValueError):
         ThermalSpec(r_list=(0.2, 0.5), gaps=(1.0, 2.0))  # ratio grows with gap
+    for gap in (float("nan"), float("inf"), -2.0):
+        with pytest.raises(ValueError, match="gaps must be finite and nonnegative"):
+            ThermalSpec(r_list=(0.5,), gaps=(gap,))
+    # zero gaps stay legal, including the -0.0 default gap of an r = 1 level
+    assert ThermalSpec(r_list=(0.5,), gaps=(0.0,)).gaps == (0.0,)
+    assert ThermalSpec(r_list=(1.0, 0.5)).gaps[0] == 0.0
     spec = ThermalSpec(r_list=(0.5, 0.2))
     assert spec.dim == 3
     assert spec.gaps[0] < spec.gaps[1]

@@ -153,3 +153,78 @@ def test_config_json_round_trip():
     assert again.env_overlaps == cfg.env_overlaps
     t = gibbs(0.25)
     assert np.max(np.abs(traj_output(again, t).joint - traj_output(cfg, t).joint)) < 1e-15
+
+
+def _kron_dilation(cfg, rho):
+    """Reference purification: every branch amplitude assembled factor by
+    factor with np.kron, one Kraus operator and one path at a time."""
+    d, n = cfg.kraus.dim, cfg.n
+    n_ops = len(cfg.kraus.operators)
+    e_dim = n_ops + 1
+
+    def unit(dim, index):
+        v = np.zeros(dim, dtype=complex)
+        v[index] = 1.0
+        return v
+
+    evals, evecs = np.linalg.eigh(rho)
+    evals = np.clip(evals.real, 0.0, None)
+    psi_t = sum(np.sqrt(evals[a]) * np.kron(evecs[:, a], unit(d, a)) for a in range(d))
+    env_states = []
+    for o in cfg.env_overlaps:
+        vec = np.zeros(e_dim, dtype=complex)
+        vec[:n_ops] = np.conj(o)
+        vec[n_ops] = np.sqrt(max(0.0, 1.0 - float(np.sum(np.abs(vec) ** 2))))
+        env_states.append(vec)
+    total = np.zeros(n * d * d * e_dim**n, dtype=complex)
+    for k in range(n):
+        branch = np.zeros(d * d * e_dim**n, dtype=complex)
+        for a, op in enumerate(cfg.kraus.operators):
+            target_anc = np.kron(op, np.eye(d)) @ psi_t
+            env = None
+            for j in range(n):
+                factor = unit(e_dim, a) if j == k else env_states[j]
+                env = factor if env is None else np.kron(env, factor)
+            branch += np.kron(target_anc, env)
+        total += np.kron(unit(n, k), branch) / np.sqrt(n)
+    m = total.reshape(n * d, -1)
+    return m @ m.conj().T
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_dilation_matches_kron_reference_canonical(n):
+    spec = ThermalSpec.qubit(0.37)
+    cfg = canonical_config(n, spec)
+    t = gibbs(0.37)
+    assert np.max(np.abs(dilation_oracle(cfg, t).joint - _kron_dilation(cfg, t))) <= 1e-15
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("n", [2, 3])
+def test_dilation_matches_kron_reference_random_overlaps(dim, n):
+    # overlap weight below 1 puts amplitude on the extra environment level
+    rng = np.random.default_rng(10 * dim + n)
+    kraus = channels.thermalizing_kraus(ThermalSpec.degenerate(dim, 0.3))
+    overlaps = []
+    for _ in range(n):
+        o = rng.normal(size=len(kraus.operators)) + 1j * rng.normal(size=len(kraus.operators))
+        o /= np.linalg.norm(o) * rng.uniform(1.1, 2.0)
+        overlaps.append(tuple(o))
+    cfg = TrajectoryConfig(n=n, kraus=kraus, env_overlaps=tuple(overlaps))
+    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = m @ dagger(m)
+    rho /= np.trace(rho).real
+    assert np.max(np.abs(dilation_oracle(cfg, rho).joint - _kron_dilation(cfg, rho))) <= 1e-15
+
+
+def test_dilation_is_independent_of_closed_form(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the oracle must not use the closed form it checks")
+
+    monkeypatch.setattr(trajectories, "traj_output", forbidden)
+    monkeypatch.setattr(trajectories, "transformation_matrix", forbidden)
+    monkeypatch.setattr(channels, "transformation_matrix", forbidden)
+    monkeypatch.setattr(TrajectoryConfig, "transformation_matrices", forbidden)
+    spec = ThermalSpec.qubit(0.4)
+    out = dilation_oracle(canonical_config(3, spec), gibbs(0.4))
+    assert abs(np.trace(out.joint).real - 1.0) < 1e-12
