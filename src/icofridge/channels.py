@@ -14,7 +14,6 @@ channel exists iff tr(M^dag T M) <= 1/d.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -49,40 +48,6 @@ class KrausSet:
         """Max-norm deviation of sum K^dag K from the identity."""
         total = sum(dagger(k) @ k for k in self.operators)
         return float(np.max(np.abs(total - np.eye(self.dim))))
-
-    def is_complete(self, tol: float = ALGEBRA_TOL) -> bool:
-        return self.completeness_defect() <= tol
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "label": self.label,
-                "operators": [_encode_matrix(k) for k in self.operators],
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "KrausSet":
-        data = json.loads(text)
-        ops = tuple(_decode_matrix(entry) for entry in data["operators"])
-        return cls(operators=ops, label=data.get("label", ""))
-
-
-def _encode_matrix(m: np.ndarray) -> list:
-    """[rows, cols, interleaved re/im of the row-major entries]."""
-    m = np.asarray(m, dtype=complex)
-    flat = m.reshape(-1)
-    inter = np.empty(2 * flat.size)
-    inter[0::2] = flat.real
-    inter[1::2] = flat.imag
-    return [m.shape[0], m.shape[1], inter.tolist()]
-
-
-def _decode_matrix(entry: Sequence) -> np.ndarray:
-    rows, cols, inter = int(entry[0]), int(entry[1]), np.asarray(entry[2], dtype=float)
-    if inter.size != 2 * rows * cols:
-        raise ValueError("matrix payload length does not match rows*cols")
-    return (inter[0::2] + 1j * inter[1::2]).reshape(rows, cols)
 
 
 def depolarizing_kraus(d: int) -> KrausSet:

@@ -66,8 +66,11 @@ def parse_config_comment(line: str) -> dict[str, str]:
     return values
 
 
-def _emit(columns: Sequence[str], rows: list[list], config: dict, fmt: str, out: str | None):
-    if fmt == "csv":
+def _emit(columns: Sequence[str], rows: list[list], args, keys: Sequence[str] = ()):
+    """Write ``rows`` in ``args.format`` to ``args.out``, headed by the config
+    echo of the flags named in ``keys``."""
+    config = _config_echo(args, keys)
+    if args.format == "csv":
         lines = ["# config: " + " ".join(f"{k}={v}" for k, v in config.items())]
         lines.append(",".join(columns))
         for row in rows:
@@ -76,7 +79,7 @@ def _emit(columns: Sequence[str], rows: list[list], config: dict, fmt: str, out:
     else:
         text = json.dumps({"config": config, "columns": list(columns), "rows": rows}, indent=1)
         text += "\n"
-    _write(out, text)
+    _write(args.out, text)
 
 
 def _write(path: str | None, text: str) -> None:
@@ -110,14 +113,8 @@ def _cmd_branches(args) -> int:
         return [n, d, r, p_c, p_heating, e_heat - e0, e_cool - e0, p_heating * (e_heat - e0)]
 
     rows = [row(n, d, r) for n in args.n_list for d in args.d_list for r in args.r_list]
-    config = _config_echo("branches", args, ("n_list", "d_list", "r_list"))
-    _emit(
-        ["n", "d", "r", "p_c", "p_H", "dE_h", "dE_c", "weighted_dE_h"],
-        rows,
-        config,
-        args.format,
-        args.out,
-    )
+    columns = ["n", "d", "r", "p_c", "p_H", "dE_h", "dE_c", "weighted_dE_h"]
+    _emit(columns, rows, args, ("n_list", "d_list", "r_list"))
     return 0
 
 
@@ -135,14 +132,8 @@ def _cmd_cop(args) -> int:
         for d in args.d_list
         for r in args.r_list
     ]
-    config = _config_echo("cop", args, ("scheme", "n_list", "d_list", "r_list", "r_hot", "beta_r"))
-    _emit(
-        ["scheme", "n", "d", "r", "r_hot", "cop", "cop_over_gap_beta"],
-        rows,
-        config,
-        args.format,
-        args.out,
-    )
+    columns = ["scheme", "n", "d", "r", "r_hot", "cop", "cop_over_gap_beta"]
+    _emit(columns, rows, args, ("scheme", "n_list", "d_list", "r_list", "r_hot", "beta_r"))
     return 0
 
 
@@ -151,8 +142,7 @@ def _cmd_limits(args) -> int:
         return [scheme, k, r, fridge.lowest_r(scheme, r, k)]
 
     rows = [row(s, k, r) for s in args.scheme for k in args.k_list for r in args.r_list]
-    config = _config_echo("limits", args, ("scheme", "k_list", "r_list"))
-    _emit(["scheme", "k", "r_start", "r_lowest"], rows, config, args.format, args.out)
+    _emit(["scheme", "k", "r_start", "r_lowest"], rows, args, ("scheme", "k_list", "r_list"))
     return 0
 
 
@@ -177,23 +167,9 @@ def _cmd_cswap(args) -> int:
         return [n, r, p_c, p_h_tot, target, reservoir, float(heat[0]), ratio]
 
     rows = [row(n, r) for n in args.n_list for r in args.r_list]
-    config = _config_echo("cswap", args, ("n_list", "r_list"))
-    _emit(
-        [
-            "n",
-            "r",
-            "p_c",
-            "p_H",
-            "target_cool_pop",
-            "reservoir_cool_pop",
-            "target_heat_pop",
-            "total_over_target",
-        ],
-        rows,
-        config,
-        args.format,
-        args.out,
-    )
+    columns = ["n", "r", "p_c", "p_H", "target_cool_pop", "reservoir_cool_pop"]
+    columns += ["target_heat_pop", "total_over_target"]
+    _emit(columns, rows, args, ("n_list", "r_list"))
     return 0
 
 
@@ -204,14 +180,8 @@ def _cmd_traj(args) -> int:
         return [n, r, p_c, (n - 1) * p_h, weighted, fridge.cop_normalized(n, 2, r, "traj")]
 
     rows = [row(n, r) for n in args.n_list for r in args.r_list]
-    config = _config_echo("traj", args, ("n_list", "r_list"))
-    _emit(
-        ["n", "r", "p_c", "p_H", "weighted_dE_h", "cop_over_gap_beta"],
-        rows,
-        config,
-        args.format,
-        args.out,
-    )
+    columns = ["n", "r", "p_c", "p_H", "weighted_dE_h", "cop_over_gap_beta"]
+    _emit(columns, rows, args, ("n_list", "r_list"))
     return 0
 
 
@@ -233,21 +203,25 @@ def _cmd_demon(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    names = args.checks if args.checks else None
-    results = verify.run_checks(names=names)
-    failures = 0
-    for res in results:
-        mark = "PASS" if res.passed else "FAIL"
-        print(f"{mark}  {res.name:36s} {res.seconds:7.2f}s  {res.detail}")
-        failures += 0 if res.passed else 1
-    # the summed check time, excluding import and start-up
-    seconds = sum(res.seconds for res in results)
-    print(f"{len(results) - failures}/{len(results)} checks passed in {seconds:.2f} s")
+    results = verify.run_checks(names=args.checks or None)
+    failures = sum(not res.passed for res in results)
+    if args.format is None:
+        lines = [
+            f"{'PASS' if res.passed else 'FAIL'}  {res.name:36s} {res.seconds:7.2f}s  {res.detail}"
+            for res in results
+        ]
+        # the summed check time, excluding import and start-up
+        seconds = sum(res.seconds for res in results)
+        lines.append(f"{len(results) - failures}/{len(results)} checks passed in {seconds:.2f} s")
+        _write(args.out, "\n".join(lines) + "\n")
+    else:
+        rows = [[r.name, r.passed, r.defect, r.tol, r.seconds, r.detail] for r in results]
+        _emit(["name", "passed", "defect", "tol", "seconds", "detail"], rows, args)
     return 0 if failures == 0 else 2
 
 
-def _config_echo(command: str, args, keys: Sequence[str]) -> dict:
-    config = {"command": command}
+def _config_echo(args, keys: Sequence[str]) -> dict:
+    config = {"command": args.command}
     for key in keys:
         value = getattr(args, key)
         if isinstance(value, list):
@@ -273,6 +247,9 @@ _GRID_DEFAULTS = {
 # per-command grid defaults: cswap_populations stops at 16 reservoir qubits
 _COMMAND_DEFAULTS = {"cswap": {"n_list": "2,3,4,10"}}
 
+# the formats a command writes, its default first; None is verify's text table
+_FORMATS = {"cycle": ("csv",), "demon": ("json",), "verify": (None, "json")}
+
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="icofridge", description=__doc__)
@@ -282,7 +259,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--config", help="flat key=value config file; flags override it")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        p.add_argument("--format", choices=("csv", "json"), default=None)
 
     p = sub.add_parser("branches", help="branch probabilities and energy changes over a grid")
     common(p)
@@ -390,6 +367,11 @@ def _apply_config(args) -> None:
     for attr, default in defaults.items():
         if getattr(args, attr, "missing") is None:
             setattr(args, attr, _CONFIG_PARSERS[attr](default))
+    formats = _FORMATS.get(args.command, ("csv", "json"))
+    if args.format is None:
+        args.format = formats[0]
+    elif args.format not in formats:
+        raise UsageError(f"{args.command} cannot write --format {args.format}")
 
 
 def main(argv: list[str] | None = None) -> int:

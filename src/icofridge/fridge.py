@@ -309,10 +309,6 @@ class CycleTrace:
     def final_r_cold(self) -> float:
         return self.r_cold[-1]
 
-    @property
-    def final_r_hot(self) -> float:
-        return self.r_hot[-1]
-
     def audit_defect(self) -> float:
         """Largest per-cycle first-law violation (cold loss vs hot gain)."""
         if not self.cycles:

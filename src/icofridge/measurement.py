@@ -13,7 +13,6 @@ leftover mixed control.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -42,15 +41,6 @@ class MeasurementBasis:
 
     def gram(self) -> np.ndarray:
         return self.vectors.conj() @ self.vectors.T
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "dim": self.dim,
-                "re": self.vectors.real.reshape(-1).tolist(),
-                "im": self.vectors.imag.reshape(-1).tolist(),
-            }
-        )
 
 
 def build_basis(n: int) -> MeasurementBasis:

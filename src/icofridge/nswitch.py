@@ -23,7 +23,6 @@ their oracle.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import product as _product
 
@@ -85,13 +84,6 @@ class OrderSet:
         cols = zip(*self.orders)
         return all(sorted(c) == list(range(1, self.n_channels + 1)) for c in cols)
 
-    def to_json(self) -> str:
-        return json.dumps([list(o) for o in self.orders])
-
-    @classmethod
-    def from_json(cls, text: str) -> "OrderSet":
-        return cls(orders=tuple(tuple(o) for o in json.loads(text)))
-
 
 @dataclass(frozen=True)
 class SwitchOutput:
@@ -105,24 +97,6 @@ class SwitchOutput:
         """Target-space block <i| . |j> of the control index."""
         d = self.target_dim
         return self.joint[i * d : (i + 1) * d, j * d : (j + 1) * d]
-
-    def to_json(self) -> str:
-        m = self.joint
-        return json.dumps(
-            {
-                "control_dim": self.control_dim,
-                "target_dim": self.target_dim,
-                "re": m.real.reshape(-1).tolist(),
-                "im": m.imag.reshape(-1).tolist(),
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "SwitchOutput":
-        data = json.loads(text)
-        n, d = int(data["control_dim"]), int(data["target_dim"])
-        m = (np.asarray(data["re"]) + 1j * np.asarray(data["im"])).reshape(n * d, n * d)
-        return cls(joint=m, control_dim=n, target_dim=d)
 
 
 def switch_closed_form(n: int, rho: np.ndarray, thermal_state: np.ndarray) -> SwitchOutput:

@@ -17,7 +17,6 @@ environment vector of every other path, slot by slot.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -65,26 +64,6 @@ class TrajectoryConfig:
             transformation_matrix(self.kraus, o, thermal_state=thermal_state)
             for o in self.env_overlaps
         ]
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "n": self.n,
-                "kraus": json.loads(self.kraus.to_json()),
-                "env_overlaps": [
-                    [[c.real, c.imag] for c in o] for o in self.env_overlaps
-                ],
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "TrajectoryConfig":
-        data = json.loads(text)
-        kraus = KrausSet.from_json(json.dumps(data["kraus"]))
-        overlaps = tuple(
-            tuple(complex(re, im) for re, im in o) for o in data["env_overlaps"]
-        )
-        return cls(n=int(data["n"]), kraus=kraus, env_overlaps=overlaps)
 
 
 def canonical_config(n: int, spec: ThermalSpec) -> TrajectoryConfig:

@@ -1,292 +1,107 @@
 """Acceptance gate: every quantitative promise of the package, one test per
-criterion, each printing a PASS/FAIL line with its measured values."""
+criterion, each printing a PASS/FAIL line with its measured values.
+
+A criterion runs named ``verify`` checks, which hold the grids and
+tolerances, under a wall-time bound."""
 
 import math
 import time
 
-import numpy as np
-import pytest
+from icofridge import verify
 
-from icofridge import cswap, demon, fridge, measurement, nswitch, thermal, trajectories, verify
-from icofridge.thermal import ThermalSpec
+# number -> (label, verify checks (None: all), wall-time bound in s)
+CRITERIA = {
+    1: ("closed form vs brute force", ["closed_form_vs_bruteforce"], 10.0),
+    2: ("non-cyclic order sets give T^3 (N=3) / T^5 (N=4)", ["noncyclic_order_sets"], math.inf),
+    3: ("p_H(2, r=1) = 0.375 and probability closure", ["branch_probability_closure"], math.inf),
+    4: ("weighted energy doubles for many channels", ["weighted_energy_doubling"], math.inf),
+    5: ("qudit boost factor 2(D-1)(N-1)/N", ["qudit_boost"], math.inf),
+    6: (
+        "basis orthonormality, branch states, entropy identity",
+        ["measurement_basis", "measured_branches", "entropy_identity"],
+        math.inf,
+    ),
+    7: (
+        "controlled-SWAP marginals, energy identity, discard, tripling",
+        ["cswap_marginals", "cswap_energy_identity", "cswap_sequential_discard", "cswap_tripling"],
+        30.0,
+    ),
+    8: (
+        "trajectory closed form vs dilation; obtainability bound",
+        ["traj_dilation_agreement", "traj_obtainability"],
+        math.inf,
+    ),
+    9: ("cycle asymptotes match closed-form limits", ["fridge_fixed_points"], math.inf),
+    10: ("COP vanishes at the stop condition", ["cop_zero_point"], math.inf),
+    11: ("demon sample statistics", ["demon_statistics"], 5.0),
+    12: ("heat jump: inversions at N=100, never at N=2", ["demon_heat_jump"], math.inf),
+    13: ("full verification suite green in under two minutes", None, 120.0),
+}
 
 
-def _report(number: int, label: str, ok: bool, detail: str = ""):
-    print(f"[criterion {number:02d}] {'PASS' if ok else 'FAIL'} {label} {detail}".rstrip())
-    assert ok, f"criterion {number}: {label} {detail}"
+def _criterion(number: int):
+    label, names, bound = CRITERIA[number]
+    start = time.perf_counter()
+    results = verify.run_checks(names)
+    elapsed = time.perf_counter() - start
+    ok = all(r.passed for r in results) and elapsed < bound
+    checks = ", ".join(
+        f"{r.name} {r.defect:.1e} <= {r.tol:g}" if r.passed else f"{r.name} FAIL {r.detail}"
+        for r in results
+    )
+    mark = "PASS" if ok else "FAIL"
+    line = f"[criterion {number:02d}] {mark} {label} ({checks}; {elapsed:.1f}s)"
+    print(line)
+    assert ok, line
 
 
 def test_criterion_01_oracle_equivalence():
-    start = time.perf_counter()
-    worst = 0.0
-    for n in (2, 3, 4):
-        for dim in (2, 3):
-            for r in (0.1, 0.5, 0.9):
-                spec = ThermalSpec.degenerate(dim, r)
-                t = thermal.gibbs_state(spec)
-                bf = nswitch.switch_bruteforce(nswitch.OrderSet.cyclic(n), t, spec)
-                cf = nswitch.switch_closed_form(n, t, t)
-                worst = max(worst, float(np.max(np.abs(bf.joint - cf.joint))))
-    elapsed = time.perf_counter() - start
-    _report(
-        1,
-        "closed form vs brute force",
-        worst <= 1e-10 and elapsed < 10.0,
-        f"(max defect {worst:.2e}, {elapsed:.1f}s)",
-    )
+    _criterion(1)
 
 
 def test_criterion_02_noncyclic_order_sets():
-    worst = 0.0
-    uniform = True
-    for n, power in ((3, 3), (4, 5)):
-        spec = ThermalSpec.qubit(0.3)
-        t = thermal.gibbs_state(spec)
-        out = nswitch.switch_bruteforce(nswitch.noncyclic_order_set(n), t, spec)
-        uniform = uniform and nswitch.offdiagonal_blocks_equal(out)
-        expected = np.linalg.matrix_power(t, power) / n
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    worst = max(worst, float(np.max(np.abs(out.block(i, j) - expected))))
-    _report(
-        2,
-        "non-cyclic order sets give T^3 (N=3) / T^5 (N=4)",
-        uniform and worst <= 1e-10,
-        f"(max defect {worst:.2e})",
-    )
+    _criterion(2)
 
 
 def test_criterion_03_branch_probabilities():
-    p = nswitch.branch_stats(2, ThermalSpec.qubit(1.0)).p_heating_total
-    worst = 0.0
-    for n in (2, 3, 10, 100):
-        for dim in (2, 3, 5):
-            for r in (0.05, 0.3, 0.8, 1.0):
-                st = nswitch.qudit_branch_stats(n, dim, r)
-                worst = max(worst, abs(st.p_c + (n - 1) * st.p_h - 1.0))
-    _report(
-        3,
-        "p_H(2, r=1) = 0.375 and probability closure",
-        abs(p - 0.375) <= 1e-12 and worst <= 1e-12,
-        f"(p_H defect {abs(p - 0.375):.1e}, closure defect {worst:.1e})",
-    )
+    _criterion(3)
 
 
 def test_criterion_04_weighted_energy_doubling():
-    ratios = [
-        nswitch.weighted_energy(10**6, 2, r)[0] / nswitch.weighted_energy(2, 2, r)[0]
-        for r in (0.1, 0.3, 0.5)
-    ]
-    ok = all(1.99 <= x <= 2.0 for x in ratios)
-    _report(4, "weighted energy doubles for many channels", ok, f"(ratios {ratios})")
+    _criterion(4)
 
 
 def test_criterion_05_qudit_boost():
-    r = 1e-4
-    base = nswitch.weighted_energy(2, 2, r)[0]
-    worst = 0.0
-    for dim in (2, 5, 10):
-        for n in (2, 10):
-            factor = nswitch.weighted_energy(n, dim, r)[0] / base
-            worst = max(worst, abs(factor / (2 * (dim - 1) * (n - 1) / n) - 1.0))
-    _report(5, "qudit boost factor 2(D-1)(N-1)/N", worst <= 0.05, f"(max deviation {worst:.2%})")
+    _criterion(5)
 
 
 def test_criterion_06_measurement_basis_and_entropy():
-    worst_gram = 0.0
-    for n in range(2, 65):
-        basis = measurement.build_basis(n)
-        worst_gram = max(worst_gram, float(np.max(np.abs(basis.gram() - np.eye(n)))))
-    worst_state = 0.0
-    for n in (2, 3, 5, 8):
-        for r in (0.1, 0.5):
-            spec = ThermalSpec.qubit(r)
-            t = thermal.gibbs_state(spec)
-            out = nswitch.switch_closed_form(n, t, t)
-            outcomes = measurement.measure_control(out, measurement.build_basis(n))
-            t3 = np.linalg.matrix_power(t, 3)
-            cool = (t + (n - 1) * t3) / float(np.trace(t + (n - 1) * t3).real)
-            heat = (t - t3) / float(np.trace(t - t3).real)
-            worst_state = max(
-                worst_state,
-                float(np.max(np.abs(outcomes[0].state - cool))),
-                max(float(np.max(np.abs(o.state - heat))) for o in outcomes[1:]),
-                abs(outcomes[1].probability * n - float(np.trace(t - t3).real)),
-            )
-    worst_entropy = 0.0
-    for m in (1, 2, 3, 4):
-        for r in (0.2, 0.6):
-            out = nswitch.switch_closed_form(2**m, thermal.gibbs_state(ThermalSpec.qubit(r)), thermal.gibbs_state(ThermalSpec.qubit(r)))
-            res = measurement.povm_ancilla_scheme(m, out)
-            worst_entropy = max(worst_entropy, res.entropy_identity_residual())
-    ok = worst_gram <= 1e-12 and worst_state <= 1e-12 and worst_entropy <= 1e-10
-    _report(
-        6,
-        "basis orthonormality, branch states, entropy identity",
-        ok,
-        f"(gram {worst_gram:.1e}, states {worst_state:.1e}, entropy {worst_entropy:.1e})",
-    )
+    _criterion(6)
 
 
 def test_criterion_07_controlled_swap():
-    start = time.perf_counter()
-    worst_marg = 0.0
-    worst_trip = 0.0
-    for n in range(2, 7):
-        for r in (0.1, 0.5, 0.9):
-            state = cswap.cswap_evolve(n, r)
-            (cool, p_c), (heat, _) = cswap.cswap_branches(state, measurement.build_basis(n))
-            worst_marg = max(
-                worst_marg,
-                float(np.max(np.abs(cool.qubit_marginal(0) - cswap.cooling_target_marginal(n, r)))),
-                float(np.max(np.abs(cool.qubit_marginal(1) - cswap.cooling_reservoir_marginal(n, r)))),
-            )
-            t_pop = r / (1 + r)
-            total = sum(float(cool.qubit_marginal(q)[1, 1].real) - t_pop for q in range(n + 1))
-            target = float(cool.qubit_marginal(0)[1, 1].real) - t_pop
-            worst_trip = max(worst_trip, abs(total / target - 3.0) / 3.0)
-    worst_ident = max(
-        abs(l - r_) for l, r_ in (cswap.cswap_energy_identity(n, 0.4) for n in (2, 4, 6))
-    )
-    from itertools import permutations
-
-    worst_discard = 0.0
-    for n in (2, 3, 4):
-        spec = ThermalSpec.qubit(0.5)
-        (cool, _), _ = cswap.cswap_branches(cswap.cswap_evolve(n, 0.5), measurement.build_basis(n))
-        initial = [float(cool.qubit_marginal(q)[1, 1].real) for q in range(n + 1)]
-        t_pop = 0.5 / 1.5
-        for order in permutations(range(n + 1)):
-            snaps = cswap.sequential_discard(cool, list(order), spec)
-            for snap in snaps:
-                for q in range(n + 1):
-                    want = t_pop if q in snap.discarded else initial[q]
-                    worst_discard = max(worst_discard, abs(snap.excited_populations[q] - want))
-    elapsed = time.perf_counter() - start
-    ok = (
-        worst_marg <= 1e-10
-        and worst_ident <= 1e-10
-        and worst_discard <= 1e-10
-        and worst_trip <= 1e-9
-        and elapsed < 30.0
-    )
-    _report(
-        7,
-        "controlled-SWAP marginals, energy identity, discard, tripling",
-        ok,
-        f"(marg {worst_marg:.1e}, ident {worst_ident:.1e}, discard {worst_discard:.1e}, "
-        f"tripling {worst_trip:.1e}, {elapsed:.1f}s)",
-    )
+    _criterion(7)
 
 
 def test_criterion_08_trajectories():
-    worst = 0.0
-    for n in (2, 3):
-        for r in (0.1, 0.5, 0.9):
-            spec = ThermalSpec.qubit(r)
-            cfg = trajectories.canonical_config(n, spec)
-            t = thermal.gibbs_state(spec)
-            worst = max(
-                worst,
-                float(
-                    np.max(np.abs(trajectories.traj_output(cfg, t).joint - trajectories.dilation_oracle(cfg, t).joint))
-                ),
-            )
-    bound_ok = True
-    for r in np.linspace(0.05, 1.0, 20):
-        cfg = trajectories.canonical_config(2, ThermalSpec.qubit(float(r)))
-        bound_ok = bound_ok and all(
-            tm.bound <= 0.5 + 1e-12 for tm in cfg.transformation_matrices()
-        )
-    _report(
-        8,
-        "trajectory closed form vs dilation; obtainability bound",
-        worst <= 1e-10 and bound_ok,
-        f"(max defect {worst:.2e})",
-    )
+    _criterion(8)
 
 
 def test_criterion_09_temperature_limits():
-    worst = 0.0
-    for scheme in ("ico", "traj"):
-        for k in (0.5, 1.0, 5.0, 100.0):
-            for r0 in np.linspace(0.05, 0.95, 10):
-                ens = fridge.ReservoirEnsemble.from_ratio(k, float(r0), n_cold=16)
-                trace = fridge.run_cycles(scheme, ens, n=2, seed=3)
-                worst = max(worst, abs(trace.final_r_cold - fridge.lowest_r(scheme, float(r0), k)))
-    ens = fridge.ReservoirEnsemble.from_ratio(1e6, 0.6, n_cold=16)
-    floor = fridge.run_cycles("ico", ens, n=2, seed=3).final_r_cold
-    floor_ok = abs(floor - (1 - 2 * 0.6) / (0.6 - 2)) <= 1e-3
-    traj_ok = True
-    for r0 in (0.3, 0.7, 0.95):
-        ens = fridge.ReservoirEnsemble.from_ratio(1e6, r0, n_cold=16)
-        traj_ok = traj_ok and fridge.run_cycles("traj", ens, n=2, seed=3).final_r_cold <= 1e-3
-    _report(
-        9,
-        "cycle asymptotes match closed-form limits",
-        worst <= 1e-3 and floor_ok and traj_ok,
-        f"(max gap {worst:.1e}, ico floor {floor:.6f})",
-    )
+    _criterion(9)
 
 
 def test_criterion_10_cop_zero_point():
-    worst = 0.0
-    for scheme in ("ico", "cswap", "traj"):
-        for n in (2, 4):
-            for r in (0.2, 0.5, 0.9):
-                r_hot = fridge.stop_ratio(n, 2, r, scheme)
-                worst = max(worst, abs(fridge.cop(n, 2, r, r_hot, 1.0, scheme)))
-    _report(10, "COP vanishes at the stop condition", worst <= 1e-10, f"(max |COP| {worst:.1e})")
+    _criterion(10)
 
 
 def test_criterion_11_demon_statistics():
-    start = time.perf_counter()
-    cfg = demon.DemonConfig(particles=10_000, n=100, r=0.1, seed=20260810)
-    rep = demon.run_demon(cfg)
-    cooled = rep.cooled_count / cfg.particles
-    energy_ok = abs(rep.initial_total_energy - 909.0909090909091) <= 1e-9
-    analytic = demon.analytic_transfer_fraction(100, 2, 0.1)
-    rep2 = demon.run_demon(demon.DemonConfig(particles=10_000, n=2, r=0.1, seed=20260810))
-    analytic2 = demon.analytic_transfer_fraction(2, 2, 0.1)
-    elapsed = time.perf_counter() - start
-    ok = (
-        abs(cooled - 0.75) <= 0.02
-        and energy_ok
-        and abs(rep.transferred_fraction - analytic) <= 0.03
-        and abs(rep2.transferred_fraction - analytic2) <= 0.03
-        and elapsed < 5.0
-    )
-    _report(
-        11,
-        "demon sample statistics",
-        ok,
-        f"(cooled {cooled:.1%}, transfer {rep.transferred_fraction:.1%} vs {analytic:.1%}, "
-        f"N=2 {rep2.transferred_fraction:.1%} vs {analytic2:.1%}, {elapsed:.1f}s)",
-    )
+    _criterion(11)
 
 
 def test_criterion_12_heat_jump():
-    scan = demon.heat_jump_scan(
-        demon.DemonConfig(particles=10_000, n=100, r=0.33, rounds=10, seed=20260810)
-    )
-    analytic_ok = all(demon.qubit_never_inverts(float(r)) for r in np.linspace(0.001, 0.999, 999))
-    _report(
-        12,
-        "heat jump: inversions at N=100, never at N=2",
-        scan.ever_inverted_count >= 1 and analytic_ok,
-        f"({scan.ever_inverted_count} events, first round {scan.first_inversion_round})",
-    )
+    _criterion(12)
 
 
 def test_criterion_13_verify_suite():
-    start = time.perf_counter()
-    results = verify.run_checks()
-    elapsed = time.perf_counter() - start
-    failures = [r.name for r in results if not r.passed]
-    _report(
-        13,
-        "full verification suite green in under two minutes",
-        not failures and elapsed < 120.0,
-        f"({len(results)} checks, {elapsed:.1f}s{', failures: ' + ', '.join(failures) if failures else ''})",
-    )
+    _criterion(13)

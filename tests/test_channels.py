@@ -130,13 +130,3 @@ def test_kraus_set_validation():
         KrausSet(operators=())
     with pytest.raises(ValueError):
         KrausSet(operators=(np.eye(2), np.eye(3)))
-
-
-def test_kraus_json_round_trip():
-    spec = ThermalSpec.qubit(0.25)
-    kset = thermalizing_kraus(spec)
-    again = KrausSet.from_json(kset.to_json())
-    assert again.label == kset.label
-    assert len(again.operators) == len(kset.operators)
-    for a, b in zip(again.operators, kset.operators):
-        assert np.max(np.abs(a - b)) == 0.0

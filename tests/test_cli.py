@@ -181,6 +181,16 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert all(row.split(",")[2] == "0.9" for row in rows)
 
 
+def test_config_file_format_is_honoured(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("format=json\n")
+    code, out = run(["limits", "--config", str(cfg)], capsys)
+    assert code == 0
+    assert json.loads(out)["config"]["format"] == "json"
+    cfg.write_text("format=csv\n")
+    assert cli.main(["demon", "--config", str(cfg)]) == 1
+
+
 def test_usage_error_exit_code(capsys):
     assert cli.main(["branches", "--n-list", "abc"]) == 1
     assert cli.main(["cycle", "--scheme", "nonesuch"]) == 1
@@ -223,6 +233,9 @@ def test_nonfinite_and_empty_inputs_exit_1(argv, message, capsys):
         (["branches", "--r-list", "1e-320"], "ratio 1e-320 is subnormal"),
         (["demon", "--r", "1e-320"], "ratio 1e-320 is subnormal"),
         (["cswap", "--n-list", "17"], "17 reservoir qubits exceed the population guard (n <= 16)"),
+        (["cycle", "--format", "json"], "cycle cannot write --format json"),
+        (["demon", "--format", "csv"], "demon cannot write --format csv"),
+        (["verify", "--format", "csv"], "verify cannot write --format csv"),
     ),
 )
 def test_user_errors_exit_1_with_message(argv, message, capsys):

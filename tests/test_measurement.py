@@ -128,15 +128,6 @@ def test_povm_requires_power_of_two():
         povm_ancilla_scheme(2, switch_at(3, 0.5))
 
 
-def test_basis_json():
-    import json
-
-    basis = build_basis(3)
-    parsed = json.loads(basis.to_json())
-    assert parsed["dim"] == 3
-    assert len(parsed["re"]) == 9
-
-
 @pytest.mark.parametrize("d", (2, 3))
 @pytest.mark.parametrize("n", (2, 3, 7, 16))
 def test_measure_control_matches_block_loop(n, d):

@@ -1,10 +1,9 @@
-import json
 
 import numpy as np
 import pytest
 
 from icofridge import channels, nswitch, thermal
-from icofridge.nswitch import OrderSet, SwitchOutput, branch_stats, qudit_branch_stats, switch_bruteforce, switch_closed_form, weighted_energy
+from icofridge.nswitch import OrderSet, branch_stats, qudit_branch_stats, switch_bruteforce, switch_closed_form, weighted_energy
 from icofridge.qmat import dagger
 from icofridge.thermal import ThermalSpec
 
@@ -33,11 +32,6 @@ def test_order_set_validation():
         OrderSet(orders=((1, 2), (2, 2)))
     with pytest.raises(ValueError):
         OrderSet(orders=())
-
-
-def test_order_set_json_round_trip():
-    oset = nswitch.noncyclic_order_set(4)
-    assert OrderSet.from_json(oset.to_json()) == oset
 
 
 # ---------------------------------------------------------------------------
@@ -352,13 +346,3 @@ def test_energy_bookkeeping_from_branches():
             h = thermal.hamiltonian(spec)
             avg = stats.p_c * thermal.mean_energy(stats.rho_c, h) + stats.p_heating_total * thermal.mean_energy(stats.rho_h, h)
             assert abs(avg - thermal.mean_energy(gibbs(r), h)) < 1e-12
-
-
-def test_switch_output_json_round_trip():
-    t = gibbs(0.4)
-    out = switch_closed_form(3, t, t)
-    again = SwitchOutput.from_json(out.to_json())
-    assert again.control_dim == 3 and again.target_dim == 2
-    assert np.max(np.abs(again.joint - out.joint)) == 0.0
-    parsed = json.loads(out.to_json())
-    assert set(parsed) == {"control_dim", "target_dim", "re", "im"}

@@ -145,16 +145,6 @@ def test_dilation_budget_guard():
         dilation_oracle(cfg, gibbs(0.5))
 
 
-def test_config_json_round_trip():
-    spec = ThermalSpec.qubit(0.25)
-    cfg = canonical_config(2, spec)
-    again = TrajectoryConfig.from_json(cfg.to_json())
-    assert again.n == cfg.n
-    assert again.env_overlaps == cfg.env_overlaps
-    t = gibbs(0.25)
-    assert np.max(np.abs(traj_output(again, t).joint - traj_output(cfg, t).joint)) < 1e-15
-
-
 def _kron_dilation(cfg, rho):
     """Reference purification: every branch amplitude assembled factor by
     factor with np.kron, one Kraus operator and one path at a time."""
