@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Sequence
 
@@ -215,7 +216,12 @@ def _cmd_verify(args) -> int:
         lines.append(f"{len(results) - failures}/{len(results)} checks passed in {seconds:.2f} s")
         _write(args.out, "\n".join(lines) + "\n")
     else:
-        rows = [[r.name, r.passed, r.defect, r.tol, r.seconds, r.detail] for r in results]
+        # a NaN defect (a check raised, or hit NaN) is written as null: bare NaN is not JSON
+        rows = [
+            [r.name, r.passed, None if math.isnan(r.defect) else r.defect]
+            + [r.tol, r.seconds, r.detail]
+            for r in results
+        ]
         _emit(["name", "passed", "defect", "tol", "seconds", "detail"], rows, args)
     return 0 if failures == 0 else 2
 

@@ -313,7 +313,8 @@ class CycleTrace:
         """Largest per-cycle first-law violation (cold loss vs hot gain)."""
         if not self.cycles:
             return 0.0
-        return max(abs(hc - hh) for hc, hh in zip(self.heat_cold, self.heat_hot))
+        # np.max keeps a NaN violation, where the builtin max may drop it
+        return float(np.max(np.abs(np.subtract(self.heat_cold, self.heat_hot))))
 
     def to_csv(self) -> str:
         header = (

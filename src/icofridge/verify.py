@@ -40,6 +40,12 @@ def _require(ok: bool, message: str) -> None:
         raise AssertionError(message)
 
 
+def _worst(*defects: float) -> float:
+    """Largest defect, NaN if any is NaN (the builtin ``max`` drops a NaN
+    that is not its first argument, which would let a NaN defect pass)."""
+    return math.nan if any(map(math.isnan, defects)) else max(defects)
+
+
 def _max_abs(a, b) -> float:
     return float(np.max(np.abs(a - b)))
 
@@ -60,7 +66,7 @@ def _check_qmat_algebra():
     worst = 0.0
     for da, db in ((2, 2), (2, 3), (3, 3), (4, 2)):
         a, b, c, d = (_random_matrix(rng, dim) for dim in (da, db, da, db))
-        worst = max(
+        worst = _worst(
             worst,
             _max_abs(qmat.kron(a, b) @ qmat.kron(c, d), qmat.kron(a @ c, b @ d)),
             _max_abs(qmat.partial_trace(qmat.kron(a, b), (da, db), {0}), a * np.trace(b)),
@@ -68,7 +74,7 @@ def _check_qmat_algebra():
     for dim in (2, 3, 4):
         m = _random_matrix(rng, dim)
         s = sum(u @ m @ qmat.dagger(u) for u in qmat.pauli_basis(dim))
-        worst = max(worst, _max_abs(s, dim * np.trace(m) * np.eye(dim)))
+        worst = _worst(worst, _max_abs(s, dim * np.trace(m) * np.eye(dim)))
     return worst
 
 
@@ -76,10 +82,10 @@ def _check_kraus_completeness():
     """max |sum K^dag K - I|"""
     worst = 0.0
     for dim in (2, 3):
-        worst = max(worst, channels.depolarizing_kraus(dim).completeness_defect())
+        worst = _worst(worst, channels.depolarizing_kraus(dim).completeness_defect())
         for r in (0.1, 0.5, 1.0):
             spec = thermal.ThermalSpec.degenerate(dim, r)
-            worst = max(worst, channels.thermalizing_kraus(spec).completeness_defect())
+            worst = _worst(worst, channels.thermalizing_kraus(spec).completeness_defect())
     return worst
 
 
@@ -93,7 +99,7 @@ def _check_thermalizing_fixed_point():
         t = thermal.gibbs_state(spec)
         for _ in range(20):
             rho = _random_density(rng, dim)
-            worst = max(worst, _max_abs(channels.apply_channel(kset, rho), t))
+            worst = _worst(worst, _max_abs(channels.apply_channel(kset, rho), t))
     return worst
 
 
@@ -107,7 +113,7 @@ def _check_closed_form_vs_bruteforce():
                 t = thermal.gibbs_state(spec)
                 bf = nswitch.switch_bruteforce(nswitch.OrderSet.cyclic(n), t, spec)
                 cf = nswitch.switch_closed_form(n, t, t)
-                worst = max(worst, _max_abs(bf.joint, cf.joint))
+                worst = _worst(worst, _max_abs(bf.joint, cf.joint))
     return worst
 
 
@@ -122,7 +128,7 @@ def _check_bruteforce_arbitrary_input():
             rho = _random_density(rng, dim)
             bf = nswitch.switch_bruteforce(nswitch.OrderSet.cyclic(n), rho, spec)
             cf = nswitch.switch_closed_form(n, rho, t)
-            worst = max(worst, _max_abs(bf.joint, cf.joint))
+            worst = _worst(worst, _max_abs(bf.joint, cf.joint))
     return worst
 
 
@@ -139,7 +145,7 @@ def _check_noncyclic_order_sets():
             _require(uniform, f"off-diagonal blocks differ for n={n}")
             for i in range(n):
                 for j in range(n):
-                    worst = max(worst, _max_abs(out.block(i, j), t / n if i == j else expected))
+                    worst = _worst(worst, _max_abs(out.block(i, j), t / n if i == j else expected))
     return worst
 
 
@@ -150,7 +156,7 @@ def _check_branch_probability_closure():
         for dim in (2, 3, 5):
             for r in (0.05, 0.3, 0.8, 1.0):
                 st = nswitch.qudit_branch_stats(n, dim, r)
-                worst = max(worst, abs(st.p_c + (n - 1) * st.p_h - 1.0))
+                worst = _worst(worst, abs(st.p_c + (n - 1) * st.p_h - 1.0))
     return worst
 
 
@@ -161,7 +167,7 @@ def _check_heating_branch_n_independence():
         spec = thermal.ThermalSpec.qubit(r)
         ref = nswitch.branch_stats(2, spec).rho_h
         for n in (3, 7, 40):
-            worst = max(worst, _max_abs(nswitch.branch_stats(n, spec).rho_h, ref))
+            worst = _worst(worst, _max_abs(nswitch.branch_stats(n, spec).rho_h, ref))
     return worst
 
 
@@ -170,7 +176,7 @@ def _check_weighted_energy_doubling():
     worst = 0.0
     for r in (0.1, 0.3, 0.5):
         x = nswitch.weighted_energy(10**6, 2, r)[0] / nswitch.weighted_energy(2, 2, r)[0]
-        worst = max(worst, 1.99 - x, x - 2.0)
+        worst = _worst(worst, 1.99 - x, x - 2.0)
     return worst
 
 
@@ -182,7 +188,7 @@ def _check_qudit_boost():
     for dim in (2, 5, 10):
         for n in (2, 10):
             factor = nswitch.weighted_energy(n, dim, r)[0] / base
-            worst = max(worst, abs(factor / (2 * (dim - 1) * (n - 1) / n) - 1.0))
+            worst = _worst(worst, abs(factor / (2 * (dim - 1) * (n - 1) / n) - 1.0))
     return worst
 
 
@@ -192,7 +198,7 @@ def _check_measurement_basis():
     for n in range(2, 65):
         basis = measurement.build_basis(n)
         completeness = basis.vectors.T @ basis.vectors.conj()
-        worst = max(worst, _max_abs(basis.gram(), np.eye(n)), _max_abs(completeness, np.eye(n)))
+        worst = _worst(worst, _max_abs(basis.gram(), np.eye(n)), _max_abs(completeness, np.eye(n)))
     return worst
 
 
@@ -210,7 +216,7 @@ def _check_measured_branches():
             t3 = np.linalg.matrix_power(t, 3)
             cool, heat = t + (n - 1) * t3, t - t3
             tr_cool, tr_heat = float(np.trace(cool).real), float(np.trace(heat).real)
-            worst = max(
+            worst = _worst(
                 worst,
                 abs(sum(o.probability for o in outcomes) - 1.0),
                 abs(outcomes[0].probability - stats.p_c),
@@ -219,7 +225,7 @@ def _check_measured_branches():
                 _max_abs(outcomes[0].state, cool / tr_cool),
             )
             for o in outcomes[1:]:
-                worst = max(
+                worst = _worst(
                     worst,
                     abs(o.probability - stats.p_h),
                     abs(o.probability * n - tr_heat),
@@ -238,7 +244,7 @@ def _check_entropy_identity():
             res = measurement.povm_ancilla_scheme(m, nswitch.switch_closed_form(2**m, t, t))
             expected = fridge.register_entropy(2**m, r, "ico")
             residual = res.entropy_identity_residual()
-            worst = max(worst, residual, abs(res.register_entropy_full - expected))
+            worst = _worst(worst, residual, abs(res.register_entropy_full - expected))
     return worst
 
 
@@ -249,7 +255,7 @@ def _check_cswap_no_signalling():
         state = cswap.cswap_evolve(n, r)
         t = thermal.gibbs_state(thermal.ThermalSpec.qubit(r))
         for q in range(n + 1):
-            worst = max(worst, _max_abs(state.qubit_marginal(q), t))
+            worst = _worst(worst, _max_abs(state.qubit_marginal(q), t))
     return worst
 
 
@@ -261,7 +267,7 @@ def _check_cswap_marginals():
             state = cswap.cswap_evolve(n, r)
             (cool, p_c), (heat, p_h_tot) = cswap.cswap_branches(state, measurement.build_basis(n))
             stats = nswitch.branch_stats(n, thermal.ThermalSpec.qubit(r))
-            worst = max(
+            worst = _worst(
                 worst,
                 abs(p_c - stats.p_c),
                 abs(p_h_tot - stats.p_heating_total),
@@ -278,7 +284,7 @@ def _check_cswap_energy_identity():
     for n in (2, 4, 6):
         for r in (0.1, 0.4, 1.0):
             lhs, rhs = cswap.cswap_energy_identity(n, r)
-            worst = max(worst, abs(lhs - rhs))
+            worst = _worst(worst, abs(lhs - rhs))
     return worst
 
 
@@ -292,7 +298,7 @@ def _check_cswap_tripling():
             t_pop = r / (1 + r)
             total = sum(float(cool.qubit_marginal(q)[1, 1].real) - t_pop for q in range(n + 1))
             target = float(cool.qubit_marginal(0)[1, 1].real) - t_pop
-            worst = max(worst, abs(total / target - 3.0) / 3.0)
+            worst = _worst(worst, abs(total / target - 3.0) / 3.0)
     return worst
 
 
@@ -309,11 +315,11 @@ def _check_cswap_sequential_discard():
         all_at_once = sum(p - t_pop for p in initial_pops)
         for order in permutations(range(n + 1)):
             snaps = cswap.sequential_discard(cool, list(order), spec)
-            worst = max(worst, abs(snaps[-1].cumulative_heat - all_at_once))
+            worst = _worst(worst, abs(snaps[-1].cumulative_heat - all_at_once))
             for snap in snaps:
                 for q in range(n + 1):
                     expected = t_pop if q in snap.discarded else initial_pops[q]
-                    worst = max(worst, abs(snap.excited_populations[q] - expected))
+                    worst = _worst(worst, abs(snap.excited_populations[q] - expected))
     return worst
 
 
@@ -322,7 +328,7 @@ def _check_cswap_ordered_circuit_equivalence():
     worst = 0.0
     for r in (0.2, 0.6, 1.0):
         plain, ordered = cswap.ico_cswap_equivalent(r)
-        worst = max(worst, _max_abs(plain, ordered))
+        worst = _worst(worst, _max_abs(plain, ordered))
     return worst
 
 
@@ -336,7 +342,7 @@ def _check_traj_dilation_agreement():
             t = thermal.gibbs_state(spec)
             a = trajectories.traj_output(cfg, t)
             b = trajectories.dilation_oracle(cfg, t)
-            worst = max(worst, _max_abs(a.joint, b.joint))
+            worst = _worst(worst, _max_abs(a.joint, b.joint))
     return worst
 
 
@@ -347,7 +353,7 @@ def _check_traj_obtainability():
         cfg = trajectories.canonical_config(2, thermal.ThermalSpec.qubit(float(r)))
         for tm in cfg.transformation_matrices():
             _require(tm.obtainable, f"canonical matrix flagged non-obtainable at r={r}")
-            worst = max(worst, tm.bound - 0.5)
+            worst = _worst(worst, tm.bound - 0.5)
     return worst
 
 
@@ -358,9 +364,9 @@ def _check_traj_branch_normalization():
         for r in (0.1, 0.6, 1.0):
             spec = thermal.ThermalSpec.qubit(r)
             stats = trajectories.traj_branches(trajectories.canonical_config(n, spec), spec)
-            worst = max(worst, abs(stats.p_c + (n - 1) * stats.p_h - 1.0))
+            worst = _worst(worst, abs(stats.p_c + (n - 1) * stats.p_h - 1.0))
             for state in (stats.rho_c, stats.rho_h):
-                worst = max(
+                worst = _worst(
                     worst,
                     abs(float(np.trace(state).real) - 1.0),
                     -float(np.linalg.eigvalsh(state).min()),
@@ -376,13 +382,14 @@ def _check_fridge_fixed_points():
             for r0 in np.linspace(0.05, 0.95, 10):
                 ens = fridge.ReservoirEnsemble.from_ratio(k, float(r0), n_cold=16)
                 trace = fridge.run_cycles(scheme, ens, n=2, seed=3)
-                worst = max(worst, abs(trace.final_r_cold - fridge.lowest_r(scheme, float(r0), k)))
+                target = fridge.lowest_r(scheme, float(r0), k)
+                worst = _worst(worst, abs(trace.final_r_cold - target))
     ens = fridge.ReservoirEnsemble.from_ratio(1e6, 0.6, n_cold=16)
     floor = fridge.run_cycles("ico", ens, n=2, seed=3).final_r_cold
-    worst = max(worst, abs(floor - (1 - 2 * 0.6) / (0.6 - 2)))
+    worst = _worst(worst, abs(floor - (1 - 2 * 0.6) / (0.6 - 2)))
     for r0 in (0.3, 0.7, 0.95):
         ens = fridge.ReservoirEnsemble.from_ratio(1e6, r0, n_cold=16)
-        worst = max(worst, fridge.run_cycles("traj", ens, n=2, seed=3).final_r_cold)
+        worst = _worst(worst, fridge.run_cycles("traj", ens, n=2, seed=3).final_r_cold)
     return worst
 
 
@@ -392,7 +399,7 @@ def _check_first_law_audit():
     for scheme in ("ico", "cswap", "traj"):
         ens = fridge.ReservoirEnsemble.from_ratio(2.0, 0.6, n_cold=16)
         trace = fridge.run_cycles(scheme, ens, n=3, seed=9, max_cycles=20_000)
-        worst = max(worst, trace.audit_defect())
+        worst = _worst(worst, trace.audit_defect())
     return worst
 
 
@@ -403,7 +410,7 @@ def _check_cop_zero_point():
         for n in (2, 4):
             for r in (0.2, 0.5, 0.9):
                 r_hot = fridge.stop_ratio(n, 2, r, scheme)
-                worst = max(worst, abs(fridge.cop(n, 2, r, r_hot, 1.0, scheme)))
+                worst = _worst(worst, abs(fridge.cop(n, 2, r, r_hot, 1.0, scheme)))
     return worst
 
 
@@ -413,7 +420,7 @@ def _check_cop_cswap_tripling():
     for n in (2, 3, 4, 7):
         for r in (0.1, 0.5, 0.9):
             ratio = fridge.cop(n, 2, r, r, 1.0, "cswap") / fridge.cop(n, 2, r, r, 1.0, "ico")
-            worst = max(worst, abs(ratio - 3.0) / 3.0)
+            worst = _worst(worst, abs(ratio - 3.0) / 3.0)
     return worst
 
 
@@ -434,7 +441,7 @@ def _check_demon_statistics():
         message = f"cooled fraction {frac:.4f} outside 4-sigma of {p_c:.4f}"
         _require(abs(frac - p_c) <= band, message)
     rep2 = demon.run_demon(demon.DemonConfig(particles=10_000, n=2, r=0.1, seed=20260810))
-    return max(
+    return _worst(
         abs(rep.transferred_fraction - demon.analytic_transfer_fraction(100, 2, 0.1)),
         abs(rep2.transferred_fraction - demon.analytic_transfer_fraction(2, 2, 0.1)),
     )
@@ -447,7 +454,8 @@ def _check_demon_rounds_invariance():
         for n, r in ((2, 0.3), (100, 0.1)):
             one = demon.expected_transfer_exact(n, 2, r, 1, scheme)
             for rounds in (2, 3):
-                worst = max(worst, abs(demon.expected_transfer_exact(n, 2, r, rounds, scheme) - one))
+                later = demon.expected_transfer_exact(n, 2, r, rounds, scheme)
+                worst = _worst(worst, abs(later - one))
     return worst
 
 

@@ -2,7 +2,7 @@ import json
 import math
 import re
 
-from icofridge import cli, verify
+from icofridge import cli, fridge, nswitch, verify
 
 
 def test_defect_above_tolerance_fails(monkeypatch, capsys):
@@ -17,7 +17,7 @@ def test_defect_above_tolerance_fails(monkeypatch, capsys):
     assert "1/2 checks passed" in out
 
 
-def test_raising_check_fails_and_the_next_still_runs(monkeypatch):
+def test_raising_check_fails_and_the_next_still_runs(monkeypatch, tmp_path):
     def broken():
         raise RuntimeError("boom")
 
@@ -27,6 +27,33 @@ def test_raising_check_fails_and_the_next_still_runs(monkeypatch):
     assert first.detail == "raised RuntimeError: boom"
     assert math.isnan(first.defect)
     assert second.passed
+    # the JSON rows write the NaN defect as null: bare NaN is not JSON
+    path = tmp_path / "verify.json"
+    args = ["verify", "--checks", "qmat_algebra", "--format", "json", "--out", str(path)]
+    assert cli.main(args) == 2
+    text = path.read_text()
+    assert "NaN" not in text
+    assert json.loads(text)["rows"][0][1:3] == [False, None]
+
+
+def test_nan_defect_after_the_first_grid_point_fails(monkeypatch):
+    weighted_energy = nswitch.weighted_energy
+
+    def nan_at_r_03(n, dim, r):
+        return (math.nan,) if r == 0.3 else weighted_energy(n, dim, r)
+
+    monkeypatch.setattr(nswitch, "weighted_energy", nan_at_r_03)
+    (res,) = verify.run_checks(["weighted_energy_doubling"])
+    assert res.passed is False
+    assert math.isnan(res.defect)
+    assert math.isnan(verify._worst(0.0, math.nan, 1.0))
+
+
+def test_audit_defect_keeps_nan():
+    trace = fridge.CycleTrace(
+        "ico", 2, 2, 0, cycles=[1, 2], heat_cold=[0.1, math.nan], heat_hot=[0.1, 0.2]
+    )
+    assert math.isnan(trace.audit_defect())
 
 
 def test_json_rows_hold_every_defect_and_tolerance(tmp_path, capsys):
