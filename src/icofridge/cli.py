@@ -148,10 +148,9 @@ def _cmd_limits(args) -> int:
 
 
 def _cmd_cycle(args) -> int:
-    scheme = args.scheme[0]
     ens = fridge.ReservoirEnsemble.from_ratio(args.k, args.r_start, n_cold=args.n_cold)
     trace = fridge.run_cycles(
-        scheme, ens, n=args.n, dim=args.d, seed=args.seed, max_cycles=args.max_cycles
+        args.scheme, ens, n=args.n, dim=args.d, seed=args.seed, max_cycles=args.max_cycles
     )
     _write(args.out, trace.to_csv())
     return 0
@@ -192,7 +191,7 @@ def _cmd_demon(args) -> int:
         n=args.n,
         r=args.r,
         dim=args.d,
-        scheme=args.scheme[0],
+        scheme=args.scheme,
         rounds=args.rounds,
         seed=args.seed,
     )
@@ -242,16 +241,9 @@ def _config_echo(args, keys: Sequence[str]) -> dict:
 # argument wiring
 # ---------------------------------------------------------------------------
 
-_GRID_DEFAULTS = {
-    "n_list": "2,3,4,10,100",
-    "d_list": "2",
-    "r_list": "0.1,0.3,0.5,0.7,0.9",
-    "k_list": "0.5,1,5,100",
-    "scheme": "ico",
-}
-
-# per-command grid defaults: cswap_populations stops at 16 reservoir qubits
-_COMMAND_DEFAULTS = {"cswap": {"n_list": "2,3,4,10"}}
+# the default grids every sweep command shares
+_N_LIST = "2,3,4,10,100"
+_R_LIST = "0.1,0.3,0.5,0.7,0.9"
 
 # the formats a command writes, its default first; None is verify's text table
 _FORMATS = {"cycle": ("csv",), "demon": ("json",), "verify": (None, "json")}
@@ -269,31 +261,31 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("branches", help="branch probabilities and energy changes over a grid")
     common(p)
-    p.add_argument("--n-list", type=_int_list, default=None)
-    p.add_argument("--d-list", type=_int_list, default=None)
-    p.add_argument("--r-list", type=_float_list, default=None)
+    p.add_argument("--n-list", type=_int_list, default=_N_LIST)
+    p.add_argument("--d-list", type=_int_list, default="2")
+    p.add_argument("--r-list", type=_float_list, default=_R_LIST)
     p.set_defaults(func=_cmd_branches)
 
     p = sub.add_parser("cop", help="coefficient of performance over a grid")
     common(p)
-    p.add_argument("--scheme", type=lambda s: s.split(","), default=None)
-    p.add_argument("--n-list", type=_int_list, default=None)
-    p.add_argument("--d-list", type=_int_list, default=None)
-    p.add_argument("--r-list", type=_float_list, default=None)
+    p.add_argument("--scheme", type=lambda s: s.split(","), default="ico")
+    p.add_argument("--n-list", type=_int_list, default=_N_LIST)
+    p.add_argument("--d-list", type=_int_list, default="2")
+    p.add_argument("--r-list", type=_float_list, default=_R_LIST)
     p.add_argument("--r-hot", type=float, default=None, help="default: optimal case r_hot=r")
     p.add_argument("--beta-r", type=float, default=1.0)
     p.set_defaults(func=_cmd_cop)
 
     p = sub.add_parser("limits", help="lowest reachable cold ratio (closed form)")
     common(p)
-    p.add_argument("--scheme", type=lambda s: s.split(","), default=None)
-    p.add_argument("--k-list", type=_float_list, default=None)
-    p.add_argument("--r-list", type=_float_list, default=None)
+    p.add_argument("--scheme", type=lambda s: s.split(","), default="ico")
+    p.add_argument("--k-list", type=_float_list, default="0.5,1,5,100")
+    p.add_argument("--r-list", type=_float_list, default=_R_LIST)
     p.set_defaults(func=_cmd_limits)
 
     p = sub.add_parser("cycle", help="finite-reservoir refrigeration trace")
     common(p)
-    p.add_argument("--scheme", type=lambda s: s.split(","), default=None)
+    p.add_argument("--scheme", default="ico")
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--k", type=float, default=1.0)
@@ -304,19 +296,20 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("cswap", help="controlled-SWAP branch marginals over a grid")
     common(p)
-    p.add_argument("--n-list", type=_int_list, default=None)
-    p.add_argument("--r-list", type=_float_list, default=None)
+    # cswap_populations stops at 16 reservoir qubits
+    p.add_argument("--n-list", type=_int_list, default="2,3,4,10")
+    p.add_argument("--r-list", type=_float_list, default=_R_LIST)
     p.set_defaults(func=_cmd_cswap)
 
     p = sub.add_parser("traj", help="superposed-trajectory fridge data over a grid")
     common(p)
-    p.add_argument("--n-list", type=_int_list, default=None)
-    p.add_argument("--r-list", type=_float_list, default=None)
+    p.add_argument("--n-list", type=_int_list, default=_N_LIST)
+    p.add_argument("--r-list", type=_float_list, default=_R_LIST)
     p.set_defaults(func=_cmd_traj)
 
     p = sub.add_parser("demon", help="Maxwell-demon sorting experiment")
     common(p)
-    p.add_argument("--scheme", type=lambda s: s.split(","), default=None)
+    p.add_argument("--scheme", default="ico")
     p.add_argument("--particles", type=int, default=10_000)
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--d", type=int, default=2)
@@ -332,59 +325,38 @@ def _build_parser() -> _Parser:
     return parser
 
 
-_CONFIG_PARSERS = {
-    "n_list": _int_list,
-    "d_list": _int_list,
-    "r_list": _float_list,
-    "k_list": _float_list,
-    "scheme": lambda s: s.split(","),
-    "seed": int,
-    "particles": int,
-    "n": int,
-    "d": int,
-    "rounds": int,
-    "max_cycles": int,
-    "k": float,
-    "r": float,
-    "r_start": float,
-    "r_hot": float,
-    "beta_r": float,
-    "n_cold": float,
-    "format": str,
-    "out": str,
-}
-
-
-def _apply_config(args) -> None:
-    """Fill unset flags from the config file, then fall back to defaults."""
-    file_values: dict[str, str] = {}
-    if getattr(args, "config", None):
-        try:
-            file_values = read_config_file(args.config)
-        except OSError as exc:
-            raise IOError(f"cannot read {args.config}: {exc}") from exc
-    for key, value in file_values.items():
-        attr = key.replace("-", "_")
-        if attr not in _CONFIG_PARSERS:
+def _config_flags(args) -> list[str]:
+    """The ``--config`` file's keys as ``--key=value`` flags of ``args.command``."""
+    try:
+        values = read_config_file(args.config)
+    except OSError as exc:
+        raise IOError(f"cannot read {args.config}: {exc}") from exc
+    flags = []
+    for key, value in values.items():
+        dest = key.replace("-", "_")
+        # only a flag of this command, spelled out: argparse would also take
+        # a prefix (r for --r-list), and a nested --config would go unread
+        if dest == "config" or dest not in vars(args):
             raise UsageError(f"unknown config key {key!r}")
-        if getattr(args, attr, None) is None:
-            setattr(args, attr, _CONFIG_PARSERS[attr](value))
-    defaults = {**_GRID_DEFAULTS, **_COMMAND_DEFAULTS.get(args.command, {})}
-    for attr, default in defaults.items():
-        if getattr(args, attr, "missing") is None:
-            setattr(args, attr, _CONFIG_PARSERS[attr](default))
-    formats = _FORMATS.get(args.command, ("csv", "json"))
-    if args.format is None:
-        args.format = formats[0]
-    elif args.format not in formats:
-        raise UsageError(f"{args.command} cannot write --format {args.format}")
+        flags.append(f"--{dest.replace('_', '-')}={value}")
+    return flags
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        _apply_config(args)
+        if args.config:
+            # the file's flags go right after the command name, so the
+            # command line's own flags come later and win
+            head = argv.index(args.command) + 1
+            args = parser.parse_args(argv[:head] + _config_flags(args) + argv[head:])
+        formats = _FORMATS.get(args.command, ("csv", "json"))
+        if args.format is None:
+            args.format = formats[0]
+        elif args.format not in formats:
+            raise UsageError(f"{args.command} cannot write --format {args.format}")
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -171,24 +171,13 @@ def _rounds(cfg: DemonConfig):
         yield table, code, heated
 
 
-def _report(cfg: DemonConfig, rounds) -> DemonReport:
-    """Consume the per-round (table, code, heated) triples into the final
-    report; only the last round's weights are gathered."""
-    heated_counts = []
-    for table, code, heated in rounds:
-        heated_counts.append(int(np.count_nonzero(heated)))
-    return DemonReport(
-        config=cfg,
-        final_energies=table[code],
-        heated=heated,
-        initial_energy=_bath_energy(cfg.dim, cfg.r),
-        rounds_heated_count=heated_counts,
-    )
-
-
 def run_demon(cfg: DemonConfig) -> DemonReport:
-    """Sort a thermal sample by heralded branch over one or more rounds."""
-    return _report(cfg, _rounds(cfg))
+    """Sort a thermal sample by heralded branch over one or more rounds;
+    only the last round's weights are gathered."""
+    heated_counts = []
+    for table, code, heated in _rounds(cfg):
+        heated_counts.append(int(np.count_nonzero(heated)))
+    return DemonReport(cfg, table[code], heated, _bath_energy(cfg.dim, cfg.r), heated_counts)
 
 
 def analytic_transfer_fraction(n: int, dim: int, r: float) -> float:
@@ -247,20 +236,19 @@ def heat_jump_scan(cfg: DemonConfig) -> HeatJumpReport:
     exceeds half the gap. The rounds are run_demon's, so the report inside
     is bit-identical to it (a thermal particle cannot overshoot in one pass).
     """
+    heated_counts: list[int] = []
     max_energy: list[float] = []
     inversions: list[int] = []
     inverted = np.zeros(cfg.particles, dtype=bool)
-
-    def watched():
-        for table, code, heated in _rounds(cfg):
-            x = table[code]
-            new = (x > _INVERSION_ENERGY) & ~inverted
-            inverted[new] = True
-            max_energy.append(float(np.max(x)))
-            inversions.append(int(np.count_nonzero(new)))
-            yield table, code, heated
-
-    report = _report(cfg, watched())
+    for table, code, heated in _rounds(cfg):
+        x = table[code]
+        new = (x > _INVERSION_ENERGY) & ~inverted
+        inverted[new] = True
+        heated_counts.append(int(np.count_nonzero(heated)))
+        max_energy.append(float(np.max(x)))
+        inversions.append(int(np.count_nonzero(new)))
+    # the last round's weights are already gathered: x is the final energies
+    report = DemonReport(cfg, x, heated, _bath_energy(cfg.dim, cfg.r), heated_counts)
     first_round = next((rnd for rnd, count in enumerate(inversions, start=1) if count), None)
     return HeatJumpReport(
         report=report,

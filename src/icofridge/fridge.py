@@ -241,8 +241,7 @@ def lowest_r(scheme: str, r_start: float, k: float) -> float:
     (the cold side can approach absolute zero); the result never exceeds the
     starting ratio.
     """
-    if not 0.0 < r_start <= 1.0:
-        raise ValueError(f"starting ratio {r_start} outside (0, 1]")
+    _validate_ratio(r_start)
     if not 0.0 < k < math.inf:
         raise ValueError(f"reservoir size ratio k={k} must be positive and finite")
     r = r_start
@@ -269,8 +268,7 @@ class ReservoirEnsemble:
             if not 0.0 < count < math.inf:
                 raise ValueError(f"particle count {count} must be positive and finite")
         for r in (self.r_cold, self.r_hot):
-            if not 0.0 < r <= 1.0:
-                raise ValueError(f"ratio {r} outside (0, 1]")
+            _validate_ratio(r)
 
     @classmethod
     def from_ratio(cls, k: float, r_start: float, n_cold: float = 40.0) -> "ReservoirEnsemble":

@@ -179,6 +179,13 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     rows = out.strip().splitlines()[2:]
     assert len(rows) == 2
     assert all(row.split(",")[2] == "0.9" for row in rows)
+    # flags that have a default of their own are set from the file too
+    cfg.write_text("scheme=traj\nn=3\nk=2\nr_start=0.3\nseed=4\nmax_cycles=30\n")
+    code, out = run(["cycle", "--config", str(cfg), "--seed", "5"], capsys)
+    assert code == 0
+    config = cli.parse_config_comment(out.splitlines()[0])
+    assert (config["scheme"], config["n"], config["r_start"]) == ("traj", "3", "0.3")
+    assert (config["seed"], config["max_cycles"]) == ("5", "30")
 
 
 def test_config_file_format_is_honoured(tmp_path, capsys):
@@ -236,6 +243,9 @@ def test_nonfinite_and_empty_inputs_exit_1(argv, message, capsys):
         (["cycle", "--format", "json"], "cycle cannot write --format json"),
         (["demon", "--format", "csv"], "demon cannot write --format csv"),
         (["verify", "--format", "csv"], "verify cannot write --format csv"),
+        (["limits", "--r-list", "1e-320"], "ratio 1e-320 is subnormal"),
+        (["cycle", "--scheme", "ico,traj"], "unknown scheme 'ico,traj'"),
+        (["demon", "--scheme", "traj,ico"], "demon runs support schemes 'ico' and 'traj'"),
     ),
 )
 def test_user_errors_exit_1_with_message(argv, message, capsys):
@@ -276,6 +286,10 @@ def test_unknown_config_key(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("bogus_key=1\n")
     assert cli.main(["branches", "--config", str(cfg)]) == 1
+    # a key that is a flag of another command only
+    cfg.write_text("k_list=1\n")
+    assert cli.main(["branches", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().out == ""
 
 
 def test_io_error_exit_code(capsys):

@@ -7,7 +7,7 @@ from icofridge import cli, fridge, nswitch, verify
 
 def test_defect_above_tolerance_fails(monkeypatch, capsys):
     _, tol = verify.CHECKS["qudit_boost"]
-    monkeypatch.setitem(verify.CHECKS, "qudit_boost", (lambda: 2 * tol, tol))
+    monkeypatch.setitem(verify.CHECKS, "qudit_boost", (lambda: iter([2 * tol]), tol))
     (res,) = verify.run_checks(["qudit_boost"])
     assert res.passed is False
     assert (res.defect, res.tol) == (2 * tol, tol)
@@ -27,6 +27,17 @@ def test_raising_check_fails_and_the_next_still_runs(monkeypatch, tmp_path):
     assert first.detail == "raised RuntimeError: boom"
     assert math.isnan(first.defect)
     assert second.passed
+
+    # a raise after a finite defect still fails the check
+    def raises_after_a_defect():
+        yield 0.0
+        raise RuntimeError("late boom")
+
+    monkeypatch.setitem(verify.CHECKS, "qmat_algebra", (raises_after_a_defect, 1e-12))
+    (late,) = verify.run_checks(["qmat_algebra"])
+    assert late.passed is False
+    assert late.detail == "raised RuntimeError: late boom"
+    assert math.isnan(late.defect)
     # the JSON rows write the NaN defect as null: bare NaN is not JSON
     path = tmp_path / "verify.json"
     args = ["verify", "--checks", "qmat_algebra", "--format", "json", "--out", str(path)]
@@ -47,6 +58,14 @@ def test_nan_defect_after_the_first_grid_point_fails(monkeypatch):
     assert res.passed is False
     assert math.isnan(res.defect)
     assert math.isnan(verify._worst(0.0, math.nan, 1.0))
+
+
+def test_negative_defects_fold_to_the_zero_floor(monkeypatch):
+    # one-sided distances go negative on passing points; the fold starts at 0
+    monkeypatch.setitem(verify.CHECKS, "weighted_energy_doubling", (lambda: iter([-0.5, -1e-3]), 0.0))
+    (res,) = verify.run_checks(["weighted_energy_doubling"])
+    assert res.passed
+    assert res.defect == 0.0
 
 
 def test_audit_defect_keeps_nan():
