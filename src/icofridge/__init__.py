@@ -56,9 +56,7 @@ from .nswitch import (
     weighted_energy,
 )
 from .thermal import (
-    NEGATIVE_TEMPERATURE,
     ThermalSpec,
-    effective_r,
     gibbs_state,
     hamiltonian,
     mean_energy,
@@ -109,9 +107,7 @@ __all__ = [
     "switch_bruteforce",
     "switch_closed_form",
     "weighted_energy",
-    "NEGATIVE_TEMPERATURE",
     "ThermalSpec",
-    "effective_r",
     "gibbs_state",
     "hamiltonian",
     "mean_energy",

@@ -42,7 +42,11 @@ def _float_list(text: str) -> list[float]:
 
 
 def read_config_file(path: str) -> dict[str, str]:
-    """Flat key=value config document; '#' starts a comment."""
+    """Flat key=value config document; '#' starts a comment.
+
+    Keys are returned as flag names, '-' read as '_' (``n-list`` is
+    ``n_list``); a key may appear once in either spelling.
+    """
     values: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -52,7 +56,10 @@ def read_config_file(path: str) -> dict[str, str]:
             if "=" not in line:
                 raise UsageError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
             key, value = line.split("=", 1)
-            values[key.strip()] = value.strip()
+            key = key.strip().replace("-", "_")
+            if key in values:
+                raise UsageError(f"{path}:{lineno}: duplicate config key {key!r}")
+            values[key] = value.strip()
     return values
 
 
@@ -332,12 +339,11 @@ def _config_flags(args) -> list[str]:
     except OSError as exc:
         raise IOError(f"cannot read {args.config}: {exc}") from exc
     flags = []
-    for key, value in values.items():
-        dest = key.replace("-", "_")
+    for dest, value in values.items():
         # only a flag of this command, spelled out: argparse would also take
         # a prefix (r for --r-list), and a nested --config would go unread
         if dest == "config" or dest not in vars(args):
-            raise UsageError(f"unknown config key {key!r}")
+            raise UsageError(f"unknown config key {dest!r}")
         flags.append(f"--{dest.replace('_', '-')}={value}")
     return flags
 

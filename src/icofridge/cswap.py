@@ -15,7 +15,6 @@ closed forms here are cross-checked against direct partial traces.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,14 +38,13 @@ class CswapState:
 
     Before measurement ``has_control`` is True and ``joint`` lives on
     control (x) target (x) N reservoir qubits; after a branch projection the
-    control is removed and ``branch`` records the outcome.
+    control is removed.
     """
 
     joint: np.ndarray
     n: int
     r: float
     has_control: bool = True
-    branch: str | None = None
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -129,15 +127,12 @@ def cswap_branches(
     heat = diag_sum - cool
     p_c = float(np.trace(cool).real)
     p_h = float(np.trace(heat).real)
-    cooling = CswapState(
-        joint=cool / p_c, n=n, r=state.r, has_control=False, branch="cooling"
-    )
+    cooling = CswapState(joint=cool / p_c, n=n, r=state.r, has_control=False)
     heating = CswapState(
         joint=heat / p_h if p_h > ALGEBRA_TOL else cool / p_c,
         n=n,
         r=state.r,
         has_control=False,
-        branch="heating",
     )
     return (cooling, p_c), (heating, p_h)
 
@@ -264,16 +259,6 @@ def sequential_discard(
             )
         )
     return snapshots
-
-
-def snapshots_to_csv(snapshots: list[DiscardSnapshot]) -> str:
-    """CSV rows (step, qubit, p_excited) for every snapshot."""
-    buf = io.StringIO()
-    buf.write("step,qubit,p_excited\n")
-    for snap in snapshots:
-        for qubit, pop in enumerate(snap.excited_populations):
-            buf.write(f"{snap.step},{qubit},{pop:.12g}\n")
-    return buf.getvalue()
 
 
 def ico_cswap_equivalent(r: float) -> tuple[np.ndarray, np.ndarray]:

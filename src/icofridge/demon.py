@@ -28,7 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fridge import SCHEMES, _bath_energy, _kernel, _validate_ratio, weighted_energy_scheme
+from .fridge import _bath_energy, _kernel, _validate, weighted_energy_scheme
+from .thermal import _validate_ratio
 
 _INVERSION_ENERGY = 0.5  # mean energy above gap/2 means inverted populations
 
@@ -46,15 +47,9 @@ class DemonConfig:
     def __post_init__(self):
         if self.particles < 1 or self.rounds < 1:
             raise ValueError("particles and rounds must be positive")
-        if self.n < 2:
-            raise ValueError("need at least two reservoirs")
-        _validate_ratio(self.r)
-        if self.scheme not in SCHEMES or self.scheme == "cswap":
+        if self.scheme not in ("ico", "traj"):
             raise ValueError("demon runs support schemes 'ico' and 'traj'")
-        if self.scheme == "traj" and self.dim != 2:
-            raise ValueError("trajectory scheme is defined for qubit particles")
-        if self.dim < 2:
-            raise ValueError("particle dimension must be at least 2")
+        _validate(self.scheme, self.n, self.dim, self.r)
 
 
 @dataclass
@@ -266,8 +261,10 @@ def qubit_never_inverts(r: float) -> bool:
     reachable from a thermal start; the heating map is decreasing in its
     input and only inverts below r^2/(1 + r^2). Inversion is impossible
     iff q* stays above that threshold, which holds for every r in (0, 1).
+    At r = 1 the sample stays maximally mixed, which never inverts.
     """
-    if not 0.0 < r < 1.0:
+    _validate_ratio(r)
+    if r == 1.0:
         return True
     q_star = (1.0 - np.sqrt(1.0 - r + r * r)) / (1.0 - r)
     threshold = r * r / (1.0 + r * r)

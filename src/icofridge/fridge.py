@@ -40,10 +40,11 @@ gap; work uses a unit-inverse-temperature erasure reservoir.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .thermal import _validate_ratio
 
 SCHEMES = ("ico", "cswap", "traj")
 
@@ -61,15 +62,6 @@ _LABELS = np.array(["heating", "cooling"], dtype=object)
 
 # one trace row: cycle, branch label and six numbers at 12 significant digits
 _CSV_ROW = "%d,%s" + ",%.12g" * 6 + "\n"
-
-
-def _validate_ratio(r: float) -> None:
-    """Reject ratios outside (0, 1], NaN, and subnormal ratios, which carry
-    fewer significant bits than a double and underflow in the kernel."""
-    if not 0.0 < r <= 1.0:
-        raise ValueError(f"ratio {r} outside (0, 1]")
-    if r < sys.float_info.min:
-        raise ValueError(f"ratio {r} is subnormal (below {sys.float_info.min})")
 
 
 def _validate(scheme: str, n: int, dim: int, r: float) -> None:
@@ -206,9 +198,11 @@ def cop(n: int, dim: int, r: float, r_hot: float, beta_r: float, scheme: str = "
     hot bath matches the heating-branch mediums; maximal at r_hot = r.
     """
     _validate(scheme, n, dim, r)
-    # no upper bound: stop_ratio may round just above 1 and cop is zero there
+    # no upper bound: stop_ratio may round just above 1 and cop is zero there;
+    # the ratio rule still rejects a subnormal r_hot
     if not 0.0 < r_hot < math.inf:
         raise ValueError(f"hot ratio {r_hot} must be positive and finite")
+    _validate_ratio(min(r_hot, 1.0))
     p_c, p_h, a, _, e_heat, n_med = _bath_branches(scheme, n, dim, r)
     p_heating = (n - 1) * p_h
     a_hot = _bath_energy(dim, r_hot)

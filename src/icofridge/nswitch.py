@@ -215,8 +215,8 @@ def branch_stats(n: int, spec: ThermalSpec) -> BranchStats:
     Cooling branch state ~ T + (N-1) T^3 with probability tr(...)/N, each of
     the N-1 heating branches ~ T - T^3 with probability tr(T - T^3)/N. The
     normalized heating state does not depend on N. The states are the
-    diagonal of the branch kernel's output, so ``spec`` must be degenerate
-    (ValueError otherwise).
+    diagonal of the branch kernel's output at the ratio and dimension of
+    ``spec``.
     """
     r = spec.r
     _validate("ico", n, spec.dim, r)

@@ -39,10 +39,6 @@ def kron_all(mats: Iterable[np.ndarray]) -> np.ndarray:
     return out
 
 
-def identity(d: int) -> np.ndarray:
-    return np.eye(d, dtype=complex)
-
-
 def check_shape(m: np.ndarray, dims: Sequence[int]) -> None:
     """Validate that ``dims`` is a subsystem factorization of ``m``.
 
@@ -128,22 +124,6 @@ def replace_subsystem(
     order = [index] + keep
     perm = [order.index(k) for k in range(n)]
     return permute_subsystems(combined, [dims[index]] + [dims[k] for k in keep], perm)
-
-
-def is_hermitian(m: np.ndarray, tol: float = ALGEBRA_TOL) -> bool:
-    m = np.asarray(m)
-    return bool(np.max(np.abs(m - dagger(m))) <= tol)
-
-
-def assert_density_matrix(rho: np.ndarray, tol: float = ALGEBRA_TOL) -> None:
-    """Raise ValueError unless ``rho`` is Hermitian with unit trace."""
-    rho = np.asarray(rho)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {rho.shape}")
-    if abs(np.trace(rho) - 1.0) > tol:
-        raise ValueError(f"trace {np.trace(rho)} is not 1 within {tol}")
-    if not is_hermitian(rho, tol):
-        raise ValueError("matrix is not Hermitian")
 
 
 def sqrt_diagonal(m: np.ndarray) -> np.ndarray:

@@ -246,6 +246,7 @@ def test_nonfinite_and_empty_inputs_exit_1(argv, message, capsys):
         (["limits", "--r-list", "1e-320"], "ratio 1e-320 is subnormal"),
         (["cycle", "--scheme", "ico,traj"], "unknown scheme 'ico,traj'"),
         (["demon", "--scheme", "traj,ico"], "demon runs support schemes 'ico' and 'traj'"),
+        (["cop", "--r-hot", "1e-320", "--n-list", "2", "--r-list", "0.5"], "ratio 1e-320 is subnormal"),
     ),
 )
 def test_user_errors_exit_1_with_message(argv, message, capsys):
@@ -290,6 +291,13 @@ def test_unknown_config_key(tmp_path, capsys):
     cfg.write_text("k_list=1\n")
     assert cli.main(["branches", "--config", str(cfg)]) == 1
     assert capsys.readouterr().out == ""
+    # one flag named twice, in either spelling
+    for second in ("n_list", "n-list"):
+        cfg.write_text(f"n_list=2\n{second}=3\n")
+        assert cli.main(["branches", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"usage error: {cfg}:2: duplicate config key 'n_list'" in captured.err
 
 
 def test_io_error_exit_code(capsys):

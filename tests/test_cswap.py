@@ -156,15 +156,6 @@ def test_sequential_discard_validation():
         sequential_discard(state, [0], ThermalSpec.qubit(0.5))
 
 
-def test_snapshots_csv():
-    (cool, _), _ = branches(2, 0.5)
-    snaps = sequential_discard(cool, [0, 1], ThermalSpec.qubit(0.5))
-    text = cswap.snapshots_to_csv(snaps)
-    lines = text.strip().splitlines()
-    assert lines[0] == "step,qubit,p_excited"
-    assert len(lines) == 1 + 2 * 3
-
-
 def test_ordered_circuit_equivalence():
     for r in (0.2, 0.6, 1.0):
         plain, ordered = cswap.ico_cswap_equivalent(r)

@@ -100,6 +100,9 @@ def test_heat_jump_inversions_at_many_reservoirs():
 def test_heat_jump_never_at_two_reservoirs():
     for r in np.linspace(0.001, 0.999, 999):
         assert qubit_never_inverts(float(r))
+    assert qubit_never_inverts(1.0)
+    with pytest.raises(ValueError, match="outside"):
+        qubit_never_inverts(0.0)
     for r in (0.1, 0.33, 0.6, 0.9, 0.99):
         scan = heat_jump_scan(DemonConfig(particles=2000, n=2, r=r, rounds=10, seed=7))
         assert scan.ever_inverted_count == 0
@@ -146,7 +149,7 @@ def test_energy_conservation_in_expectation():
 def test_config_validation():
     with pytest.raises(ValueError):
         DemonConfig(particles=0, n=2, r=0.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need at least two channels"):
         DemonConfig(particles=1, n=1, r=0.5)
     with pytest.raises(ValueError):
         DemonConfig(particles=1, n=2, r=0.0)
@@ -154,8 +157,10 @@ def test_config_validation():
         DemonConfig(particles=1, n=2, r=1e-320)
     with pytest.raises(ValueError):
         DemonConfig(particles=1, n=2, r=0.5, scheme="cswap")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="defined for qubit working systems"):
         DemonConfig(particles=1, n=2, r=0.5, scheme="traj", dim=3)
+    with pytest.raises(ValueError, match="dimension must be at least 2"):
+        DemonConfig(particles=1, n=2, r=0.5, dim=1)
 
 
 def test_qudit_demon_runs():

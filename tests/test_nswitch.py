@@ -287,9 +287,6 @@ def test_qudit_reduces_to_qubit():
 
 
 def test_branch_stats_needs_degenerate_spec():
-    # the states are the diagonal of the degenerate-family branch kernel
-    with pytest.raises(ValueError, match="not degenerate"):
-        branch_stats(2, ThermalSpec(r_list=(0.5, 0.2)))
     with pytest.raises(ValueError, match="two channels"):
         branch_stats(1, ThermalSpec.qubit(0.5))
 

@@ -162,14 +162,6 @@ def test_sqrt_diagonal():
         qmat.sqrt_diagonal(np.array([[1, 0.5], [0.5, 1]], dtype=complex))
 
 
-def test_assert_density_matrix():
-    qmat.assert_density_matrix(np.eye(2) / 2)
-    with pytest.raises(ValueError):
-        qmat.assert_density_matrix(np.eye(2))
-    with pytest.raises(ValueError):
-        qmat.assert_density_matrix(np.array([[0.5, 0.5], [0.1, 0.5]], dtype=complex))
-
-
 def test_permute_subsystems_roundtrip():
     rng = np.random.default_rng(4)
     dims = (2, 3, 2)
