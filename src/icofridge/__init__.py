@@ -31,10 +31,10 @@ from .demon import (
 )
 from .fridge import (
     CycleTrace,
+    OperatingPoint,
     ReservoirEnsemble,
     cop,
     lowest_r,
-    register_entropy,
     run_cycles,
     work_cost,
 )
@@ -50,10 +50,8 @@ from .nswitch import (
     OrderSet,
     SwitchOutput,
     branch_stats,
-    qudit_branch_stats,
     switch_bruteforce,
     switch_closed_form,
-    weighted_energy,
 )
 from .thermal import (
     ThermalSpec,
@@ -88,10 +86,10 @@ __all__ = [
     "heat_jump_scan",
     "run_demon",
     "CycleTrace",
+    "OperatingPoint",
     "ReservoirEnsemble",
     "cop",
     "lowest_r",
-    "register_entropy",
     "run_cycles",
     "work_cost",
     "BranchOutcome",
@@ -103,10 +101,8 @@ __all__ = [
     "OrderSet",
     "SwitchOutput",
     "branch_stats",
-    "qudit_branch_stats",
     "switch_bruteforce",
     "switch_closed_form",
-    "weighted_energy",
     "ThermalSpec",
     "gibbs_state",
     "hamiltonian",

@@ -115,10 +115,8 @@ def _cell(v) -> str:
 
 def _cmd_branches(args) -> int:
     def row(n, d, r):
-        fridge._validate("ico", n, d, r)
-        p_c, p_h, e0, e_cool, e_heat, _ = fridge._bath_branches("ico", n, d, r)
-        p_heating = (n - 1) * p_h
-        return [n, d, r, p_c, p_heating, e_heat - e0, e_cool - e0, p_heating * (e_heat - e0)]
+        pt = fridge.OperatingPoint.at("ico", n, d, r)
+        return [n, d, r, pt.p_c, pt.p_heating, pt.e_heat - pt.a, pt.e_cool - pt.a, pt.weighted_energy]
 
     rows = [row(n, d, r) for n in args.n_list for d in args.d_list for r in args.r_list]
     columns = ["n", "d", "r", "p_c", "p_H", "dE_h", "dE_c", "weighted_dE_h"]
@@ -182,9 +180,8 @@ def _cmd_cswap(args) -> int:
 
 def _cmd_traj(args) -> int:
     def row(n, r):
-        p_c, p_h = fridge.branch_probabilities(n, r, "traj")
-        weighted = fridge.weighted_energy_scheme(n, 2, r, "traj")
-        return [n, r, p_c, (n - 1) * p_h, weighted, fridge.cop_normalized(n, 2, r, "traj")]
+        pt = fridge.OperatingPoint.at("traj", n, 2, r)
+        return [n, r, pt.p_c, pt.p_heating, pt.weighted_energy, pt.weighted_energy / pt.entropy]
 
     rows = [row(n, r) for n in args.n_list for r in args.r_list]
     columns = ["n", "r", "p_c", "p_H", "weighted_dE_h", "cop_over_gap_beta"]
@@ -332,19 +329,23 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _config_flags(args) -> list[str]:
-    """The ``--config`` file's keys as ``--key=value`` flags of ``args.command``."""
+def _config_flags(args, parser: _Parser) -> list[str]:
+    """The ``--config`` file's keys as ``--key=value`` flags of ``args.command``;
+    a flag that takes several values (``--checks``) gets the value's words."""
     try:
         values = read_config_file(args.config)
     except OSError as exc:
         raise IOError(f"cannot read {args.config}: {exc}") from exc
+    (commands,) = [a for a in parser._actions if a.dest == "command"]
+    several = {a.dest for a in commands.choices[args.command]._actions if a.nargs in ("*", "+")}
     flags = []
     for dest, value in values.items():
         # only a flag of this command, spelled out: argparse would also take
         # a prefix (r for --r-list), and a nested --config would go unread
         if dest == "config" or dest not in vars(args):
             raise UsageError(f"unknown config key {dest!r}")
-        flags.append(f"--{dest.replace('_', '-')}={value}")
+        flag = f"--{dest.replace('_', '-')}"
+        flags += [flag, *value.split()] if dest in several else [f"{flag}={value}"]
     return flags
 
 
@@ -357,7 +358,7 @@ def main(argv: list[str] | None = None) -> int:
             # the file's flags go right after the command name, so the
             # command line's own flags come later and win
             head = argv.index(args.command) + 1
-            args = parser.parse_args(argv[:head] + _config_flags(args) + argv[head:])
+            args = parser.parse_args(argv[:head] + _config_flags(args, parser) + argv[head:])
         formats = _FORMATS.get(args.command, ("csv", "json"))
         if args.format is None:
             args.format = formats[0]

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qmat
-from .fridge import _bath_energy, _branches, _validate
+from .fridge import _bath_energy, _kernel, _validate
 from .measurement import MeasurementBasis, build_basis
 from .qmat import ALGEBRA_TOL
 from .thermal import ThermalSpec, degenerate_state, gibbs_state
@@ -177,17 +177,17 @@ def cooling_reservoir_marginal(n: int, r: float) -> np.ndarray:
     which only 2(N-1) of the N(N-1) control off-diagonal terms contribute
     T^3; the rest contribute tr(T^3) * T. Normalization is the cooling
     probability, the same as for the working qubit. The weights live in the
-    branch kernel ``fridge._branches``.
+    branch kernel ``fridge._kernel``.
     """
     _validate("cswap", n, 2, r)
-    *_, x_res = _branches("cswap", n, 2, r, _bath_energy(2, r))
+    *_, x_res = _kernel("cswap", n, 2)(r, _bath_energy(2, r))
     return degenerate_state(2, x_res)
 
 
 def cooling_target_marginal(n: int, r: float) -> np.ndarray:
     """Closed form for the working qubit's cooling-branch marginal."""
     _validate("cswap", n, 2, r)
-    _, _, x_cool, _, _ = _branches("cswap", n, 2, r, _bath_energy(2, r))
+    _, _, x_cool, _, _ = _kernel("cswap", n, 2)(r, _bath_energy(2, r))
     return degenerate_state(2, x_cool)
 
 

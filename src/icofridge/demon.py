@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fridge import _bath_energy, _kernel, _validate, weighted_energy_scheme
+from .fridge import OperatingPoint, _bath_energy, _kernel, _validate
 from .thermal import _validate_ratio
 
 _INVERSION_ENERGY = 0.5  # mean energy above gap/2 means inverted populations
@@ -182,7 +182,8 @@ def analytic_transfer_fraction(n: int, dim: int, r: float) -> float:
     energy: (N-1)(1-r^2) / (N (1+(D-1)r)^3) ... evaluated from the branch
     closed forms rather than a separate formula.
     """
-    return weighted_energy_scheme(n, dim, r, "ico") / _bath_energy(dim, r)
+    point = OperatingPoint.at("ico", n, dim, r)
+    return point.weighted_energy / point.a
 
 
 def expected_transfer_exact(n: int, dim: int, r: float, rounds: int, scheme: str = "ico") -> float:

@@ -23,7 +23,8 @@ Schemes
 Every branch statistic in the package (switch, controlled SWAP, cycles,
 demon, CLI tables) comes from one kernel, ``_kernel``: the heralded
 branches T + (N-1) M rho M^dag and T - M rho M^dag of a degenerate working
-system, with M = T (``ico``, ``cswap``) or M = A (``traj``).
+system, with M = T (``ico``, ``cswap``) or M = A (``traj``). Every
+statistic at a thermal input is read from one validated ``OperatingPoint``.
 
 Reservoirs are mean field: a bath is its particle count and current ratio.
 A refrigeration run builds its step once and makes one call to it per
@@ -41,6 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -130,43 +132,65 @@ def _kernel(scheme: str, n: int, dim: int):
     return step
 
 
-def _branches(scheme: str, n: int, dim: int, r: float, x):
-    """One point of the branch kernel: ``_kernel(scheme, n, dim)(r, x)``."""
-    return _kernel(scheme, n, dim)(r, x)
+class OperatingPoint(NamedTuple):
+    """Branch statistics of one (scheme, N, D) at the thermal input of ratio r.
 
-
-def _bath_branches(scheme: str, n: int, dim: int, r: float):
-    """Kernel at the thermal input, summed over working mediums.
-
-    Returns (p_c, p_h, a, e_cool, e_heat, n_mediums), where ``a`` is the
-    bath's excited weight. For ``cswap`` the N reservoir qubits are working
+    ``p_c`` is the cooling probability and ``p_h`` that of each of the N-1
+    heating branches; ``a`` is the bath's excited weight. ``e_cool`` and
+    ``e_heat`` are the branches' excited weights summed over the ``n_med``
+    working mediums: for ``cswap`` the N reservoir qubits are working
     mediums too, and the heating-branch sum follows from energy conservation.
     """
-    a = _bath_energy(dim, r)
-    p_c, p_h, x_cool, x_heat, x_res = _branches(scheme, n, dim, r, a)
-    if scheme != "cswap":
-        return p_c, p_h, a, x_cool, x_heat, 1
-    e_cool = x_cool + n * x_res
-    p_heating = (n - 1) * p_h
-    e_heat = ((n + 1) * a - p_c * e_cool) / p_heating if p_heating > 0 else (n + 1) * a
-    return p_c, p_h, a, e_cool, e_heat, n + 1
 
+    n: int
+    dim: int
+    p_c: float
+    p_h: float
+    a: float
+    e_cool: float
+    e_heat: float
+    n_med: int
 
-def branch_probabilities(n: int, r: float, scheme: str = "ico", dim: int = 2) -> tuple[float, float]:
-    """(cooling probability, per-branch heating probability) for a scheme."""
-    _validate(scheme, n, dim, r)
-    p_c, p_h, *_ = _branches(scheme, n, dim, r, _bath_energy(dim, r))
-    return p_c, p_h
+    @classmethod
+    def at(cls, scheme: str, n: int, dim: int, r: float) -> "OperatingPoint":
+        """Validate (scheme, N, D, r) and evaluate the kernel there once."""
+        _validate(scheme, n, dim, r)
+        a = _bath_energy(dim, r)
+        p_c, p_h, e_cool, e_heat, x_res = _kernel(scheme, n, dim)(r, a)
+        if scheme == "cswap":
+            e_cool += n * x_res
+            p_heating = (n - 1) * p_h
+            e_heat = ((n + 1) * a - p_c * e_cool) / p_heating if p_heating > 0 else (n + 1) * a
+        return cls(n, dim, p_c, p_h, a, e_cool, e_heat, n + 1 if scheme == "cswap" else 1)
 
+    @property
+    def p_heating(self) -> float:
+        """Total probability of the N-1 heating branches."""
+        return (self.n - 1) * self.p_h
 
-def register_entropy(n: int, r: float, scheme: str = "ico", dim: int = 2) -> float:
-    """Shannon entropy (nats) of the fine-grained measurement record.
+    @property
+    def entropy(self) -> float:
+        """Shannon entropy (nats) of the fine-grained measurement record.
 
-    One cooling outcome and N-1 individually recorded heating outcomes:
-    S = -p_c ln p_c - (N-1) p_h ln p_h.
-    """
-    p_c, p_h = branch_probabilities(n, r, scheme, dim)
-    return _entropy(n, p_c, p_h)
+        One cooling outcome and N-1 individually recorded heating outcomes:
+        S = -p_c ln p_c - (N-1) p_h ln p_h.
+        """
+        return _entropy(self.n, self.p_c, self.p_h)
+
+    @property
+    def weighted_energy(self) -> float:
+        """Average heat moved per cycle, summed over all working mediums."""
+        return (self.n - 1) * self.p_h * (self.e_heat - self.n_med * self.a)
+
+    @property
+    def stop_ratio(self) -> float:
+        """Hot-bath ratio at which the fridge stops: mean heating-medium state.
+
+        At this r_hot the heating branch no longer dumps heat into the hot
+        bath and the COP is exactly zero.
+        """
+        pop = self.e_heat / self.n_med
+        return pop / (1.0 - pop) / (self.dim - 1)
 
 
 def _entropy(n: int, p_c: float, p_h: float) -> float:
@@ -182,13 +206,6 @@ def work_cost(entropy: float, beta_r: float) -> float:
     return entropy / beta_r
 
 
-def weighted_energy_scheme(n: int, dim: int, r: float, scheme: str) -> float:
-    """Average heat moved per cycle, summed over all working mediums."""
-    _validate(scheme, n, dim, r)
-    _, p_h, a, _, e_heat, n_med = _bath_branches(scheme, n, dim, r)
-    return (n - 1) * p_h * (e_heat - n_med * a)
-
-
 def cop(n: int, dim: int, r: float, r_hot: float, beta_r: float, scheme: str = "ico") -> float:
     """Coefficient of performance at cold ratio ``r`` and hot ratio ``r_hot``.
 
@@ -197,35 +214,15 @@ def cop(n: int, dim: int, r: float, r_hot: float, beta_r: float, scheme: str = "
     branches) divided by the register erasure work. Zero exactly when the
     hot bath matches the heating-branch mediums; maximal at r_hot = r.
     """
-    _validate(scheme, n, dim, r)
+    point = OperatingPoint.at(scheme, n, dim, r)
     # no upper bound: stop_ratio may round just above 1 and cop is zero there;
     # the ratio rule still rejects a subnormal r_hot
     if not 0.0 < r_hot < math.inf:
         raise ValueError(f"hot ratio {r_hot} must be positive and finite")
     _validate_ratio(min(r_hot, 1.0))
-    p_c, p_h, a, _, e_heat, n_med = _bath_branches(scheme, n, dim, r)
-    p_heating = (n - 1) * p_h
     a_hot = _bath_energy(dim, r_hot)
-    numerator = p_heating * (e_heat - n_med * a) - p_heating * n_med * (a_hot - a)
-    return numerator / work_cost(_entropy(n, p_c, p_h), beta_r)
-
-
-def cop_normalized(n: int, dim: int, r: float, scheme: str = "ico") -> float:
-    """Optimal-case COP divided by (gap * beta_R): weighted energy over entropy."""
-    return weighted_energy_scheme(n, dim, r, scheme) / register_entropy(n, r, scheme, dim)
-
-
-def stop_ratio(n: int, dim: int, r: float, scheme: str = "ico") -> float:
-    """Hot-bath ratio at which the fridge stops: mean heating-medium state.
-
-    At this r_hot the heating branch no longer dumps heat into the hot bath
-    and the COP is exactly zero.
-    """
-    _validate(scheme, n, dim, r)
-    _, _, _, _, e_heat, n_med = _bath_branches(scheme, n, dim, r)
-    pop = e_heat / n_med
-    x = pop / (1.0 - pop)
-    return x / (dim - 1)
+    numerator = point.weighted_energy - point.p_heating * point.n_med * (a_hot - point.a)
+    return numerator / work_cost(point.entropy, beta_r)
 
 
 def lowest_r(scheme: str, r_start: float, k: float) -> float:
@@ -370,7 +367,7 @@ def run_cycles(
     for _ in range(max_cycles):
         # branch statistics degenerate at absolute zero; freeze just above it
         r_c = 1e-12 if r_cold < 1e-12 else r_cold  # max(r_cold, 1e-12)
-        # _bath_branches(scheme, n, dim, r_c), inlined
+        # OperatingPoint.at(scheme, n, dim, r_c), inlined
         x = (dim - 1) * r_c
         a = x / (1.0 + x)
         p_c, p_h, e_cool, e_heat, x_res = step(r_c, a)
@@ -404,7 +401,7 @@ def run_cycles(
     m = len(cold_ratios)
     # the ratio each cycle started from, clamped as in the loop
     r_c = np.maximum([r_first] + cold_ratios[:-1], 1e-12)
-    p_c, p_h, *_ = _branches(scheme, n, dim, r_c, _bath_energy(dim, r_c))
+    p_c, p_h, *_ = step(r_c, _bath_energy(dim, r_c))
     entropy = _entropy(n, p_c, p_h)
     cooling = np.random.default_rng(seed).random(m) < p_c
     return CycleTrace(

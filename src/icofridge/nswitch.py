@@ -16,8 +16,8 @@ Two independent routes to the control-target output state:
 
 Branch statistics after the control measurement (one cooling branch
 proportional to T + (N-1)T^3, N-1 identical heating branches proportional to
-T - T^3) are provided for qubit and degenerate-qudit working systems by the
-branch kernel in ``fridge``; ``measure_control`` on ``switch_closed_form`` is
+T - T^3) are read, for qubit and degenerate-qudit working systems, from
+``fridge.OperatingPoint``; ``measure_control`` on ``switch_closed_form`` is
 their oracle.
 """
 
@@ -29,7 +29,7 @@ from itertools import product as _product
 import numpy as np
 
 from .channels import thermalizing_kraus
-from .fridge import _bath_energy, _branches, _validate, weighted_energy_scheme
+from .fridge import OperatingPoint
 from .qmat import ALGEBRA_TOL
 from .thermal import ThermalSpec, degenerate_state
 
@@ -215,39 +215,18 @@ def branch_stats(n: int, spec: ThermalSpec) -> BranchStats:
     Cooling branch state ~ T + (N-1) T^3 with probability tr(...)/N, each of
     the N-1 heating branches ~ T - T^3 with probability tr(T - T^3)/N. The
     normalized heating state does not depend on N. The states are the
-    diagonal of the branch kernel's output at the ratio and dimension of
-    ``spec``.
+    diagonal of the ``ico`` operating point at the ratio and dimension of
+    ``spec``. At small r a D-level system's total heating probability is
+    3 (N-1) (D-1) r / N: extra levels boost low-temperature heat transfer.
     """
-    r = spec.r
-    _validate("ico", n, spec.dim, r)
-    p_c, p_h, x_cool, x_heat, _ = _branches("ico", n, spec.dim, r, _bath_energy(spec.dim, r))
+    point = OperatingPoint.at("ico", n, spec.dim, spec.r)
     return BranchStats(
         n=n,
-        p_c=p_c,
-        p_h=p_h,
-        rho_c=degenerate_state(spec.dim, x_cool),
-        rho_h=degenerate_state(spec.dim, x_heat),
+        p_c=point.p_c,
+        p_h=point.p_h,
+        rho_c=degenerate_state(spec.dim, point.e_cool),
+        rho_h=degenerate_state(spec.dim, point.e_heat),
     )
-
-
-def qudit_branch_stats(n: int, dim: int, r: float) -> BranchStats:
-    """Branch statistics for the degenerate D-level working system.
-
-    For small r the total heating probability behaves as
-    3 (N-1) (D-1) r / N, so extra working-system dimensions boost the
-    low-temperature heat transfer.
-    """
-    return branch_stats(n, ThermalSpec.degenerate(dim, r))
-
-
-def weighted_energy(n: int, dim: int, r: float) -> tuple[float, float]:
-    """Average heat moved per run: (heating, cooling) weighted energy changes.
-
-    The heating value is p_H * (E[heating branch] - E[Gibbs]); the cooling
-    value is its negative, since the branch average conserves energy.
-    """
-    de_h = weighted_energy_scheme(n, dim, r, "ico")
-    return de_h, -de_h
 
 
 def offdiagonal_blocks_equal(out: SwitchOutput, tol: float = ALGEBRA_TOL) -> bool:

@@ -145,8 +145,8 @@ def _check_branch_probability_closure():
     for n in (2, 3, 10, 100):
         for dim in (2, 3, 5):
             for r in (0.05, 0.3, 0.8, 1.0):
-                st = nswitch.qudit_branch_stats(n, dim, r)
-                yield abs(st.p_c + (n - 1) * st.p_h - 1.0)
+                point = fridge.OperatingPoint.at("ico", n, dim, r)
+                yield abs(point.p_c + point.p_heating - 1.0)
 
 
 def _check_heating_branch_n_independence():
@@ -161,17 +161,18 @@ def _check_heating_branch_n_independence():
 def _check_weighted_energy_doubling():
     """distance of dE(N=1e6)/dE(N=2) from [1.99, 2]"""
     for r in (0.1, 0.3, 0.5):
-        x = nswitch.weighted_energy(10**6, 2, r)[0] / nswitch.weighted_energy(2, 2, r)[0]
+        many, two = (fridge.OperatingPoint.at("ico", n, 2, r).weighted_energy for n in (10**6, 2))
+        x = many / two
         yield from (1.99 - x, x - 2.0)
 
 
 def _check_qudit_boost():
     """max relative deviation from 2(D-1)(N-1)/N"""
     r = 1e-4
-    base = nswitch.weighted_energy(2, 2, r)[0]
+    base = fridge.OperatingPoint.at("ico", 2, 2, r).weighted_energy
     for dim in (2, 5, 10):
         for n in (2, 10):
-            factor = nswitch.weighted_energy(n, dim, r)[0] / base
+            factor = fridge.OperatingPoint.at("ico", n, dim, r).weighted_energy / base
             yield abs(factor / (2 * (dim - 1) * (n - 1) / n) - 1.0)
 
 
@@ -218,7 +219,7 @@ def _check_entropy_identity():
         for r in (0.2, 0.5, 0.6, 0.9):
             t = thermal.gibbs_state(thermal.ThermalSpec.qubit(r))
             res = measurement.povm_ancilla_scheme(m, nswitch.switch_closed_form(2**m, t, t))
-            expected = fridge.register_entropy(2**m, r, "ico")
+            expected = fridge.OperatingPoint.at("ico", 2**m, 2, r).entropy
             yield from (res.entropy_identity_residual(), abs(res.register_entropy_full - expected))
 
 
@@ -358,7 +359,7 @@ def _check_cop_zero_point():
     for scheme in ("ico", "cswap", "traj"):
         for n in (2, 4):
             for r in (0.2, 0.5, 0.9):
-                r_hot = fridge.stop_ratio(n, 2, r, scheme)
+                r_hot = fridge.OperatingPoint.at(scheme, n, 2, r).stop_ratio
                 yield abs(fridge.cop(n, 2, r, r_hot, 1.0, scheme))
 
 

@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from icofridge import cli
+from icofridge import cli, fridge
 
 
 def run(argv, capsys):
@@ -317,6 +317,40 @@ def test_verify_subset(capsys):
 
 def test_verify_unknown_check(capsys):
     assert cli.main(["verify", "--checks", "nonesuch"]) == 1
+
+
+def test_config_file_names_several_checks(tmp_path, capsys):
+    # a flag that takes several values reads the key's words as its values
+    cfg = tmp_path / "verify.cfg"
+    cfg.write_text("checks=kraus_completeness  measurement_basis\n")
+    code, out = run(["verify", "--config", str(cfg)], capsys)
+    assert code == 0
+    assert re.findall(r"^PASS  (\w+)", out, re.MULTILINE) == ["kraus_completeness", "measurement_basis"]
+    # the command line's --checks still wins
+    code, out = run(["verify", "--config", str(cfg), "--checks", "qmat_algebra"], capsys)
+    assert (code, re.findall(r"^PASS  (\w+)", out, re.MULTILINE)) == (0, ["qmat_algebra"])
+
+
+def test_one_validation_and_one_kernel_per_row(monkeypatch, tmp_path):
+    # each grid row reads one operating point: one _validate, one _kernel
+    calls = {}
+
+    def count(name):
+        original = getattr(fridge, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(fridge, name, counted)
+
+    count("_validate")
+    count("_kernel")
+    grid = ["--n-list", "2,5", "--r-list", "0.1,0.5,0.9"]
+    for command in ("branches", "cop", "traj"):
+        calls.update(_validate=0, _kernel=0)
+        assert cli.main([command, *grid, "--out", str(tmp_path / f"{command}.csv")]) == 0
+        assert calls == {"_validate": 6, "_kernel": 6}, command
 
 
 def test_rows_follow_grid_order(capsys):

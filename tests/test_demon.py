@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from icofridge import demon, fridge, nswitch, thermal
-from icofridge.fridge import _bath_energy, _branches
+from icofridge.fridge import OperatingPoint, _bath_energy, _kernel
 from icofridge.demon import DemonConfig, analytic_transfer_fraction, expected_transfer_exact, heat_jump_scan, qubit_never_inverts, run_demon
 from icofridge.thermal import ThermalSpec
 
@@ -41,7 +41,7 @@ def test_analytic_fraction_matches_weighted_energy():
         spec = ThermalSpec.degenerate(dim, r)
         h = thermal.hamiltonian(spec)
         e0 = thermal.mean_energy(thermal.gibbs_state(spec), h)
-        expected = nswitch.weighted_energy(n, dim, r)[0] / e0
+        expected = OperatingPoint.at("ico", n, dim, r).weighted_energy / e0
         assert abs(analytic_transfer_fraction(n, dim, r) - expected) < 1e-12
 
 
@@ -139,7 +139,7 @@ def test_report_json_and_histogram():
 def test_energy_conservation_in_expectation():
     # branch-averaged single-pass energy equals the reservoir energy
     x = np.array([0.37 / 1.37])
-    _, p_h, x_cool, x_heat, _ = fridge._branches("ico", 5, 2, 0.37, x)
+    _, p_h, x_cool, x_heat, _ = fridge._kernel("ico", 5, 2)(0.37, x)
     p_heating = 4 * p_h
     avg = (1 - p_heating[0]) * x_cool[0] + p_heating[0] * x_heat[0]
     t_energy = 0.37 / 1.37
@@ -166,9 +166,9 @@ def test_config_validation():
 def test_qudit_demon_runs():
     cfg = DemonConfig(particles=5000, n=10, r=0.05, dim=4, seed=17)
     rep = run_demon(cfg)
-    stats = nswitch.qudit_branch_stats(10, 4, 0.05)
-    band = 4 * math.sqrt(stats.p_c * (1 - stats.p_c) / cfg.particles)
-    assert abs(rep.cooled_count / cfg.particles - stats.p_c) < band
+    p_c = OperatingPoint.at("ico", 10, 4, 0.05).p_c
+    band = 4 * math.sqrt(p_c * (1 - p_c) / cfg.particles)
+    assert abs(rep.cooled_count / cfg.particles - p_c) < band
 
 
 def test_traj_demon_uses_damping_interference():
@@ -185,7 +185,7 @@ def _reference_rounds(cfg):
     x = np.full(cfg.particles, _bath_energy(cfg.dim, cfg.r))
     draws = np.random.Generator(np.random.Philox(key=cfg.seed)).random((cfg.rounds, cfg.particles))
     for draw in draws:
-        _, p_h, x_cool, x_heat, _ = _branches(cfg.scheme, cfg.n, cfg.dim, cfg.r, x)
+        _, p_h, x_cool, x_heat, _ = _kernel(cfg.scheme, cfg.n, cfg.dim)(cfg.r, x)
         heated = draw < (cfg.n - 1) * p_h
         x = np.where(heated, x_heat, x_cool)
         yield x, heated
@@ -224,7 +224,7 @@ def _dfs_transfer(n, dim, r, rounds, scheme):
     stack = [(0, 1.0, e0)]
     while stack:
         depth, prob, x = stack.pop()
-        _, p_h, x_cool, x_heat, _ = _branches(scheme, n, dim, r, x)
+        _, p_h, x_cool, x_heat, _ = _kernel(scheme, n, dim)(r, x)
         ph = (n - 1) * p_h
         if depth == rounds - 1:
             total += prob * ph * (x_heat - e0)

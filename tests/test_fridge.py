@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 
 from icofridge import fridge
-from icofridge.fridge import ReservoirEnsemble, cop, lowest_r, register_entropy, run_cycles, stop_ratio, work_cost
+from icofridge.fridge import OperatingPoint, ReservoirEnsemble, cop, lowest_r, run_cycles, work_cost
 from icofridge.measurement import build_basis, measure_control
 from icofridge.nswitch import SwitchOutput, switch_closed_form
 from icofridge.thermal import ThermalSpec, degenerate_state, gibbs_state
 
 
 def test_register_entropy_hot_two_channel():
-    s = register_entropy(2, 1.0, "ico")
+    s = OperatingPoint.at("ico", 2, 2, 1.0).entropy
     expected = -(5 / 8) * math.log(5 / 8) - (3 / 8) * math.log(3 / 8)
     assert abs(s - expected) < 1e-15
     assert abs(s - 0.6616) < 1e-4
@@ -21,13 +21,13 @@ def test_register_entropy_hot_two_channel():
 
 def test_register_entropy_deterministic_limit():
     # near absolute zero the cooling branch is near-certain
-    assert register_entropy(2, 1e-9, "ico") < 1e-6
+    assert OperatingPoint.at("ico", 2, 2, 1e-9).entropy < 1e-6
 
 
 def test_register_entropy_counts_heating_outcomes_individually():
     n, r = 8, 0.5
-    p_c, p_h = fridge.branch_probabilities(n, r)
-    s = register_entropy(n, r, "ico")
+    point = OperatingPoint.at("ico", n, 2, r)
+    p_c, p_h, s = point.p_c, point.p_h, point.entropy
     assert abs(s - (-p_c * math.log(p_c) - (n - 1) * p_h * math.log(p_h))) < 1e-15
     # coarse record plus leftover control mixedness reproduces it
     p_heating = (n - 1) * p_h
@@ -38,7 +38,7 @@ def test_register_entropy_counts_heating_outcomes_individually():
 def test_work_cost():
     assert work_cost(0.0, 2.0) == 0.0
     assert abs(work_cost(math.log(2), 1.0) - math.log(2)) < 1e-15
-    assert abs(work_cost(register_entropy(2, 1.0, "ico"), 1.0) - 0.6616) < 1e-4
+    assert abs(work_cost(OperatingPoint.at("ico", 2, 2, 1.0).entropy, 1.0) - 0.6616) < 1e-4
     with pytest.raises(ValueError):
         work_cost(-0.1, 1.0)
     for beta_r in (0.0, -1.0, math.nan, math.inf):
@@ -52,12 +52,12 @@ def test_cop_zero_at_stop_point():
     for scheme in ("ico", "cswap", "traj"):
         for n in (2, 4):
             for r in (0.2, 0.5, 0.9):
-                r_hot = stop_ratio(n, 2, r, scheme)
+                r_hot = OperatingPoint.at(scheme, n, 2, r).stop_ratio
                 assert abs(cop(n, 2, r, r_hot, 1.0, scheme)) < 1e-10
 
 
 def test_traj_stop_point_is_infinite_temperature():
-    assert abs(stop_ratio(3, 2, 0.4, "traj") - 1.0) < 1e-12
+    assert abs(OperatingPoint.at("traj", 3, 2, 0.4).stop_ratio - 1.0) < 1e-12
 
 
 def test_cop_optimal_case_values():
@@ -65,7 +65,8 @@ def test_cop_optimal_case_values():
     for scheme in ("ico", "traj"):
         for n in (2, 5):
             r = 0.3
-            expected = fridge.weighted_energy_scheme(n, 2, r, scheme) / register_entropy(n, r, scheme)
+            point = OperatingPoint.at(scheme, n, 2, r)
+            expected = point.weighted_energy / point.entropy
             assert abs(cop(n, 2, r, r, 1.0, scheme) - expected) < 1e-14
 
 
@@ -79,7 +80,7 @@ def test_cop_rejects_nonfinite_hot_ratio():
             cop(2, 2, 0.5, r_hot, 1.0, "ico")
     # the traj stop point (infinite temperature) can round just above 1 and
     # stays a valid input
-    r_hot = stop_ratio(2, 2, 0.999, "traj")
+    r_hot = OperatingPoint.at("traj", 2, 2, 0.999).stop_ratio
     assert r_hot > 1.0 and abs(cop(2, 2, 0.999, r_hot, 1.0, "traj")) < 1e-10
 
 
@@ -103,10 +104,10 @@ def test_ico_traj_weighted_energy_agree():
     for n in (2, 10):
         for r in (0.1, 0.5):
             assert abs(
-                fridge.weighted_energy_scheme(n, 2, r, "ico")
-                - fridge.weighted_energy_scheme(n, 2, r, "traj")
+                OperatingPoint.at("ico", n, 2, r).weighted_energy
+                - OperatingPoint.at("traj", n, 2, r).weighted_energy
             ) < 1e-15
-            assert register_entropy(n, r, "traj") < register_entropy(n, r, "ico")
+            assert OperatingPoint.at("traj", n, 2, r).entropy < OperatingPoint.at("ico", n, 2, r).entropy
 
 
 def test_lowest_r_closed_forms():
@@ -231,7 +232,8 @@ def _reference_cycles(scheme, ens, n, dim, seed, max_cycles):
     work, stop = 0.0, "budget"
     r_cold = float(fridge._bath_ratio(dim, a_c))
     for cycle in range(1, max_cycles + 1):
-        p_c, p_h, _, e_cool, e_heat, n_med = fridge._bath_branches(scheme, n, dim, max(r_cold, 1e-12))
+        point = OperatingPoint.at(scheme, n, dim, max(r_cold, 1e-12))
+        p_c, p_h, e_cool, e_heat, n_med = point.p_c, point.p_h, point.e_cool, point.e_heat, point.n_med
         p_heating = (n - 1) * p_h
         branch = "cooling" if rng.random() < p_c else "heating"
         s = -p_c * math.log(p_c) - (n - 1) * p_h * math.log(p_h)
@@ -295,7 +297,7 @@ def test_trace_deterministic_given_seed():
 def test_sampled_branch_frequencies_follow_probabilities():
     ens = ReservoirEnsemble.from_ratio(1.0, 0.9, n_cold=1e12)  # quasi-static
     trace = run_cycles("ico", ens, n=2, seed=9, max_cycles=4000)
-    p_c = fridge.branch_probabilities(2, 0.9)[0]
+    p_c = OperatingPoint.at("ico", 2, 2, 0.9).p_c
     freq = trace.branches.count("cooling") / len(trace.branches)
     assert abs(freq - p_c) < 4 * math.sqrt(p_c * (1 - p_c) / len(trace.branches))
 
@@ -323,7 +325,7 @@ def test_run_cycles_rejects_empty_budget():
 def test_point_validation():
     ens = ReservoirEnsemble.from_ratio(1.0, 0.5, n_cold=16)
     with pytest.raises(ValueError, match="unknown scheme"):
-        fridge.branch_probabilities(2, 0.5, "bogus")
+        OperatingPoint.at("bogus", 2, 2, 0.5)
     with pytest.raises(ValueError, match="unknown scheme"):
         run_cycles("bogus", ens, n=2)
     with pytest.raises(ValueError, match="qubit"):
@@ -331,15 +333,15 @@ def test_point_validation():
     with pytest.raises(ValueError, match="qubit"):
         run_cycles("cswap", ens, n=2, dim=3)
     with pytest.raises(ValueError, match="two channels"):
-        fridge.branch_probabilities(1, 0.5)
+        OperatingPoint.at("ico", 1, 2, 0.5)
     with pytest.raises(ValueError, match="two channels"):
         run_cycles("ico", ens, n=1)
     with pytest.raises(ValueError, match="outside"):
-        fridge.branch_probabilities(2, 0.0)
+        OperatingPoint.at("ico", 2, 2, 0.0)
     with pytest.raises(ValueError, match="outside"):
         cop(2, 2, 1.5, 0.5, 1.0)
     with pytest.raises(ValueError, match="subnormal"):
-        fridge.branch_probabilities(2, 1e-320)
+        OperatingPoint.at("ico", 2, 2, 1e-320)
 
 
 def test_qudit_ico_cycle_runs():
@@ -367,11 +369,11 @@ def test_branch_kernel_matches_measured_switch_off_thermal(n, dim):
     for r in (0.2, 0.7):
         spec = ThermalSpec.degenerate(dim, r)
         t = gibbs_state(spec)
-        batch = fridge._branches("ico", n, dim, r, np.array(xs))[:4]
+        batch = fridge._kernel("ico", n, dim)(r, np.array(xs))[:4]
         for i, x in enumerate(xs):
             rho = degenerate_state(dim, x)
             ref = _measured(switch_closed_form(n, rho, t), n)
-            got = fridge._branches("ico", n, dim, r, x)[:4]
+            got = fridge._kernel("ico", n, dim)(r, x)[:4]
             assert max(abs(g - e) for g, e in zip(got, ref)) < 1e-12
             assert [float(b[i]) for b in batch] == list(got)
 
@@ -387,7 +389,7 @@ def test_traj_branch_kernel_matches_measured_paths(n):
             off = a @ rho @ a.conj().T
             joint = (np.kron(np.eye(n), t) + np.kron(np.ones((n, n)) - np.eye(n), off)) / n
             ref = _measured(SwitchOutput(joint=joint, control_dim=n, target_dim=2), n)
-            got = fridge._branches("traj", n, 2, r, x)[:4]
+            got = fridge._kernel("traj", n, 2)(r, x)[:4]
             assert max(abs(g - e) for g, e in zip(got, ref)) < 1e-12
 
 
@@ -395,7 +397,7 @@ def test_traj_branch_kernel_matches_measured_paths(n):
 @pytest.mark.parametrize("scheme", fridge.SCHEMES)
 def test_kernel_float_and_array_paths_agree(scheme, dim):
     # one step per (scheme, N, D), called on floats and on an array, equals
-    # the one-point wrapper bit for bit
+    # a freshly built step bit for bit
     xs = [0.0, 0.1, 0.5, 0.9, 1.0]
     for n in (2, 5):
         step = fridge._kernel(scheme, n, dim)
@@ -404,7 +406,7 @@ def test_kernel_float_and_array_paths_agree(scheme, dim):
             batch = step(r, np.array(xs_r))
             for i, x in enumerate(xs_r):
                 got = step(r, x)
-                assert got == fridge._branches(scheme, n, dim, r, x)
+                assert got == fridge._kernel(scheme, n, dim)(r, x)
                 assert [float(b[i]) for b in batch[:4]] == list(got[:4])
                 if scheme == "cswap":
                     assert float(batch[4][i]) == got[4]
@@ -415,8 +417,8 @@ def test_kernel_float_and_array_paths_agree(scheme, dim):
 def test_branch_kernel_guard_passes_input_through():
     # a heating branch of zero weight (only at r = 0, which callers reject)
     # leaves the input unchanged instead of dividing by zero
-    assert fridge._branches("ico", 2, 2, 0.0, 0.0)[3] == 0.0
-    assert fridge._branches("ico", 2, 2, 0.0, np.array([0.0, 0.3]))[3].tolist() == [0.0, 0.0]
+    assert fridge._kernel("ico", 2, 2)(0.0, 0.0)[3] == 0.0
+    assert fridge._kernel("ico", 2, 2)(0.0, np.array([0.0, 0.3]))[3].tolist() == [0.0, 0.0]
 
 
 def _exact_branches(scheme, n, dim, r, x):
@@ -445,7 +447,7 @@ def test_branch_kernel_exact_at_small_ratios(scheme, dim):
     for n in (2, 5):
         for r in (0.3, 1e-6, 1e-12, 1e-15, 1e-300):
             for x in (fridge._bath_energy(dim, r), 0.0, 0.5, 0.992, 1 - 1e-9):
-                got = fridge._branches(scheme, n, dim, r, x)
+                got = fridge._kernel(scheme, n, dim)(r, x)
                 ref = _exact_branches(scheme, n, dim, r, x)
                 for value, exact in zip(got, ref):
                     assert abs(value - exact) <= 1e-12 * abs(exact)

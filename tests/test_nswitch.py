@@ -3,7 +3,8 @@ import numpy as np
 import pytest
 
 from icofridge import channels, nswitch, thermal
-from icofridge.nswitch import OrderSet, branch_stats, qudit_branch_stats, switch_bruteforce, switch_closed_form, weighted_energy
+from icofridge.fridge import OperatingPoint
+from icofridge.nswitch import OrderSet, branch_stats, switch_bruteforce, switch_closed_form
 from icofridge.qmat import dagger
 from icofridge.thermal import ThermalSpec
 
@@ -248,8 +249,7 @@ def test_infinite_temperature_branches_are_maximally_mixed():
         stats = branch_stats(n, ThermalSpec.qubit(1.0))
         assert np.max(np.abs(stats.rho_h - np.eye(2) / 2)) < 1e-15
         assert np.max(np.abs(stats.rho_c - np.eye(2) / 2)) < 1e-15
-        de_h, _ = weighted_energy(n, 2, 1.0)
-        assert abs(de_h) < 1e-15
+        assert abs(OperatingPoint.at("ico", n, 2, 1.0).weighted_energy) < 1e-15
 
 
 def test_many_reservoirs_low_temperature():
@@ -277,15 +277,6 @@ def test_heating_branch_independent_of_n():
             assert np.max(np.abs(branch_stats(n, spec).rho_h - ref)) < 1e-12
 
 
-def test_qudit_reduces_to_qubit():
-    for n in (2, 7):
-        for r in (0.2, 0.9):
-            a = qudit_branch_stats(n, 2, r)
-            b = branch_stats(n, ThermalSpec.qubit(r))
-            assert abs(a.p_c - b.p_c) < 1e-15
-            assert np.max(np.abs(a.rho_h - b.rho_h)) < 1e-15
-
-
 def test_branch_stats_needs_degenerate_spec():
     with pytest.raises(ValueError, match="two channels"):
         branch_stats(1, ThermalSpec.qubit(0.5))
@@ -293,30 +284,30 @@ def test_branch_stats_needs_degenerate_spec():
 
 def test_qudit_low_temperature_asymptote():
     r = 1e-4
-    stats = qudit_branch_stats(2, 3, r)
+    stats = branch_stats(2, ThermalSpec.degenerate(3, r))
     approx = 3 * (2 - 1) / 2 * (3 - 1) * r
     assert abs(stats.p_heating_total / approx - 1.0) < 0.01
 
 
 def test_qudit_improvement_factor():
     r = 1e-4
-    base = weighted_energy(2, 2, r)[0]
+    base = OperatingPoint.at("ico", 2, 2, r).weighted_energy
     for dim, n in ((3, 2), (5, 10), (10, 2)):
-        factor = weighted_energy(n, dim, r)[0] / base
+        factor = OperatingPoint.at("ico", n, dim, r).weighted_energy / base
         ideal = 2 * (dim - 1) * (n - 1) / n
         assert abs(factor / ideal - 1.0) < 0.05
 
 
 def test_weighted_energy_value():
     # r(1-r) / (2 (1+r)^3) at r = 0.5 is 1/27
-    de_h, de_c = weighted_energy(2, 2, 0.5)
+    de_h = OperatingPoint.at("ico", 2, 2, 0.5).weighted_energy
     assert abs(de_h - 1.0 / 27.0) < 1e-15
-    assert de_c == -de_h
 
 
 def test_weighted_energy_doubling():
     for r in (0.1, 0.3, 0.5):
-        ratio = weighted_energy(10**6, 2, r)[0] / weighted_energy(2, 2, r)[0]
+        many, two = (OperatingPoint.at("ico", n, 2, r).weighted_energy for n in (10**6, 2))
+        ratio = many / two
         assert 1.99 <= ratio <= 2.0
 
 

@@ -2,7 +2,7 @@ import json
 import math
 import re
 
-from icofridge import cli, fridge, nswitch, verify
+from icofridge import cli, fridge, verify
 
 
 def test_defect_above_tolerance_fails(monkeypatch, capsys):
@@ -48,12 +48,13 @@ def test_raising_check_fails_and_the_next_still_runs(monkeypatch, tmp_path):
 
 
 def test_nan_defect_after_the_first_grid_point_fails(monkeypatch):
-    weighted_energy = nswitch.weighted_energy
+    at = fridge.OperatingPoint.at
 
-    def nan_at_r_03(n, dim, r):
-        return (math.nan,) if r == 0.3 else weighted_energy(n, dim, r)
+    def nan_at_r_03(scheme, n, dim, r):
+        point = at(scheme, n, dim, r)
+        return point._replace(e_heat=math.nan) if r == 0.3 else point
 
-    monkeypatch.setattr(nswitch, "weighted_energy", nan_at_r_03)
+    monkeypatch.setattr(fridge.OperatingPoint, "at", staticmethod(nan_at_r_03))
     (res,) = verify.run_checks(["weighted_energy_doubling"])
     assert res.passed is False
     assert math.isnan(res.defect)
