@@ -29,7 +29,6 @@ class KrausSet:
     """A finite Kraus representation of one channel implementation."""
 
     operators: tuple[np.ndarray, ...]
-    label: str = ""
 
     def __post_init__(self):
         ops = tuple(np.asarray(k, dtype=complex) for k in self.operators)
@@ -53,7 +52,7 @@ class KrausSet:
 def depolarizing_kraus(d: int) -> KrausSet:
     """Fully depolarizing channel: rho -> tr(rho) I/d, via d**2 unitaries."""
     ops = tuple(u / d for u in qmat.pauli_basis(d))
-    return KrausSet(operators=ops, label=f"depolarizing(d={d})")
+    return KrausSet(operators=ops)
 
 
 def thermalizing_kraus(spec: ThermalSpec) -> KrausSet:
@@ -65,7 +64,7 @@ def thermalizing_kraus(spec: ThermalSpec) -> KrausSet:
     d = spec.dim
     a = qmat.sqrt_diagonal(gibbs_state(spec))
     ops = tuple((a @ u) / np.sqrt(d) for u in qmat.pauli_basis(d))
-    return KrausSet(operators=ops, label=f"thermalizing(d={d})")
+    return KrausSet(operators=ops)
 
 
 def apply_channel(kraus: KrausSet, rho: np.ndarray) -> np.ndarray:
@@ -89,8 +88,6 @@ class TransformationMatrix:
     """
 
     matrix: np.ndarray
-    source_label: str
-    env_overlaps: tuple[complex, ...]
     bound: float
     obtainable: bool
 
@@ -117,10 +114,4 @@ def transformation_matrix(
     if thermal_state is None:
         thermal_state = apply_channel(kraus, np.eye(d, dtype=complex) / d)
     bound = float(np.trace(dagger(m) @ np.asarray(thermal_state) @ m).real)
-    return TransformationMatrix(
-        matrix=m,
-        source_label=kraus.label,
-        env_overlaps=overlaps,
-        bound=bound,
-        obtainable=bound <= 1.0 / d + tol,
-    )
+    return TransformationMatrix(matrix=m, bound=bound, obtainable=bound <= 1.0 / d + tol)

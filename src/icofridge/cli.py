@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 usage error, 2 verification failure, 3 I/O failure.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -76,18 +77,31 @@ def parse_config_comment(line: str) -> dict[str, str]:
 
 def _emit(columns: Sequence[str], rows: list[list], args, keys: Sequence[str] = ()):
     """Write ``rows`` in ``args.format`` to ``args.out``, headed by the config
-    echo of the flags named in ``keys``."""
-    config = _config_echo(args, keys)
+    echo of the flags named in ``keys``. A NaN or infinite cell is ``nan`` or
+    ``inf`` in CSV and ``null`` in JSON, which has no such numbers."""
+    config = {"command": args.command}
+    for key in keys:
+        value = getattr(args, key)
+        config[key] = ",".join(str(v) for v in value) if isinstance(value, list) else value
+    config.update(seed=args.seed, format=args.format)
     if args.format == "csv":
         lines = ["# config: " + " ".join(f"{k}={v}" for k, v in config.items())]
-        lines.append(",".join(columns))
-        for row in rows:
-            lines.append(",".join(_cell(v) for v in row))
+        lines += [",".join(columns)] + [",".join(map(_cell, row)) for row in rows]
         text = "\n".join(lines) + "\n"
     else:
-        text = json.dumps({"config": config, "columns": list(columns), "rows": rows}, indent=1)
+        doc = {"config": config, "columns": list(columns), "rows": rows}
+        try:
+            text = json.dumps(doc, indent=1, allow_nan=False)
+        except ValueError:
+            # only a table that holds a non-finite cell pays for this pass
+            doc["rows"] = [[None if _non_finite(v) else v for v in row] for row in rows]
+            text = json.dumps(doc, indent=1, allow_nan=False)
         text += "\n"
     _write(args.out, text)
+
+
+def _non_finite(v) -> bool:
+    return isinstance(v, float) and not math.isfinite(v)
 
 
 def _write(path: str | None, text: str) -> None:
@@ -113,43 +127,47 @@ def _cell(v) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_branches(args) -> int:
-    def row(n, d, r):
-        pt = fridge.OperatingPoint.at("ico", n, d, r)
-        return [n, d, r, pt.p_c, pt.p_heating, pt.e_heat - pt.a, pt.e_cool - pt.a, pt.weighted_energy]
+def _table(columns: Sequence[str], row, axes: tuple[str, ...], scalars: tuple[str, ...] = ()):
+    """A grid command: one ``row(args, *point)`` per point of the product of
+    the list flags ``axes``, in their order, with ``axes + scalars`` echoed."""
 
-    rows = [row(n, d, r) for n in args.n_list for d in args.d_list for r in args.r_list]
-    columns = ["n", "d", "r", "p_c", "p_H", "dE_h", "dE_c", "weighted_dE_h"]
-    _emit(columns, rows, args, ("n_list", "d_list", "r_list"))
-    return 0
+    def run(args) -> int:
+        points = itertools.product(*(getattr(args, axis) for axis in axes))
+        _emit(columns, [row(args, *point) for point in points], args, axes + scalars)
+        return 0
 
-
-def _cmd_cop(args) -> int:
-    def row(scheme, n, d, r):
-        r_hot = r if args.r_hot is None else args.r_hot
-        value = fridge.cop(n, d, r, r_hot, args.beta_r, scheme)
-        normalized = value / args.beta_r
-        return [scheme, n, d, r, r_hot, value, normalized]
-
-    rows = [
-        row(s, n, d, r)
-        for s in args.scheme
-        for n in args.n_list
-        for d in args.d_list
-        for r in args.r_list
-    ]
-    columns = ["scheme", "n", "d", "r", "r_hot", "cop", "cop_over_gap_beta"]
-    _emit(columns, rows, args, ("scheme", "n_list", "d_list", "r_list", "r_hot", "beta_r"))
-    return 0
+    return run
 
 
-def _cmd_limits(args) -> int:
-    def row(scheme, k, r):
-        return [scheme, k, r, fridge.lowest_r(scheme, r, k)]
+def _branches_row(args, n, d, r):
+    pt = fridge.OperatingPoint.at("ico", n, d, r)
+    return [n, d, r, pt.p_c, pt.p_heating, pt.e_heat - pt.a, pt.e_cool - pt.a, pt.weighted_energy]
 
-    rows = [row(s, k, r) for s in args.scheme for k in args.k_list for r in args.r_list]
-    _emit(["scheme", "k", "r_start", "r_lowest"], rows, args, ("scheme", "k_list", "r_list"))
-    return 0
+
+def _cop_row(args, scheme, n, d, r):
+    r_hot = r if args.r_hot is None else args.r_hot
+    value = fridge.cop(n, d, r, r_hot, args.beta_r, scheme)
+    return [scheme, n, d, r, r_hot, value, value / args.beta_r]
+
+
+def _limits_row(args, scheme, k, r):
+    return [scheme, k, r, fridge.lowest_r(scheme, r, k)]
+
+
+def _cswap_row(args, n, r):
+    p_c, p_h_tot, cool, heat = cswap_populations(n, r)
+    t_pop = r / (1 + r)
+    target = float(cooling_target_marginal(n, r)[1, 1].real)
+    reservoir = float(cooling_reservoir_marginal(n, r)[1, 1].real)
+    total = sum(cool.tolist())
+    # at r = 1 no population moves and the ratio is 0/0, so the cell is NaN
+    ratio = (total - (n + 1) * t_pop) / (target - t_pop) if target != t_pop else math.nan
+    return [n, r, p_c, p_h_tot, target, reservoir, float(heat[0]), ratio]
+
+
+def _traj_row(args, n, r):
+    pt = fridge.OperatingPoint.at("traj", n, 2, r)
+    return [n, r, pt.p_c, pt.p_heating, pt.weighted_energy, pt.weighted_energy / pt.entropy]
 
 
 def _cmd_cycle(args) -> int:
@@ -158,34 +176,6 @@ def _cmd_cycle(args) -> int:
         args.scheme, ens, n=args.n, dim=args.d, seed=args.seed, max_cycles=args.max_cycles
     )
     _write(args.out, trace.to_csv())
-    return 0
-
-
-def _cmd_cswap(args) -> int:
-    def row(n, r):
-        p_c, p_h_tot, cool, heat = cswap_populations(n, r)
-        t_pop = r / (1 + r)
-        target = float(cooling_target_marginal(n, r)[1, 1].real)
-        reservoir = float(cooling_reservoir_marginal(n, r)[1, 1].real)
-        total = sum(cool.tolist())
-        ratio = (total - (n + 1) * t_pop) / (target - t_pop) if target != t_pop else 1.0
-        return [n, r, p_c, p_h_tot, target, reservoir, float(heat[0]), ratio]
-
-    rows = [row(n, r) for n in args.n_list for r in args.r_list]
-    columns = ["n", "r", "p_c", "p_H", "target_cool_pop", "reservoir_cool_pop"]
-    columns += ["target_heat_pop", "total_over_target"]
-    _emit(columns, rows, args, ("n_list", "r_list"))
-    return 0
-
-
-def _cmd_traj(args) -> int:
-    def row(n, r):
-        pt = fridge.OperatingPoint.at("traj", n, 2, r)
-        return [n, r, pt.p_c, pt.p_heating, pt.weighted_energy, pt.weighted_energy / pt.entropy]
-
-    rows = [row(n, r) for n in args.n_list for r in args.r_list]
-    columns = ["n", "r", "p_c", "p_H", "weighted_dE_h", "cop_over_gap_beta"]
-    _emit(columns, rows, args, ("n_list", "r_list"))
     return 0
 
 
@@ -209,7 +199,7 @@ def _cmd_demon(args) -> int:
 def _cmd_verify(args) -> int:
     results = verify.run_checks(names=args.checks or None)
     failures = sum(not res.passed for res in results)
-    if args.format is None:
+    if args.format == "text":
         lines = [
             f"{'PASS' if res.passed else 'FAIL'}  {res.name:36s} {res.seconds:7.2f}s  {res.detail}"
             for res in results
@@ -219,26 +209,9 @@ def _cmd_verify(args) -> int:
         lines.append(f"{len(results) - failures}/{len(results)} checks passed in {seconds:.2f} s")
         _write(args.out, "\n".join(lines) + "\n")
     else:
-        # a NaN defect (a check raised, or hit NaN) is written as null: bare NaN is not JSON
-        rows = [
-            [r.name, r.passed, None if math.isnan(r.defect) else r.defect]
-            + [r.tol, r.seconds, r.detail]
-            for r in results
-        ]
+        rows = [[r.name, r.passed, r.defect, r.tol, r.seconds, r.detail] for r in results]
         _emit(["name", "passed", "defect", "tol", "seconds", "detail"], rows, args)
     return 0 if failures == 0 else 2
-
-
-def _config_echo(args, keys: Sequence[str]) -> dict:
-    config = {"command": args.command}
-    for key in keys:
-        value = getattr(args, key)
-        if isinstance(value, list):
-            value = ",".join(str(v) for v in value)
-        config[key] = value
-    config["seed"] = args.seed
-    config["format"] = args.format
-    return config
 
 
 # ---------------------------------------------------------------------------
@@ -249,26 +222,25 @@ def _config_echo(args, keys: Sequence[str]) -> dict:
 _N_LIST = "2,3,4,10,100"
 _R_LIST = "0.1,0.3,0.5,0.7,0.9"
 
-# the formats a command writes, its default first; None is verify's text table
-_FORMATS = {"cycle": ("csv",), "demon": ("json",), "verify": (None, "json")}
-
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="icofridge", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, formats=("csv", "json")):
+        """The flags every command takes; ``formats`` lists what it writes, default first."""
         p.add_argument("--config", help="flat key=value config file; flags override it")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default=None)
+        p.add_argument("--format", choices=formats, default=formats[0])
 
     p = sub.add_parser("branches", help="branch probabilities and energy changes over a grid")
     common(p)
     p.add_argument("--n-list", type=_int_list, default=_N_LIST)
     p.add_argument("--d-list", type=_int_list, default="2")
     p.add_argument("--r-list", type=_float_list, default=_R_LIST)
-    p.set_defaults(func=_cmd_branches)
+    columns = ["n", "d", "r", "p_c", "p_H", "dE_h", "dE_c", "weighted_dE_h"]
+    p.set_defaults(func=_table(columns, _branches_row, ("n_list", "d_list", "r_list")))
 
     p = sub.add_parser("cop", help="coefficient of performance over a grid")
     common(p)
@@ -278,17 +250,20 @@ def _build_parser() -> _Parser:
     p.add_argument("--r-list", type=_float_list, default=_R_LIST)
     p.add_argument("--r-hot", type=float, default=None, help="default: optimal case r_hot=r")
     p.add_argument("--beta-r", type=float, default=1.0)
-    p.set_defaults(func=_cmd_cop)
+    columns = ["scheme", "n", "d", "r", "r_hot", "cop", "cop_over_gap_beta"]
+    axes = ("scheme", "n_list", "d_list", "r_list")
+    p.set_defaults(func=_table(columns, _cop_row, axes, ("r_hot", "beta_r")))
 
     p = sub.add_parser("limits", help="lowest reachable cold ratio (closed form)")
     common(p)
     p.add_argument("--scheme", type=lambda s: s.split(","), default="ico")
     p.add_argument("--k-list", type=_float_list, default="0.5,1,5,100")
     p.add_argument("--r-list", type=_float_list, default=_R_LIST)
-    p.set_defaults(func=_cmd_limits)
+    columns = ["scheme", "k", "r_start", "r_lowest"]
+    p.set_defaults(func=_table(columns, _limits_row, ("scheme", "k_list", "r_list")))
 
     p = sub.add_parser("cycle", help="finite-reservoir refrigeration trace")
-    common(p)
+    common(p, ("csv",))
     p.add_argument("--scheme", default="ico")
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--d", type=int, default=2)
@@ -303,16 +278,19 @@ def _build_parser() -> _Parser:
     # cswap_populations stops at 16 reservoir qubits
     p.add_argument("--n-list", type=_int_list, default="2,3,4,10")
     p.add_argument("--r-list", type=_float_list, default=_R_LIST)
-    p.set_defaults(func=_cmd_cswap)
+    columns = ["n", "r", "p_c", "p_H", "target_cool_pop", "reservoir_cool_pop"]
+    columns += ["target_heat_pop", "total_over_target"]
+    p.set_defaults(func=_table(columns, _cswap_row, ("n_list", "r_list")))
 
     p = sub.add_parser("traj", help="superposed-trajectory fridge data over a grid")
     common(p)
     p.add_argument("--n-list", type=_int_list, default=_N_LIST)
     p.add_argument("--r-list", type=_float_list, default=_R_LIST)
-    p.set_defaults(func=_cmd_traj)
+    columns = ["n", "r", "p_c", "p_H", "weighted_dE_h", "cop_over_gap_beta"]
+    p.set_defaults(func=_table(columns, _traj_row, ("n_list", "r_list")))
 
     p = sub.add_parser("demon", help="Maxwell-demon sorting experiment")
-    common(p)
+    common(p, ("json",))
     p.add_argument("--scheme", default="ico")
     p.add_argument("--particles", type=int, default=10_000)
     p.add_argument("--n", type=int, default=2)
@@ -322,7 +300,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_demon)
 
     p = sub.add_parser("verify", help="run the named oracle suite")
-    common(p)
+    common(p, ("text", "json"))
     p.add_argument("--checks", nargs="*", default=None, help="subset of check names")
     p.set_defaults(func=_cmd_verify)
 
@@ -359,11 +337,6 @@ def main(argv: list[str] | None = None) -> int:
             # command line's own flags come later and win
             head = argv.index(args.command) + 1
             args = parser.parse_args(argv[:head] + _config_flags(args, parser) + argv[head:])
-        formats = _FORMATS.get(args.command, ("csv", "json"))
-        if args.format is None:
-            args.format = formats[0]
-        elif args.format not in formats:
-            raise UsageError(f"{args.command} cannot write --format {args.format}")
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

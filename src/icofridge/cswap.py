@@ -278,14 +278,10 @@ def ico_cswap_equivalent(r: float) -> tuple[np.ndarray, np.ndarray]:
     plain = [s1, s2]
     ordered = [s2[s1], s1[s2]]  # branch 0: swap R1 then R2; branch 1: reverse
 
-    def invert(p: np.ndarray) -> np.ndarray:
-        inv = np.empty_like(p)
-        inv[p] = np.arange(p.size)
-        return inv
-
     outs = []
     for perms in (plain, ordered):
-        # block (i, j) is rho reindexed by the inverse permutations i and j
-        inv = np.concatenate([invert(p) for p in perms])
+        # block (i, j) is rho reindexed by the inverse permutations i and j;
+        # a permutation's argsort is its inverse
+        inv = np.concatenate([np.argsort(p) for p in perms])
         outs.append(rho_q[np.ix_(inv, inv)] / n)
     return outs[0], outs[1]

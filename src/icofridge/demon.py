@@ -24,7 +24,7 @@ shares no code with the sampled rounds beyond the branch kernel itself.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -107,18 +107,9 @@ class DemonReport:
         return edges, c_counts, d_counts
 
     def to_json(self) -> str:
-        cfg = self.config
         return json.dumps(
             {
-                "config": {
-                    "particles": cfg.particles,
-                    "n": cfg.n,
-                    "r": cfg.r,
-                    "dim": cfg.dim,
-                    "scheme": cfg.scheme,
-                    "rounds": cfg.rounds,
-                    "seed": cfg.seed,
-                },
+                "config": asdict(self.config),
                 "cooled_count": self.cooled_count,
                 "heated_count": self.heated_count,
                 "initial_total_energy": self.initial_total_energy,

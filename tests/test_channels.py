@@ -64,7 +64,7 @@ def test_thermalizing_fixed_point_and_idempotence():
 
 
 def test_apply_channel_identity_and_errors():
-    kset = KrausSet(operators=(np.eye(2),), label="identity")
+    kset = KrausSet(operators=(np.eye(2),))
     rho = np.diag([0.7, 0.3]).astype(complex)
     assert np.max(np.abs(apply_channel(kset, rho) - rho)) == 0
     with pytest.raises(ValueError):

@@ -240,9 +240,10 @@ def test_nonfinite_and_empty_inputs_exit_1(argv, message, capsys):
         (["branches", "--r-list", "1e-320"], "ratio 1e-320 is subnormal"),
         (["demon", "--r", "1e-320"], "ratio 1e-320 is subnormal"),
         (["cswap", "--n-list", "17"], "17 reservoir qubits exceed the population guard (n <= 16)"),
-        (["cycle", "--format", "json"], "cycle cannot write --format json"),
-        (["demon", "--format", "csv"], "demon cannot write --format csv"),
-        (["verify", "--format", "csv"], "verify cannot write --format csv"),
+        # argparse's "choose from" wording differs across Python versions
+        (["cycle", "--format", "json"], "argument --format: invalid choice: 'json'"),
+        (["demon", "--format", "csv"], "argument --format: invalid choice: 'csv'"),
+        (["verify", "--format", "csv"], "argument --format: invalid choice: 'csv'"),
         (["limits", "--r-list", "1e-320"], "ratio 1e-320 is subnormal"),
         (["cycle", "--scheme", "ico,traj"], "unknown scheme 'ico,traj'"),
         (["demon", "--scheme", "traj,ico"], "demon runs support schemes 'ico' and 'traj'"),
@@ -254,6 +255,57 @@ def test_user_errors_exit_1_with_message(argv, message, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"usage error: {message}" in captured.err
+
+
+# each grid command on a tiny grid: its list flags in grid order, then its
+# scalar flags, then seed and format
+_TINY_GRIDS = {
+    "branches": (
+        ["--n-list", "2", "--d-list", "3", "--r-list", "0.5"],
+        {"n_list": "2", "d_list": "3", "r_list": "0.5"},
+    ),
+    "cop": (
+        ["--scheme", "ico,traj", "--n-list", "2", "--r-list", "0.5", "--beta-r", "2"],
+        {"scheme": "ico,traj", "n_list": "2", "d_list": "2", "r_list": "0.5"}
+        | {"r_hot": None, "beta_r": 2.0},
+    ),
+    "limits": (
+        ["--k-list", "1", "--r-list", "0.5"],
+        {"scheme": "ico", "k_list": "1.0", "r_list": "0.5"},
+    ),
+    "cswap": (["--n-list", "2", "--r-list", "0.5"], {"n_list": "2", "r_list": "0.5"}),
+    "traj": (["--n-list", "2", "--r-list", "0.5"], {"n_list": "2", "r_list": "0.5"}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_TINY_GRIDS))
+def test_grid_config_echo(command, capsys):
+    flags, echoed = _TINY_GRIDS[command]
+    config = {"command": command, **echoed, "seed": 7}
+    code, out = run([command, *flags, "--seed", "7"], capsys)
+    assert code == 0
+    assert out.splitlines()[0] == "# config: " + " ".join(
+        f"{k}={v}" for k, v in {**config, "format": "csv"}.items()
+    )
+    code, out = run([command, *flags, "--seed", "7", "--format", "json"], capsys)
+    assert code == 0
+    assert list(json.loads(out)["config"].items()) == list({**config, "format": "json"}.items())
+
+
+def _reject_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+def test_cswap_at_r_one_writes_nan_not_a_ratio(capsys):
+    # at r = 1 the ratio is 0/0; its cell is NaN, written null in JSON
+    code, out = run(["cswap", "--n-list", "2,3", "--r-list", "1", "--format", "json"], capsys)
+    assert code == 0
+    doc = json.loads(out, parse_constant=_reject_constant)
+    column = doc["columns"].index("total_over_target")
+    assert [row[column] for row in doc["rows"]] == [None, None]
+    code, out = run(["cswap", "--n-list", "2", "--r-list", "1"], capsys)
+    assert code == 0
+    assert out.splitlines()[2].split(",")[-1] == "nan"
 
 
 def test_internal_key_error_is_not_a_usage_error(monkeypatch):
