@@ -35,11 +35,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _int_list(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x.strip()]
+    return _nonempty([int(x) for x in text.split(",") if x.strip()])
 
 
 def _float_list(text: str) -> list[float]:
-    return [float(x) for x in text.split(",") if x.strip()]
+    return _nonempty([float(x) for x in text.split(",") if x.strip()])
+
+
+def _nonempty(values: list) -> list:
+    """A list flag's values; an empty one is a usage error, not an empty grid."""
+    if not values:
+        raise argparse.ArgumentTypeError("empty list")
+    return values
 
 
 def read_config_file(path: str) -> dict[str, str]:
@@ -89,15 +96,26 @@ def _emit(columns: Sequence[str], rows: list[list], args, keys: Sequence[str] = 
         lines += [",".join(columns)] + [",".join(map(_cell, row)) for row in rows]
         text = "\n".join(lines) + "\n"
     else:
-        doc = {"config": config, "columns": list(columns), "rows": rows}
-        try:
-            text = json.dumps(doc, indent=1, allow_nan=False)
-        except ValueError:
-            # only a table that holds a non-finite cell pays for this pass
-            doc["rows"] = [[None if _non_finite(v) else v for v in row] for row in rows]
-            text = json.dumps(doc, indent=1, allow_nan=False)
+        head = {"config": config, "columns": list(columns), "rows": []}
+        text = json.dumps(head, indent=1, allow_nan=False)
+        if rows:
+            try:
+                body = _encode_rows(rows)
+            except ValueError:
+                # only a table that holds a non-finite cell pays for this pass
+                body = _encode_rows([[None if _non_finite(v) else v for v in row] for row in rows])
+            # JSON escapes a newline inside a string, so "],\n   [" only
+            # falls between two rows
+            body = body[2:-2].replace("],\n   [", "\n  ],\n  [\n   ")
+            text = text.removesuffix("[]\n}") + "[\n  [\n   " + body + "\n  ]\n ]\n}"
         text += "\n"
     _write(args.out, text)
+
+
+def _encode_rows(rows: list[list]) -> str:
+    """``rows`` with each cell on its own line, as ``indent=1`` lays them out,
+    from the C encoder: ``json.dumps`` with an indent runs the Python one."""
+    return json.JSONEncoder(allow_nan=False, separators=(",\n   ", ": ")).encode(rows)
 
 
 def _non_finite(v) -> bool:

@@ -1,4 +1,6 @@
+import argparse
 import json
+import math
 import re
 
 import pytest
@@ -23,12 +25,6 @@ def test_branches_contains_hot_two_channel_point(capsys):
     assert abs(float(fields[4]) - 0.375) < 1e-12
 
 
-def test_branches_empty_grid_header_only(capsys):
-    code, out = run(["branches", "--n-list", "", "--d-list", "2", "--r-list", "0.5"], capsys)
-    assert code == 0
-    assert len(out.strip().splitlines()) == 2  # config + header
-
-
 def test_branches_weighted_energy_monotone_in_n(capsys):
     n_list = ",".join(str(n) for n in range(2, 101))
     code, out = run(["branches", "--n-list", n_list, "--d-list", "2", "--r-list", "0.1"], capsys)
@@ -46,6 +42,57 @@ def test_json_format(capsys):
     payload = json.loads(out)
     assert payload["config"]["command"] == "branches"
     assert len(payload["rows"]) == 2
+
+
+# tables _emit must write exactly as json.dumps(..., indent=1) lays them out
+_WRITER_TABLES = {
+    "strings": (
+        ["a", "b", "c", "d"],
+        [
+            [",", "[", "]", '"'],
+            ["\\", "\n", "],\n   [", "k\u00e4lte \u2603 \U0001d11e"],
+            ["[[", "]]", "\n  ],\n  [\n   ", ""],
+        ],
+    ),
+    "constants": (
+        ["t", "f", "none", "big", "neg_zero", "tiny", "huge"],
+        [[True, False, None, 2**53 + 1, -0.0, 5e-324, 1e300], [False, True, None, -(2**64), 0.0, -5e-324, -1e300]],
+    ),
+    "non_finite": (["x", "y", "z", "w"], [[math.nan, math.inf, -math.inf, 1.0], [0.5, 2, "nan", math.nan]]),
+    "one_row": (["n", "r", "p"], [[2, 0.5, 0.25]]),
+    "one_column": (["n"], [[1], [2.5], ["x"]]),
+    "no_rows": (["n", "r"], []),
+}
+
+
+@pytest.mark.parametrize("table", sorted(_WRITER_TABLES))
+def test_json_writer_matches_indented_dumps(table, capsys):
+    columns, rows = _WRITER_TABLES[table]
+    args = argparse.Namespace(command="t", seed=3, format="json", out=None)
+    cli._emit(columns, rows, args)
+    cells = [[None if isinstance(v, float) and not math.isfinite(v) else v for v in row] for row in rows]
+    doc = {"config": {"command": "t", "seed": 3, "format": "json"}, "columns": columns, "rows": cells}
+    assert capsys.readouterr().out == json.dumps(doc, indent=1, allow_nan=False) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ["branches"],
+        ["cop"],
+        ["limits"],
+        ["cswap"],
+        ["traj"],
+        ["cswap", "--n-list", "2,3", "--r-list", "0.5,1"],
+        ["verify", "--checks", "qmat_algebra"],
+    ),
+    ids=" ".join,
+)
+def test_json_tables_keep_indented_layout(argv, capsys):
+    # float repr round-trips, so re-dumping the parsed table pins the layout
+    code, out = run([*argv, "--format", "json"], capsys)
+    assert code == 0
+    assert json.dumps(json.loads(out), indent=1) + "\n" == out
 
 
 def test_cop_ratio_column(capsys):
@@ -248,6 +295,13 @@ def test_nonfinite_and_empty_inputs_exit_1(argv, message, capsys):
         (["cycle", "--scheme", "ico,traj"], "unknown scheme 'ico,traj'"),
         (["demon", "--scheme", "traj,ico"], "demon runs support schemes 'ico' and 'traj'"),
         (["cop", "--r-hot", "1e-320", "--n-list", "2", "--r-list", "0.5"], "ratio 1e-320 is subnormal"),
+        # an empty list flag is an error, not an empty grid
+        (["branches", "--n-list", "", "--d-list", "2", "--r-list", "0.5"], "argument --n-list: empty list"),
+        (["branches", "--r-list", ""], "argument --r-list: empty list"),
+        (["branches", "--n-list", ","], "argument --n-list: empty list"),
+        (["limits", "--k-list", " , "], "argument --k-list: empty list"),
+        (["cop", "--scheme", ""], "unknown scheme ''"),
+        (["limits", "--scheme", ","], "no closed-form temperature limit for scheme ''"),
     ),
 )
 def test_user_errors_exit_1_with_message(argv, message, capsys):
@@ -350,6 +404,15 @@ def test_unknown_config_key(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"usage error: {cfg}:2: duplicate config key 'n_list'" in captured.err
+
+
+def test_empty_list_in_config_file_exits_1(tmp_path, capsys):
+    cfg = tmp_path / "empty.cfg"
+    cfg.write_text("r_list=\n")
+    assert cli.main(["branches", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage error: argument --r-list: empty list" in captured.err
 
 
 def test_io_error_exit_code(capsys):
