@@ -96,7 +96,6 @@ def transformation_matrix(
     kraus: KrausSet,
     env_overlaps: Sequence[complex],
     thermal_state: np.ndarray | None = None,
-    tol: float = ALGEBRA_TOL,
 ) -> TransformationMatrix:
     """M = sum_a <env|a> K_a for environment overlaps <env|a>.
 
@@ -114,4 +113,4 @@ def transformation_matrix(
     if thermal_state is None:
         thermal_state = apply_channel(kraus, np.eye(d, dtype=complex) / d)
     bound = float(np.trace(dagger(m) @ np.asarray(thermal_state) @ m).real)
-    return TransformationMatrix(matrix=m, bound=bound, obtainable=bound <= 1.0 / d + tol)
+    return TransformationMatrix(matrix=m, bound=bound, obtainable=bound <= 1.0 / d + ALGEBRA_TOL)

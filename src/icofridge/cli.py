@@ -23,15 +23,11 @@ from .cswap import cooling_reservoir_marginal, cooling_target_marginal, cswap_po
 from .cswap import cswap_evolve  # noqa: F401
 
 
-class UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse variant that reports usage problems with exit code 1."""
 
     def error(self, message):
-        raise UsageError(message)
+        raise ValueError(message)
 
 
 def _int_list(text: str) -> list[int]:
@@ -62,11 +58,11 @@ def read_config_file(path: str) -> dict[str, str]:
             if not line:
                 continue
             if "=" not in line:
-                raise UsageError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
+                raise ValueError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
             key, value = line.split("=", 1)
             key = key.strip().replace("-", "_")
             if key in values:
-                raise UsageError(f"{path}:{lineno}: duplicate config key {key!r}")
+                raise ValueError(f"{path}:{lineno}: duplicate config key {key!r}")
             values[key] = value.strip()
     return values
 
@@ -215,7 +211,7 @@ def _cmd_demon(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    results = verify.run_checks(names=args.checks or None)
+    results = verify.run_checks(names=args.checks)
     failures = sum(not res.passed for res in results)
     if args.format == "text":
         lines = [
@@ -319,7 +315,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("verify", help="run the named oracle suite")
     common(p, ("text", "json"))
-    p.add_argument("--checks", nargs="*", default=None, help="subset of check names")
+    p.add_argument("--checks", nargs="+", default=None, help="subset of check names")
     p.set_defaults(func=_cmd_verify)
 
     return parser
@@ -339,7 +335,7 @@ def _config_flags(args, parser: _Parser) -> list[str]:
         # only a flag of this command, spelled out: argparse would also take
         # a prefix (r for --r-list), and a nested --config would go unread
         if dest == "config" or dest not in vars(args):
-            raise UsageError(f"unknown config key {dest!r}")
+            raise ValueError(f"unknown config key {dest!r}")
         flag = f"--{dest.replace('_', '-')}"
         flags += [flag, *value.split()] if dest in several else [f"{flag}={value}"]
     return flags
@@ -356,9 +352,6 @@ def main(argv: list[str] | None = None) -> int:
             head = argv.index(args.command) + 1
             args = parser.parse_args(argv[:head] + _config_flags(args, parser) + argv[head:])
         return args.func(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
     except IOError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 3

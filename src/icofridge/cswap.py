@@ -43,7 +43,6 @@ class CswapState:
 
     joint: np.ndarray
     n: int
-    r: float
     has_control: bool = True
 
     @property
@@ -100,7 +99,7 @@ def cswap_evolve(n: int, r: float) -> CswapState:
     # the n=8 register (268 MB) is never held twice
     joint = rho_q[np.ix_(perms, perms)]
     joint /= n
-    return CswapState(joint=joint, n=n, r=r)
+    return CswapState(joint=joint, n=n)
 
 
 def cswap_branches(
@@ -127,13 +126,9 @@ def cswap_branches(
     heat = diag_sum - cool
     p_c = float(np.trace(cool).real)
     p_h = float(np.trace(heat).real)
-    cooling = CswapState(joint=cool / p_c, n=n, r=state.r, has_control=False)
-    heating = CswapState(
-        joint=heat / p_h if p_h > ALGEBRA_TOL else cool / p_c,
-        n=n,
-        r=state.r,
-        has_control=False,
-    )
+    cooling = CswapState(joint=cool / p_c, n=n, has_control=False)
+    heat = heat / p_h if p_h > ALGEBRA_TOL else cool / p_c
+    heating = CswapState(joint=heat, n=n, has_control=False)
     return (cooling, p_c), (heating, p_h)
 
 
@@ -210,7 +205,6 @@ def cswap_energy_identity(n: int, r: float) -> tuple[float, float]:
 class DiscardSnapshot:
     """State of the register after thermalizing ``discarded`` qubits away."""
 
-    step: int
     discarded: tuple[int, ...]
     excited_populations: tuple[float, ...]
     heat_released: float  # energy given up by the discarded qubit, in gap units
@@ -243,7 +237,7 @@ def sequential_discard(
     snapshots = []
     cumulative = 0.0
     discarded: tuple[int, ...] = ()
-    for step, q in enumerate(order, start=1):
+    for q in order:
         released = pops[q] - t_energy
         rho = qmat.replace_subsystem(rho, dims, q, t)
         cumulative += released
@@ -251,7 +245,6 @@ def sequential_discard(
         pops = tuple(float(p) for p in rho.diagonal().real @ bits)
         snapshots.append(
             DiscardSnapshot(
-                step=step,
                 discarded=discarded,
                 excited_populations=pops,
                 heat_released=released,

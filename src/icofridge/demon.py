@@ -59,8 +59,12 @@ class DemonReport:
     config: DemonConfig
     final_energies: np.ndarray  # per-particle mean energy, units of the gap
     heated: np.ndarray  # True -> box C, False -> box D (final round)
-    initial_energy: float  # per particle
     rounds_heated_count: list[int] = field(default_factory=list)
+
+    @property
+    def initial_energy(self) -> float:
+        """Per-particle energy of the thermal sample."""
+        return _bath_energy(self.config.dim, self.config.r)
 
     @property
     def cooled_count(self) -> int:
@@ -92,8 +96,8 @@ class DemonReport:
         """(E_final - E_0) / E_0 per particle."""
         return (self.final_energies - self.initial_energy) / self.initial_energy
 
-    def histogram(self, bins: int = 50):
-        """Per-box counts over uniform bins of the energy-change ratio.
+    def histogram(self):
+        """Per-box counts over 50 uniform bins of the energy-change ratio.
 
         Returns (edges, counts_box_c, counts_box_d).
         """
@@ -101,7 +105,7 @@ class DemonReport:
         lo, hi = float(np.min(ratios)), float(np.max(ratios))
         if hi <= lo:
             hi = lo + 1e-12
-        edges = np.linspace(lo, hi, bins + 1)
+        edges = np.linspace(lo, hi, 50 + 1)
         c_counts, _ = np.histogram(ratios[self.heated], bins=edges)
         d_counts, _ = np.histogram(ratios[~self.heated], bins=edges)
         return edges, c_counts, d_counts
@@ -119,8 +123,8 @@ class DemonReport:
             }
         )
 
-    def histogram_csv(self, bins: int = 50) -> str:
-        edges, c_counts, d_counts = self.histogram(bins)
+    def histogram_csv(self) -> str:
+        edges, c_counts, d_counts = self.histogram()
         lines = ["bin_left,bin_right,count_boxC,count_boxD"]
         for i in range(len(c_counts)):
             lines.append(f"{edges[i]:.12g},{edges[i + 1]:.12g},{c_counts[i]},{d_counts[i]}")
@@ -163,7 +167,7 @@ def run_demon(cfg: DemonConfig) -> DemonReport:
     heated_counts = []
     for table, code, heated in _rounds(cfg):
         heated_counts.append(int(np.count_nonzero(heated)))
-    return DemonReport(cfg, table[code], heated, _bath_energy(cfg.dim, cfg.r), heated_counts)
+    return DemonReport(cfg, table[code], heated, heated_counts)
 
 
 def analytic_transfer_fraction(n: int, dim: int, r: float) -> float:
@@ -209,7 +213,12 @@ class HeatJumpReport:
     report: DemonReport
     max_energy_per_round: list[float]
     inversion_count_per_round: list[int]
-    first_inversion_round: int | None
+
+    @property
+    def first_inversion_round(self) -> int | None:
+        """The first round (from 1) with a new inversion, if any."""
+        counts = self.inversion_count_per_round
+        return next((rnd for rnd, count in enumerate(counts, start=1) if count), None)
 
     @property
     def ever_inverted_count(self) -> int:
@@ -235,14 +244,7 @@ def heat_jump_scan(cfg: DemonConfig) -> HeatJumpReport:
         max_energy.append(float(np.max(x)))
         inversions.append(int(np.count_nonzero(new)))
     # the last round's weights are already gathered: x is the final energies
-    report = DemonReport(cfg, x, heated, _bath_energy(cfg.dim, cfg.r), heated_counts)
-    first_round = next((rnd for rnd, count in enumerate(inversions, start=1) if count), None)
-    return HeatJumpReport(
-        report=report,
-        max_energy_per_round=max_energy,
-        inversion_count_per_round=inversions,
-        first_inversion_round=first_round,
-    )
+    return HeatJumpReport(DemonReport(cfg, x, heated, heated_counts), max_energy, inversions)
 
 
 def qubit_never_inverts(r: float) -> bool:

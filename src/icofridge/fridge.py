@@ -93,7 +93,7 @@ def _kernel(scheme: str, n: int, dim: int):
     trace, summed level by level, over N; its normalized excited weight; and
     for ``cswap`` each reservoir qubit's cooling-branch excited weight from
     alpha T + beta T^3, valid at the thermal input only (None otherwise). Not
-    validated; + - * / and one guard touch ``x``, a float or an array.
+    validated; only + - * / touch ``x``, a float or an array.
     """
     d1, n1, nn = dim - 1, n - 1, n * n
     traj, cswap = scheme == "traj", scheme == "cswap"
@@ -115,19 +115,13 @@ def _kernel(scheme: str, n: int, dim: int):
             heat_g, heat_e = g * (a + g * x), a - m_e
         cool_e = a + n1 * m_e
         tr_c = g + n1 * m_g + cool_e
+        # tr_h > 0 at every ratio the ratio rule admits, so no guard divides by it
         tr_h = heat_g + heat_e
-        # tr_h > 0 for every r in (0, 1] unless it underflows; a heating
-        # branch of zero weight passes its input through
-        if isinstance(x, np.ndarray):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                x_heat = np.where(tr_h > 0, heat_e / tr_h, x)
-        else:
-            x_heat = heat_e / tr_h if tr_h > 0 else x
         x_res = None
         if cswap:
             alpha = (n + c_alpha * (m_g + m_e)) / nn
             x_res = (alpha * a + beta * m_e) / (alpha + beta * (m_g + m_e))
-        return tr_c / n, tr_h / n, cool_e / tr_c, x_heat, x_res
+        return tr_c / n, tr_h / n, cool_e / tr_c, heat_e / tr_h, x_res
 
     return step
 
@@ -153,15 +147,20 @@ class OperatingPoint(NamedTuple):
 
     @classmethod
     def at(cls, scheme: str, n: int, dim: int, r: float) -> "OperatingPoint":
-        """Validate (scheme, N, D, r) and evaluate the kernel there once."""
+        """Validate (scheme, N, D, r) and evaluate the kernel there once.
+
+        A heating probability that underflows to 0 (huge N at a tiny r) is
+        rejected: the heating branch and the register entropy vanish there.
+        """
         _validate(scheme, n, dim, r)
         a = _bath_energy(dim, r)
         p_c, p_h, e_cool, e_heat, x_res = _kernel(scheme, n, dim)(r, a)
+        if p_h == 0.0:
+            raise ValueError(f"heating probability underflows to 0 at n={n}, d={dim}, r={r}")
+        n_med = 1
         if scheme == "cswap":
-            e_cool += n * x_res
-            p_heating = (n - 1) * p_h
-            e_heat = ((n + 1) * a - p_c * e_cool) / p_heating if p_heating > 0 else (n + 1) * a
-        return cls(n, dim, p_c, p_h, a, e_cool, e_heat, n + 1 if scheme == "cswap" else 1)
+            e_cool, e_heat, n_med = _cswap_mediums(n, a, p_c, p_h, e_cool, x_res)
+        return cls(n, dim, p_c, p_h, a, e_cool, e_heat, n_med)
 
     @property
     def p_heating(self) -> float:
@@ -191,6 +190,19 @@ class OperatingPoint(NamedTuple):
         """
         pop = self.e_heat / self.n_med
         return pop / (1.0 - pop) / (self.dim - 1)
+
+
+def _cswap_mediums(n: int, a: float, p_c: float, p_h: float, x_cool: float, x_res: float):
+    """cswap's (e_cool, e_heat, n_med) from one kernel step at bath weight ``a``.
+
+    The target and the N reservoir qubits are the N+1 working mediums; the
+    heating-branch sum follows from energy conservation, and falls back to
+    the thermal sum when the heating branches have no weight.
+    """
+    e_cool = x_cool + n * x_res
+    p_heating = (n - 1) * p_h
+    e_heat = ((n + 1) * a - p_c * e_cool) / p_heating if p_heating > 0 else (n + 1) * a
+    return e_cool, e_heat, n + 1
 
 
 def _entropy(n: int, p_c: float, p_h: float) -> float:
@@ -262,7 +274,7 @@ class ReservoirEnsemble:
             _validate_ratio(r)
 
     @classmethod
-    def from_ratio(cls, k: float, r_start: float, n_cold: float = 40.0) -> "ReservoirEnsemble":
+    def from_ratio(cls, k: float, r_start: float, n_cold: float) -> "ReservoirEnsemble":
         """Both baths drawn from one superbath at ``r_start``, sizes in ratio k."""
         return cls(n_cold=n_cold, n_hot=k * n_cold, r_cold=r_start, r_hot=r_start)
 
@@ -338,9 +350,10 @@ def run_cycles(
 
     The loop iterates the bath state; the trace is derived from it. The
     kernel's step is built once, before the loop; each cycle calls it at the
-    current cold ratio (bath energy, cswap medium sums and ratio update are
-    inline) and applies the mean-field heat flows: cooling-branch extraction
-    from the cold pool, and the heating mediums' round trip through the hot
+    current cold ratio (bath energy and ratio update are inline; cswap's
+    medium sums come from ``_cswap_mediums``, as in ``OperatingPoint.at``)
+    and applies the mean-field heat flows: cooling-branch extraction from
+    the cold pool, and the heating mediums' round trip through the hot
     bath. Cold-side loss equals hot-side gain every cycle. The run stops
     when the heating-branch mediums match the hot bath within
     STOP_POPULATION_TOL in excited population, when the cold ratio falls
@@ -363,7 +376,7 @@ def run_cycles(
     stop_reason = "budget"
     step = _kernel(scheme, n, dim)
     cswap = scheme == "cswap"
-    n_med = n + 1 if cswap else 1
+    n_med = 1  # working mediums per branch; cswap's N+1 come with its sums
     for _ in range(max_cycles):
         # branch statistics degenerate at absolute zero; freeze just above it
         r_c = 1e-12 if r_cold < 1e-12 else r_cold  # max(r_cold, 1e-12)
@@ -373,8 +386,7 @@ def run_cycles(
         p_c, p_h, e_cool, e_heat, x_res = step(r_c, a)
         p_heating = (n - 1) * p_h
         if cswap:
-            e_cool = e_cool + n * x_res
-            e_heat = ((n + 1) * a - p_c * e_cool) / p_heating if p_heating > 0 else (n + 1) * a
+            e_cool, e_heat, n_med = _cswap_mediums(n, a, p_c, p_h, e_cool, x_res)
         # heating-branch round trip: mediums equilibrate with the hot bath
         a_h_eq = (nh * a_h + e_heat) / (nh + n_med)
         d_cold = p_c * (e_cool - n_med * a_c) + p_heating * n_med * (a_h_eq - a_c)

@@ -120,8 +120,9 @@ class AncillaSchemeResult:
         )
 
 
-def povm_ancilla_scheme(m: int, out: SwitchOutput) -> AncillaSchemeResult:
-    """Coarse cooling/heating readout for an N = 2**m qubit control register.
+def povm_ancilla_scheme(out: SwitchOutput) -> AncillaSchemeResult:
+    """Coarse cooling/heating readout for a control register of qubits,
+    whose dimension N must be a power of two (at least 2).
 
     The ancilla flags whether the control is in the uniform-superposition
     state; the heralded working states are the same as those of the
@@ -129,8 +130,8 @@ def povm_ancilla_scheme(m: int, out: SwitchOutput) -> AncillaSchemeResult:
     Entropies are in nats.
     """
     n = out.control_dim
-    if n != 2**m:
-        raise ValueError(f"control dimension {n} is not 2**{m}")
+    if n < 2 or n & (n - 1):
+        raise ValueError(f"control dimension {n} is not a power of two")
     basis = build_basis(n)
     outcomes = measure_control(out, basis)
     p_c = outcomes[0].probability

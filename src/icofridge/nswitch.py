@@ -229,8 +229,8 @@ def branch_stats(n: int, spec: ThermalSpec) -> BranchStats:
     )
 
 
-def offdiagonal_blocks_equal(out: SwitchOutput, tol: float = ALGEBRA_TOL) -> bool:
-    """True when all off-diagonal control blocks agree entrywise."""
+def offdiagonal_blocks_equal(out: SwitchOutput) -> bool:
+    """True when all off-diagonal control blocks agree entrywise within ALGEBRA_TOL."""
     ref = None
     for i in range(out.control_dim):
         for j in range(out.control_dim):
@@ -239,6 +239,6 @@ def offdiagonal_blocks_equal(out: SwitchOutput, tol: float = ALGEBRA_TOL) -> boo
             b = out.block(i, j)
             if ref is None:
                 ref = b
-            elif np.max(np.abs(b - ref)) > tol:
+            elif np.max(np.abs(b - ref)) > ALGEBRA_TOL:
                 return False
     return True

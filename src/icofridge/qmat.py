@@ -86,20 +86,6 @@ def partial_trace(m: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> np
     return tensor.reshape(d_keep, d_keep)
 
 
-def permute_subsystems(m: np.ndarray, dims: Sequence[int], perm: Sequence[int]) -> np.ndarray:
-    """Reorder tensor factors: new position i holds old subsystem ``perm[i]``."""
-    m = np.asarray(m)
-    check_shape(m, dims)
-    dims = tuple(int(d) for d in dims)
-    n = len(dims)
-    perm = [int(p) for p in perm]
-    if sorted(perm) != list(range(n)):
-        raise ValueError(f"{perm} is not a permutation of 0..{n - 1}")
-    tensor = m.reshape(dims + dims)
-    tensor = tensor.transpose(perm + [p + n for p in perm])
-    return tensor.reshape(m.shape)
-
-
 def replace_subsystem(
     m: np.ndarray, dims: Sequence[int], index: int, fresh: np.ndarray
 ) -> np.ndarray:
@@ -119,11 +105,12 @@ def replace_subsystem(
         return fresh * np.trace(np.asarray(m)).real
     keep = [k for k in range(n) if k != index]
     rest = partial_trace(m, dims, keep)
-    combined = np.kron(fresh, rest)
-    # combined factor order is [index] + keep; undo it
-    order = [index] + keep
-    perm = [order.index(k) for k in range(n)]
-    return permute_subsystems(combined, [dims[index]] + [dims[k] for k in keep], perm)
+    rest_dims = tuple(dims[k] for k in keep)
+    # fresh (x) rest as a tensor: fresh's row and column axes lead; move them
+    # to subsystem ``index``'s row and column slots
+    tensor = np.multiply.outer(fresh, rest.reshape(rest_dims + rest_dims))
+    tensor = np.moveaxis(tensor, (0, 1), (index, n + index))
+    return tensor.reshape(math.prod(dims), -1)
 
 
 def sqrt_diagonal(m: np.ndarray) -> np.ndarray:

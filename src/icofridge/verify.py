@@ -218,7 +218,7 @@ def _check_entropy_identity():
     for m in (1, 2, 3, 4):
         for r in (0.2, 0.5, 0.6, 0.9):
             t = thermal.gibbs_state(thermal.ThermalSpec.qubit(r))
-            res = measurement.povm_ancilla_scheme(m, nswitch.switch_closed_form(2**m, t, t))
+            res = measurement.povm_ancilla_scheme(nswitch.switch_closed_form(2**m, t, t))
             expected = fridge.OperatingPoint.at("ico", 2**m, 2, r).entropy
             yield from (res.entropy_identity_residual(), abs(res.register_entropy_full - expected))
 

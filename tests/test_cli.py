@@ -302,6 +302,11 @@ def test_nonfinite_and_empty_inputs_exit_1(argv, message, capsys):
         (["limits", "--k-list", " , "], "argument --k-list: empty list"),
         (["cop", "--scheme", ""], "unknown scheme ''"),
         (["limits", "--scheme", ","], "no closed-form temperature limit for scheme ''"),
+        (["verify", "--checks"], "argument --checks: expected at least one argument"),
+        # a heating probability that underflows to 0 is an error, not a p_H = 0 row
+        (["traj", "--n-list", "1" + "0" * 30, "--r-list", "1e-300"], "heating probability underflows to 0"),
+        (["cop", "--n-list", "1" + "0" * 30, "--r-list", "1e-300"], "heating probability underflows to 0"),
+        (["branches", "--n-list", "1" + "0" * 30, "--r-list", "1e-300"], "heating probability underflows to 0"),
     ),
 )
 def test_user_errors_exit_1_with_message(argv, message, capsys):
@@ -413,6 +418,12 @@ def test_empty_list_in_config_file_exits_1(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "usage error: argument --r-list: empty list" in captured.err
+    # a key that takes several values needs at least one word
+    cfg.write_text("checks=\n")
+    assert cli.main(["verify", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage error: argument --checks: expected at least one argument" in captured.err
 
 
 def test_io_error_exit_code(capsys):

@@ -128,7 +128,7 @@ def test_report_json_and_histogram():
     payload = json.loads(rep.to_json())
     assert payload["cooled_count"] + payload["heated_count"] == 1000
     assert abs(payload["transferred_fraction"] - rep.transferred_fraction) < 1e-15
-    edges, c_counts, d_counts = rep.histogram(bins=50)
+    edges, c_counts, d_counts = rep.histogram()
     assert len(edges) == 51
     assert int(c_counts.sum()) == rep.heated_count
     assert int(d_counts.sum()) == rep.cooled_count

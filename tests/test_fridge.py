@@ -312,7 +312,7 @@ def test_ensemble_validation():
         with pytest.raises(ValueError, match="finite"):
             ReservoirEnsemble(n_cold=n_cold, n_hot=n_hot, r_cold=0.5, r_hot=0.5)
     with pytest.raises(ValueError, match="finite"):
-        ReservoirEnsemble.from_ratio(math.inf, 0.5)
+        ReservoirEnsemble.from_ratio(math.inf, 0.5, n_cold=16)
 
 
 def test_run_cycles_rejects_empty_budget():
@@ -397,28 +397,23 @@ def test_traj_branch_kernel_matches_measured_paths(n):
 @pytest.mark.parametrize("scheme", fridge.SCHEMES)
 def test_kernel_float_and_array_paths_agree(scheme, dim):
     # one step per (scheme, N, D), called on floats and on an array, equals
-    # a freshly built step bit for bit
+    # a freshly built step bit for bit, down to the smallest normal ratio and
+    # at a million channels, without dividing by zero anywhere
     xs = [0.0, 0.1, 0.5, 0.9, 1.0]
-    for n in (2, 5):
-        step = fridge._kernel(scheme, n, dim)
-        for r in (1e-9, 0.2, 0.7, 1.0):
-            xs_r = xs + [fridge._bath_energy(dim, r)]
-            batch = step(r, np.array(xs_r))
-            for i, x in enumerate(xs_r):
-                got = step(r, x)
-                assert got == fridge._kernel(scheme, n, dim)(r, x)
-                assert [float(b[i]) for b in batch[:4]] == list(got[:4])
-                if scheme == "cswap":
-                    assert float(batch[4][i]) == got[4]
-                else:
-                    assert batch[4] is None and got[4] is None
-
-
-def test_branch_kernel_guard_passes_input_through():
-    # a heating branch of zero weight (only at r = 0, which callers reject)
-    # leaves the input unchanged instead of dividing by zero
-    assert fridge._kernel("ico", 2, 2)(0.0, 0.0)[3] == 0.0
-    assert fridge._kernel("ico", 2, 2)(0.0, np.array([0.0, 0.3]))[3].tolist() == [0.0, 0.0]
+    with np.errstate(divide="raise", invalid="raise"):
+        for n in (2, 5, 10**6):
+            step = fridge._kernel(scheme, n, dim)
+            for r in (2.3e-308, 1e-300, 1e-9, 0.2, 0.7, 1.0):
+                xs_r = xs + [fridge._bath_energy(dim, r)]
+                batch = step(r, np.array(xs_r))
+                for i, x in enumerate(xs_r):
+                    got = step(r, x)
+                    assert got == fridge._kernel(scheme, n, dim)(r, x)
+                    assert [float(b[i]) for b in batch[:4]] == list(got[:4])
+                    if scheme == "cswap":
+                        assert float(batch[4][i]) == got[4]
+                    else:
+                        assert batch[4] is None and got[4] is None
 
 
 def _exact_branches(scheme, n, dim, r, x):

@@ -90,7 +90,7 @@ def test_basis_dimension_mismatch():
 
 def test_povm_single_qubit_control_reduces_to_plus_minus():
     out = switch_at(2, 0.4)
-    res = povm_ancilla_scheme(1, out)
+    res = povm_ancilla_scheme(out)
     outcomes = measure_control(out, build_basis(2))
     assert abs(res.cooling.probability - outcomes[0].probability) < 1e-14
     assert np.max(np.abs(res.heating.state - outcomes[1].state)) < 1e-14
@@ -98,7 +98,7 @@ def test_povm_single_qubit_control_reduces_to_plus_minus():
 
 def test_povm_matches_fine_grained_probabilities():
     out = switch_at(4, 0.5)
-    res = povm_ancilla_scheme(2, out)
+    res = povm_ancilla_scheme(out)
     outcomes = measure_control(out, build_basis(4))
     assert abs(res.cooling.probability - outcomes[0].probability) < 1e-12
     assert abs(res.heating.probability - sum(o.probability for o in outcomes[1:])) < 1e-12
@@ -109,7 +109,7 @@ def test_povm_unnormalized_closed_forms():
     n, r = 8, 0.3
     t = thermal.gibbs_state(ThermalSpec.qubit(r))
     t3 = np.linalg.matrix_power(t, 3)
-    res = povm_ancilla_scheme(3, switch_at(n, r))
+    res = povm_ancilla_scheme(switch_at(n, r))
     cool_unnorm = res.cooling.probability * res.cooling.state
     heat_unnorm = res.heating.probability * res.heating.state
     assert np.max(np.abs(cool_unnorm - (t + (n - 1) * t3) / n)) < 1e-12
@@ -118,14 +118,14 @@ def test_povm_unnormalized_closed_forms():
 
 def test_entropy_identity():
     for m, r in ((2, 0.5), (3, 0.2), (4, 0.8)):
-        res = povm_ancilla_scheme(m, switch_at(2**m, r))
+        res = povm_ancilla_scheme(switch_at(2**m, r))
         assert res.entropy_identity_residual() < 1e-10
         assert abs(res.control_entropy - math.log(2**m - 1)) < 1e-15
 
 
 def test_povm_requires_power_of_two():
     with pytest.raises(ValueError):
-        povm_ancilla_scheme(2, switch_at(3, 0.5))
+        povm_ancilla_scheme(switch_at(3, 0.5))
 
 
 @pytest.mark.parametrize("d", (2, 3))

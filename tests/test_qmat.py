@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -162,14 +164,27 @@ def test_sqrt_diagonal():
         qmat.sqrt_diagonal(np.array([[1, 0.5], [0.5, 1]], dtype=complex))
 
 
-def test_permute_subsystems_roundtrip():
-    rng = np.random.default_rng(4)
-    dims = (2, 3, 2)
-    m = random_matrix(rng, 12)
-    perm = (2, 0, 1)
-    out = qmat.permute_subsystems(m, dims, perm)
-    back = qmat.permute_subsystems(out, tuple(dims[p] for p in perm), (1, 2, 0))
-    assert np.max(np.abs(back - m)) < 1e-14
+def _kron_then_transpose(m, dims, index, fresh):
+    """Oracle: fresh (x) the other subsystems' marginal, whose factors are
+    then put back in their order by one transpose."""
+    n = len(dims)
+    keep = [k for k in range(n) if k != index]
+    combined = np.kron(fresh, qmat.partial_trace(m, dims, keep))
+    order = [index] + keep  # combined's factor order
+    perm = [order.index(k) for k in range(n)]
+    factors = tuple(dims[k] for k in order)
+    tensor = combined.reshape(factors + factors).transpose(perm + [p + n for p in perm])
+    return tensor.reshape(m.shape)
+
+
+@pytest.mark.parametrize("dims", ((2, 3), (3, 2, 2), (4, 2, 3), (2,) * 5))
+def test_replace_subsystem_equals_kron_then_transpose(dims):
+    rng = np.random.default_rng(len(dims))
+    m = random_matrix(rng, math.prod(dims))
+    for index, d in enumerate(dims):
+        fresh = random_matrix(rng, d)
+        expected = _kron_then_transpose(m, dims, index, fresh)
+        assert np.array_equal(qmat.replace_subsystem(m, dims, index, fresh), expected)
 
 
 def test_replace_subsystem_leaves_other_marginals():
