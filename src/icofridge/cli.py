@@ -1,9 +1,12 @@
 """Command-line front end: sweeps, plot-ready data tables, cycle traces,
 demon runs, and the oracle verification suite.
 
-Every table embeds its full effective configuration in a ``# config:`` header
-(CSV) or a ``config`` object (JSON), so any output file can be regenerated
-exactly. Rows are written in grid order.
+This is the one module that knows the output format. Every CSV or JSON
+output embeds its full effective configuration in a ``# config:`` header
+(CSV) or a ``config`` object (JSON): ``command``, each flag, ``seed`` and
+``format``, so passing the echoed flags back regenerates the file exactly.
+``cycle``'s echo ends with its results, ``stop`` and ``audit_defect``. Rows
+are written in grid order; ``demon`` writes its summary as one row.
 
 Exit codes: 0 success, 1 usage error, 2 verification failure, 3 I/O failure.
 """
@@ -78,19 +81,35 @@ def parse_config_comment(line: str) -> dict[str, str]:
     return values
 
 
-def _emit(columns: Sequence[str], rows: list[list], args, keys: Sequence[str] = ()):
-    """Write ``rows`` in ``args.format`` to ``args.out``, headed by the config
-    echo of the flags named in ``keys``. A NaN or infinite cell is ``nan`` or
-    ``inf`` in CSV and ``null`` in JSON, which has no such numbers."""
+def _config(args, keys: Sequence[str] = (), **results) -> dict:
+    """The config echo: ``command``, the flags named in ``keys``, ``seed`` and
+    ``format``, then the run's ``results``."""
     config = {"command": args.command}
     for key in keys:
         value = getattr(args, key)
         config[key] = ",".join(str(v) for v in value) if isinstance(value, list) else value
-    config.update(seed=args.seed, format=args.format)
+    config.update(seed=args.seed, format=args.format, **results)
+    return config
+
+
+def _config_comment(config: dict) -> str:
+    """The ``# config:`` header line of a CSV table; ``parse_config_comment`` inverts it."""
+    return "# config: " + " ".join(f"{k}={v}" for k, v in config.items()) + "\n"
+
+
+def _csv(columns: Sequence[str], rows) -> str:
+    """The column line and one line of cells per row."""
+    lines = [",".join(columns)] + [",".join(map(_cell, row)) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _emit(columns: Sequence[str], rows: list[list], args, keys: Sequence[str] = ()):
+    """Write ``rows`` in ``args.format`` to ``args.out``, headed by the config
+    echo of the flags named in ``keys``. A NaN or infinite cell is ``nan`` or
+    ``inf`` in CSV and ``null`` in JSON, which has no such numbers."""
+    config = _config(args, keys)
     if args.format == "csv":
-        lines = ["# config: " + " ".join(f"{k}={v}" for k, v in config.items())]
-        lines += [",".join(columns)] + [",".join(map(_cell, row)) for row in rows]
-        text = "\n".join(lines) + "\n"
+        text = _config_comment(config) + _csv(columns, rows)
     else:
         head = {"config": config, "columns": list(columns), "rows": []}
         text = json.dumps(head, indent=1, allow_nan=False)
@@ -189,7 +208,10 @@ def _cmd_cycle(args) -> int:
     trace = fridge.run_cycles(
         args.scheme, ens, n=args.n, dim=args.d, seed=args.seed, max_cycles=args.max_cycles
     )
-    _write(args.out, trace.to_csv())
+    keys = ("scheme", "n", "d", "k", "r_start", "n_cold", "max_cycles")
+    config = _config(args, keys, stop=trace.stop_reason, audit_defect=trace.audit_defect())
+    # the trace writes its own rows: a template per row is half the cost of _cell per cell
+    _write(args.out, _config_comment(config) + trace.to_csv())
     return 0
 
 
@@ -204,9 +226,14 @@ def _cmd_demon(args) -> int:
         seed=args.seed,
     )
     report = demon.run_demon(cfg)
-    _write(args.out, report.to_json() + "\n")
+    columns = ["cooled_count", "heated_count", "initial_total_energy"]
+    columns += ["box_c_energy", "box_d_energy", "transferred_fraction"]
+    row = [getattr(report, column) for column in columns]
+    _emit(columns, [row], args, ("scheme", "particles", "n", "d", "r", "rounds"))
     if args.out is not None:
-        _write(args.out + ".hist.csv", report.histogram_csv())
+        edges, c_counts, d_counts = report.histogram()
+        rows = zip(edges[:-1], edges[1:], c_counts, d_counts)
+        _write(args.out + ".hist.csv", _csv(["bin_left", "bin_right", "count_boxC", "count_boxD"], rows))
     return 0
 
 

@@ -23,8 +23,7 @@ shares no code with the sampled rounds beyond the branch kernel itself.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -109,26 +108,6 @@ class DemonReport:
         c_counts, _ = np.histogram(ratios[self.heated], bins=edges)
         d_counts, _ = np.histogram(ratios[~self.heated], bins=edges)
         return edges, c_counts, d_counts
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "config": asdict(self.config),
-                "cooled_count": self.cooled_count,
-                "heated_count": self.heated_count,
-                "initial_total_energy": self.initial_total_energy,
-                "box_c_energy": self.box_c_energy,
-                "box_d_energy": self.box_d_energy,
-                "transferred_fraction": self.transferred_fraction,
-            }
-        )
-
-    def histogram_csv(self) -> str:
-        edges, c_counts, d_counts = self.histogram()
-        lines = ["bin_left,bin_right,count_boxC,count_boxD"]
-        for i in range(len(c_counts)):
-            lines.append(f"{edges[i]:.12g},{edges[i + 1]:.12g},{c_counts[i]},{d_counts[i]}")
-        return "\n".join(lines) + "\n"
 
 
 def _rounds(cfg: DemonConfig):

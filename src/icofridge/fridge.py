@@ -215,7 +215,10 @@ def work_cost(entropy: float, beta_r: float) -> float:
         raise ValueError("entropy must be nonnegative")
     if not 0.0 < beta_r < math.inf:
         raise ValueError(f"erasure inverse temperature beta_r={beta_r} must be positive and finite")
-    return entropy / beta_r
+    work = entropy / beta_r
+    if work == math.inf:
+        raise ValueError(f"erasure work overflows at beta_r={beta_r} (entropy {entropy})")
+    return work
 
 
 def cop(n: int, dim: int, r: float, r_hot: float, beta_r: float, scheme: str = "ico") -> float:
@@ -233,6 +236,8 @@ def cop(n: int, dim: int, r: float, r_hot: float, beta_r: float, scheme: str = "
         raise ValueError(f"hot ratio {r_hot} must be positive and finite")
     _validate_ratio(min(r_hot, 1.0))
     a_hot = _bath_energy(dim, r_hot)
+    if math.isnan(a_hot):  # (dim - 1) * r_hot overflows
+        raise ValueError(f"hot ratio {r_hot} overflows the bath energy at d={dim}")
     numerator = point.weighted_energy - point.p_heating * point.n_med * (a_hot - point.a)
     return numerator / work_cost(point.entropy, beta_r)
 
@@ -254,6 +259,8 @@ def lowest_r(scheme: str, r_start: float, k: float) -> float:
         raw = (k - (k + 2) * r) / (k * r - 2 - k)
     else:
         raise ValueError(f"no closed-form temperature limit for scheme {scheme!r}")
+    if math.isnan(raw):  # 2 * k overflows
+        raise ValueError(f"reservoir size ratio k={k} overflows the temperature limit")
     return min(max(raw, 0.0), r_start) + 0.0  # normalize -0.0
 
 
@@ -287,15 +294,6 @@ class ReservoirEnsemble:
 class CycleTrace:
     """Per-cycle record of a refrigeration run."""
 
-    scheme: str
-    n: int
-    dim: int
-    seed: int
-    n_cold: float = 0.0
-    n_hot: float = 0.0
-    r_start_cold: float = 1.0
-    r_start_hot: float = 1.0
-    max_cycles: int = 0
     cycles: list[int] = field(default_factory=list)
     branches: list[str] = field(default_factory=list)
     r_cold: list[float] = field(default_factory=list)
@@ -318,13 +316,8 @@ class CycleTrace:
         return float(np.max(np.abs(np.subtract(self.heat_cold, self.heat_hot))))
 
     def to_csv(self) -> str:
-        header = (
-            f"# config: command=cycle scheme={self.scheme} n={self.n} d={self.dim} "
-            f"seed={self.seed} n_cold={self.n_cold:.12g} n_hot={self.n_hot:.12g} "
-            f"r_start={self.r_start_cold:.12g} r_hot_start={self.r_start_hot:.12g} "
-            f"max_cycles={self.max_cycles} stop={self.stop_reason}\n"
-            "cycle,branch,r_cold,r_hot,heat_cold,heat_hot,work,entropy\n"
-        )
+        """The column line and one row per cycle; ``cli`` writes the config header."""
+        header = "cycle,branch,r_cold,r_hot,heat_cold,heat_hot,work,entropy\n"
         columns = (
             self.cycles,
             self.branches,
@@ -417,15 +410,6 @@ def run_cycles(
     entropy = _entropy(n, p_c, p_h)
     cooling = np.random.default_rng(seed).random(m) < p_c
     return CycleTrace(
-        scheme=scheme,
-        n=n,
-        dim=dim,
-        seed=seed,
-        n_cold=nc,
-        n_hot=nh,
-        r_start_cold=ensemble.r_cold,
-        r_start_hot=ensemble.r_hot,
-        max_cycles=max_cycles,
         cycles=list(range(1, m + 1)),
         branches=_LABELS[cooling.astype(int)].tolist(),
         r_cold=cold_ratios,

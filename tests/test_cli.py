@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from icofridge import cli, fridge
+from icofridge import cli, demon, fridge
 
 
 def run(argv, capsys):
@@ -85,6 +85,7 @@ def test_json_writer_matches_indented_dumps(table, capsys):
         ["traj"],
         ["cswap", "--n-list", "2,3", "--r-list", "0.5,1"],
         ["verify", "--checks", "qmat_algebra"],
+        ["demon", "--particles", "100"],
     ),
     ids=" ".join,
 )
@@ -132,9 +133,19 @@ def test_cycle_trace(tmp_path, capsys):
         capsys,
     )
     assert code == 0
-    lines = out_path.read_text().strip().splitlines()
+    text = out_path.read_text()
+    lines = text.strip().splitlines()
     assert lines[1] == "cycle,branch,r_cold,r_hot,heat_cold,heat_hot,work,entropy"
     assert len(lines) == 2 + 50
+    # the header echoes the flags, then the run's stop reason and audit
+    config = cli.parse_config_comment(lines[0])
+    flags = ["scheme", "n", "d", "k", "r_start", "n_cold", "max_cycles", "seed", "format"]
+    assert list(config) == ["command", *flags, "stop", "audit_defect"]
+    ens = fridge.ReservoirEnsemble.from_ratio(1.0, 0.3, n_cold=16.0)
+    trace = fridge.run_cycles("ico", ens, n=2, max_cycles=50)
+    assert config["stop"] == trace.stop_reason
+    assert float(config["audit_defect"]) == trace.audit_defect()
+    assert text.split("\n", 1)[1] == trace.to_csv()
 
 
 def test_cswap_table(capsys):
@@ -159,63 +170,74 @@ def test_demon_files(tmp_path, capsys):
         capsys,
     )
     assert code == 0
-    payload = json.loads(out_path.read_text())
-    assert payload["cooled_count"] + payload["heated_count"] == 500
-    hist = (tmp_path / "demon.json.hist.csv").read_text().splitlines()
-    assert hist[0] == "bin_left,bin_right,count_boxC,count_boxD"
+    doc = json.loads(out_path.read_text())
+    assert doc["config"] == {
+        "command": "demon", "scheme": "ico", "particles": 500, "n": 2, "d": 2, "r": 0.2, "rounds": 1,
+        "seed": 5, "format": "json",
+    }
+    (row,) = doc["rows"]
+    report = demon.run_demon(demon.DemonConfig(particles=500, n=2, r=0.2, seed=5))
+    assert row == [getattr(report, column) for column in doc["columns"]]
+    assert row[0] + row[1] == 500
+    # the histogram keeps the bytes of its former f-string writer
+    edges, c_counts, d_counts = report.histogram()
+    lines = ["bin_left,bin_right,count_boxC,count_boxD"]
+    lines += [f"{edges[i]:.12g},{edges[i + 1]:.12g},{c_counts[i]},{d_counts[i]}" for i in range(len(c_counts))]
+    assert (tmp_path / "demon.json.hist.csv").read_text() == "\n".join(lines) + "\n"
 
 
-def test_round_trip_regenerates_identical_output(tmp_path, capsys):
-    args = ["branches", "--n-list", "2,5", "--d-list", "2,3", "--r-list", "0.1,0.9"]
-    code, first = run(args, capsys)
+def _command_parser(command):
+    (commands,) = [a for a in cli._build_parser()._actions if a.dest == "command"]
+    return commands.choices[command]
+
+
+# every deterministic command with flags off their defaults, one float at 17
+# significant digits; the second cop run leaves r_hot at its default, echoed null
+_REGENERATE = {
+    "branches": [
+        "branches", "--n-list", "2,7", "--d-list", "2,3", "--r-list", "0.12345678901234567,0.9", "--seed", "3"
+    ],
+    "cop": [
+        "cop", "--scheme", "ico,traj", "--n-list", "3", "--r-list", "0.3", "--r-hot", "0.7", "--beta-r", "2.5"
+    ],
+    "cop-default-r-hot": ["cop", "--n-list", "2,5", "--r-list", "0.12345678901234567", "--beta-r", "0.5"],
+    "limits": ["limits", "--scheme", "ico,traj", "--k-list", "0.5,3.3333333333333335", "--r-list", "0.2"],
+    "cswap": ["cswap", "--n-list", "2,5", "--r-list", "0.12345678901234567"],
+    "traj": ["traj", "--n-list", "4", "--r-list", "0.12345678901234567", "--seed", "2"],
+    "cycle": [
+        "cycle", "--n", "3", "--d", "3", "--k", "3.3333333333333335", "--r-start", "0.12345678901234567",
+        "--n-cold", "8", "--max-cycles", "40", "--seed", "9",
+    ],
+    "demon": [
+        "demon", "--particles", "300", "--n", "3", "--d", "3", "--r", "0.12345678901234567", "--rounds", "2",
+        "--seed", "4",
+    ],
+}
+_FORMATS = {
+    name: [a for a in _command_parser(argv[0])._actions if a.dest == "format"][0].choices
+    for name, argv in _REGENERATE.items()
+}
+
+
+@pytest.mark.parametrize(
+    "name, fmt", [pytest.param(name, fmt, id=f"{name}-{fmt}") for name in _REGENERATE for fmt in _FORMATS[name]]
+)
+def test_echo_regenerates_identical_output(name, fmt, capsys):
+    argv = _REGENERATE[name]
+    code, first = run([*argv, "--format", fmt], capsys)
     assert code == 0
-    config = cli.parse_config_comment(first.splitlines()[0])
-    rebuilt = [
-        config["command"],
-        "--n-list",
-        config["n_list"],
-        "--d-list",
-        config["d_list"],
-        "--r-list",
-        config["r_list"],
-        "--seed",
-        config["seed"],
-        "--format",
-        config["format"],
+    config = json.loads(first)["config"] if fmt == "json" else cli.parse_config_comment(first.splitlines()[0])
+    # rebuild the command line from the echoed keys that are its flags:
+    # not command, not a run's results, not a default that is null
+    flags = {a.dest for a in _command_parser(argv[0])._actions}
+    rebuilt = [argv[0]] + [
+        f"--{key.replace('_', '-')}={value}"
+        for key, value in config.items()
+        if key in flags and value not in (None, "None")
     ]
     code, second = run(rebuilt, capsys)
     assert code == 0
-    assert first == second
-
-
-def test_cycle_round_trip_from_header(tmp_path, capsys):
-    args = ["cycle", "--scheme", "traj", "--k", "2", "--r-start", "0.4", "--seed", "9", "--max-cycles", "40"]
-    code, first = run(args, capsys)
-    assert code == 0
-    config = cli.parse_config_comment(first.splitlines()[0])
-    k = float(config["n_hot"]) / float(config["n_cold"])
-    rebuilt = [
-        "cycle",
-        "--scheme",
-        config["scheme"],
-        "--n",
-        config["n"],
-        "--d",
-        config["d"],
-        "--k",
-        str(k),
-        "--r-start",
-        config["r_start"],
-        "--n-cold",
-        config["n_cold"],
-        "--seed",
-        config["seed"],
-        "--max-cycles",
-        config["max_cycles"],
-    ]
-    code, second = run(rebuilt, capsys)
-    assert code == 0
-    assert first == second
+    assert second == first
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):
@@ -307,6 +329,23 @@ def test_nonfinite_and_empty_inputs_exit_1(argv, message, capsys):
         (["traj", "--n-list", "1" + "0" * 30, "--r-list", "1e-300"], "heating probability underflows to 0"),
         (["cop", "--n-list", "1" + "0" * 30, "--r-list", "1e-300"], "heating probability underflows to 0"),
         (["branches", "--n-list", "1" + "0" * 30, "--r-list", "1e-300"], "heating probability underflows to 0"),
+        # an overflow inside a closed form is an error, not a nan or 0 row
+        (
+            ["limits", "--scheme", "ico", "--k-list", "1e308", "--r-list", "0.5"],
+            "reservoir size ratio k=1e+308 overflows the temperature limit",
+        ),
+        (
+            ["cop", "--r-hot", "1e308", "--d-list", "3", "--n-list", "2", "--r-list", "0.5"],
+            "hot ratio 1e+308 overflows the bath energy at d=3",
+        ),
+        (
+            ["cop", "--beta-r", "1e-320", "--n-list", "2", "--r-list", "0.5"],
+            "erasure work overflows at beta_r=1e-320",
+        ),
+        (
+            ["cop", "--n-list", "1" + "0" * 15, "--r-list", "0.5", "--beta-r", "3e-308"],
+            "erasure work overflows at beta_r=3e-308",
+        ),
     ),
 )
 def test_user_errors_exit_1_with_message(argv, message, capsys):

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -86,7 +85,9 @@ def test_seed_determinism_bit_identical():
     a, b = run_demon(cfg), run_demon(cfg)
     assert np.array_equal(a.final_energies, b.final_energies)
     assert np.array_equal(a.heated, b.heated)
-    assert a.to_json() == b.to_json()
+    assert a.rounds_heated_count == b.rounds_heated_count
+    summary = ("cooled_count", "heated_count", "box_c_energy", "box_d_energy", "transferred_fraction")
+    assert [getattr(a, name) for name in summary] == [getattr(b, name) for name in summary]
 
 
 def test_heat_jump_inversions_at_many_reservoirs():
@@ -125,15 +126,11 @@ def test_heat_jump_single_round_matches_run():
 def test_report_json_and_histogram():
     cfg = DemonConfig(particles=1000, n=2, r=0.2, seed=3)
     rep = run_demon(cfg)
-    payload = json.loads(rep.to_json())
-    assert payload["cooled_count"] + payload["heated_count"] == 1000
-    assert abs(payload["transferred_fraction"] - rep.transferred_fraction) < 1e-15
+    assert rep.cooled_count + rep.heated_count == 1000
     edges, c_counts, d_counts = rep.histogram()
     assert len(edges) == 51
     assert int(c_counts.sum()) == rep.heated_count
     assert int(d_counts.sum()) == rep.cooled_count
-    text = rep.histogram_csv()
-    assert text.splitlines()[0] == "bin_left,bin_right,count_boxC,count_boxD"
 
 
 def test_energy_conservation_in_expectation():

@@ -175,9 +175,8 @@ def test_trace_csv_format():
     ens = ReservoirEnsemble.from_ratio(1.0, 0.5, n_cold=16)
     trace = run_cycles("ico", ens, n=2, seed=7, max_cycles=5)
     lines = trace.to_csv().strip().splitlines()
-    assert lines[0].startswith("# config: command=cycle scheme=ico")
-    assert lines[1] == "cycle,branch,r_cold,r_hot,heat_cold,heat_hot,work,entropy"
-    assert len(lines) == 2 + 5
+    assert lines[0] == "cycle,branch,r_cold,r_hot,heat_cold,heat_hot,work,entropy"
+    assert len(lines) == 1 + 5
 
 
 TRACE_COLUMNS = ("cycles", "branches", "r_cold", "r_hot", "heat_cold", "heat_hot", "work", "entropy")
@@ -186,12 +185,6 @@ TRACE_COLUMNS = ("cycles", "branches", "r_cold", "r_hot", "heat_cold", "heat_hot
 def _fstring_csv(trace):
     """Reference writer: one f-string per row, written to a buffer."""
     buf = io.StringIO()
-    buf.write(
-        f"# config: command=cycle scheme={trace.scheme} n={trace.n} d={trace.dim} "
-        f"seed={trace.seed} n_cold={trace.n_cold:.12g} n_hot={trace.n_hot:.12g} "
-        f"r_start={trace.r_start_cold:.12g} r_hot_start={trace.r_start_hot:.12g} "
-        f"max_cycles={trace.max_cycles} stop={trace.stop_reason}\n"
-    )
     buf.write("cycle,branch,r_cold,r_hot,heat_cold,heat_hot,work,entropy\n")
     for row in zip(*(getattr(trace, name) for name in TRACE_COLUMNS)):
         buf.write(
@@ -212,8 +205,7 @@ def test_trace_csv_extreme_values_match_fstring_reference():
     values = [-0.0, 1e-300, 1e300, 0.1 + 0.2, -1.5e-7, 123456789012345.0]
     m = len(values)
     trace = fridge.CycleTrace(
-        scheme="ico", n=2, dim=2, seed=0, n_cold=16.0, n_hot=1e300, r_start_cold=-0.0,
-        r_start_hot=1e-300, max_cycles=m, cycles=list(range(1, m + 1)),
+        cycles=list(range(1, m + 1)),
         branches=["cooling", "heating"] * (m // 2), r_cold=values, r_hot=values[::-1],
         heat_cold=values, heat_hot=values[::-1], work=values, entropy=values[::-1],
     )

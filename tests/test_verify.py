@@ -70,9 +70,7 @@ def test_negative_defects_fold_to_the_zero_floor(monkeypatch):
 
 
 def test_audit_defect_keeps_nan():
-    trace = fridge.CycleTrace(
-        "ico", 2, 2, 0, cycles=[1, 2], heat_cold=[0.1, math.nan], heat_hot=[0.1, 0.2]
-    )
+    trace = fridge.CycleTrace(cycles=[1, 2], heat_cold=[0.1, math.nan], heat_hot=[0.1, 0.2])
     assert math.isnan(trace.audit_defect())
 
 
