@@ -132,6 +132,18 @@ def cswap_branches(
     return (cooling, p_c), (heating, p_h)
 
 
+def cswap_measure(
+    n: int, r: float
+) -> tuple[tuple[CswapState, float], tuple[CswapState, float]]:
+    """``cswap_branches`` of ``cswap_evolve(n, r)`` in the coherent basis.
+
+    The dense joint is freed before this returns, so a caller that loops
+    over grid points holds one joint at a time, never the previous point's
+    beside the next.
+    """
+    return cswap_branches(cswap_evolve(n, r), build_basis(n))
+
+
 def cswap_populations(n: int, r: float) -> tuple[float, float, np.ndarray, np.ndarray]:
     """Branch probabilities and excited populations without the joint state.
 
@@ -193,8 +205,7 @@ def cswap_energy_identity(n: int, r: float) -> tuple[float, float]:
     the two are equal, which is how the total heat splits between the
     working qubit and the reservoir register.
     """
-    state = cswap_evolve(n, r)
-    (cooling, _), _ = cswap_branches(state, build_basis(n))
+    (cooling, _), _ = cswap_measure(n, r)
     t_pop = r / (1 + r)
     res_pop = float(cooling.qubit_marginal(1)[1, 1].real)
     tgt_pop = float(cooling.qubit_marginal(0)[1, 1].real)

@@ -41,6 +41,8 @@ gap; work uses a unit-inverse-temperature erasure reservoir.
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -58,7 +60,7 @@ STOP_POPULATION_TOL = 1e-6
 # branch probabilities (hence all flows) vanish with r, so the run has frozen.
 COLD_EXHAUSTED_TOL = 1e-7
 
-# branch labels indexed by "cooling drawn": a trace's label list holds these
+# branch labels indexed by "cooling drawn": a trace's label array holds these
 # two objects, not one new string per cycle
 _LABELS = np.array(["heating", "cooling"], dtype=object)
 
@@ -275,15 +277,24 @@ class ReservoirEnsemble:
 
     def __post_init__(self):
         for count in (self.n_cold, self.n_hot):
-            if not 0.0 < count < math.inf:
-                raise ValueError(f"particle count {count} must be positive and finite")
+            _validate_size(f"particle count {count}", count)
         for r in (self.r_cold, self.r_hot):
             _validate_ratio(r)
 
     @classmethod
     def from_ratio(cls, k: float, r_start: float, n_cold: float) -> "ReservoirEnsemble":
-        """Both baths drawn from one superbath at ``r_start``, sizes in ratio k."""
-        return cls(n_cold=n_cold, n_hot=k * n_cold, r_cold=r_start, r_hot=r_start)
+        """Both baths drawn from one superbath at ``r_start``, sizes in ratio k.
+
+        ``k`` is checked itself, so an error names it rather than the
+        product ``k * n_cold``, including when that product over- or
+        underflows.
+        """
+        _validate_size(f"reservoir size ratio k={k}", k)
+        n_hot = k * n_cold
+        if _is_normal(n_cold) and not _is_normal(n_hot):
+            flow = "overflows" if n_hot == math.inf else "underflows"
+            raise ValueError(f"reservoir size ratio k={k} {flow} the hot particle count at n_cold={n_cold}")
+        return cls(n_cold=n_cold, n_hot=n_hot, r_cold=r_start, r_hot=r_start)
 
     @property
     def k(self) -> float:
@@ -292,25 +303,31 @@ class ReservoirEnsemble:
 
 @dataclass
 class CycleTrace:
-    """Per-cycle record of a refrigeration run."""
+    """Per-cycle record of a refrigeration run.
 
-    cycles: list[int] = field(default_factory=list)
-    branches: list[str] = field(default_factory=list)
-    r_cold: list[float] = field(default_factory=list)
-    r_hot: list[float] = field(default_factory=list)
-    heat_cold: list[float] = field(default_factory=list)
-    heat_hot: list[float] = field(default_factory=list)
-    work: list[float] = field(default_factory=list)
-    entropy: list[float] = field(default_factory=list)
+    ``run_cycles`` fills each column with a numpy array: ``cycles`` int,
+    ``branches`` an object array of the two shared labels, and the six
+    numbers float64, about 64 bytes per cycle in all. A hand-built trace
+    may pass lists; ``audit_defect`` and ``to_csv`` take either.
+    """
+
+    cycles: np.ndarray = field(default_factory=list)
+    branches: np.ndarray = field(default_factory=list)
+    r_cold: np.ndarray = field(default_factory=list)
+    r_hot: np.ndarray = field(default_factory=list)
+    heat_cold: np.ndarray = field(default_factory=list)
+    heat_hot: np.ndarray = field(default_factory=list)
+    work: np.ndarray = field(default_factory=list)
+    entropy: np.ndarray = field(default_factory=list)
     stop_reason: str = "budget"
 
     @property
     def final_r_cold(self) -> float:
-        return self.r_cold[-1]
+        return float(self.r_cold[-1])
 
     def audit_defect(self) -> float:
         """Largest per-cycle first-law violation (cold loss vs hot gain)."""
-        if not self.cycles:
+        if len(self.cycles) == 0:
             return 0.0
         # np.max keeps a NaN violation, where the builtin max may drop it
         return float(np.max(np.abs(np.subtract(self.heat_cold, self.heat_hot))))
@@ -353,10 +370,11 @@ def run_cycles(
     below COLD_EXHAUSTED_TOL, or after ``max_cycles`` (at least 1) cycles.
 
     The loop records the cold ratio, the hot excited weight and the two
-    flows of each cycle. After it, one kernel call on the cold ratios the
-    run passed through gives every cycle's branch probabilities; from them
-    come the register entropy, the cumulative erasure work and the branch
-    labels, drawn from ``seed``'s generator one uniform per cycle.
+    flows of each cycle in float64 buffers, which the trace's arrays then
+    share. After it, one kernel call on the cold ratios the run passed
+    through gives every cycle's branch probabilities; from them come the
+    register entropy, the cumulative erasure work and the branch labels,
+    drawn from ``seed``'s generator one uniform per cycle.
     """
     _validate(scheme, n, dim, ensemble.r_cold)
     if max_cycles < 1:
@@ -365,7 +383,8 @@ def run_cycles(
     a_c = _bath_energy(dim, ensemble.r_cold)
     a_h = _bath_energy(dim, ensemble.r_hot)
     r_cold = r_first = float(_bath_ratio(dim, a_c))
-    cold_ratios, hot_weights, heat_cold, heat_hot = [], [], [], []
+    # 8 bytes per value, where a list holds a pointer and a boxed float
+    cold_ratios, hot_weights, heat_cold, heat_hot = (array("d") for _ in range(4))
     stop_reason = "budget"
     step = _kernel(scheme, n, dim)
     cswap = scheme == "cswap"
@@ -404,22 +423,36 @@ def run_cycles(
             break
 
     m = len(cold_ratios)
+    cold = np.frombuffer(cold_ratios)
     # the ratio each cycle started from, clamped as in the loop
-    r_c = np.maximum([r_first] + cold_ratios[:-1], 1e-12)
+    r_c = np.maximum(np.concatenate(([r_first], cold[:-1])), 1e-12)
     p_c, p_h, *_ = step(r_c, _bath_energy(dim, r_c))
     entropy = _entropy(n, p_c, p_h)
     cooling = np.random.default_rng(seed).random(m) < p_c
     return CycleTrace(
-        cycles=list(range(1, m + 1)),
-        branches=_LABELS[cooling.astype(int)].tolist(),
-        r_cold=cold_ratios,
-        r_hot=_bath_ratio(dim, np.array(hot_weights)).tolist(),
-        heat_cold=heat_cold,
-        heat_hot=heat_hot,
-        work=np.cumsum(entropy).tolist(),  # erasure work at beta_R = 1
-        entropy=entropy.tolist(),
+        cycles=np.arange(1, m + 1),
+        branches=_LABELS[cooling.astype(int)],
+        r_cold=cold,
+        r_hot=_bath_ratio(dim, np.frombuffer(hot_weights)),
+        heat_cold=np.frombuffer(heat_cold),
+        heat_hot=np.frombuffer(heat_hot),
+        work=np.cumsum(entropy),  # erasure work at beta_R = 1
+        entropy=entropy,
         stop_reason=stop_reason,
     )
+
+
+def _is_normal(x: float) -> bool:
+    """Positive, finite and not subnormal (False for NaN)."""
+    return sys.float_info.min <= x < math.inf
+
+
+def _validate_size(name: str, x: float) -> None:
+    """Reject a size that is not positive, finite and normal; ``name`` starts the message."""
+    if not 0.0 < x < math.inf:
+        raise ValueError(f"{name} must be positive and finite")
+    if not _is_normal(x):
+        raise ValueError(f"{name} is subnormal (below {sys.float_info.min})")
 
 
 def _bath_energy(dim: int, r: float) -> float:

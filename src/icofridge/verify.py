@@ -236,8 +236,7 @@ def _check_cswap_marginals():
     """cswap branch probability and marginal defect"""
     for n in (2, 3, 4, 5, 6):
         for r in (0.1, 0.5, 0.9):
-            state = cswap.cswap_evolve(n, r)
-            (cool, p_c), (heat, p_h_tot) = cswap.cswap_branches(state, measurement.build_basis(n))
+            (cool, p_c), (heat, p_h_tot) = cswap.cswap_measure(n, r)
             stats = nswitch.branch_stats(n, thermal.ThermalSpec.qubit(r))
             yield from (
                 abs(p_c - stats.p_c),
@@ -260,8 +259,7 @@ def _check_cswap_tripling():
     """max relative deviation of total/target cooling from 3"""
     for n in (2, 3, 4, 5, 6):
         for r in (0.1, 0.3, 0.5, 0.7, 0.9):
-            state = cswap.cswap_evolve(n, r)
-            (cool, _), _ = cswap.cswap_branches(state, measurement.build_basis(n))
+            (cool, _), _ = cswap.cswap_measure(n, r)
             t_pop = r / (1 + r)
             total = sum(float(cool.qubit_marginal(q)[1, 1].real) - t_pop for q in range(n + 1))
             target = float(cool.qubit_marginal(0)[1, 1].real) - t_pop
@@ -273,8 +271,7 @@ def _check_cswap_sequential_discard():
     for n in (2, 3, 4):
         r = 0.5
         spec = thermal.ThermalSpec.qubit(r)
-        state = cswap.cswap_evolve(n, r)
-        (cool, _), _ = cswap.cswap_branches(state, measurement.build_basis(n))
+        (cool, _), _ = cswap.cswap_measure(n, r)
         initial_pops = [float(cool.qubit_marginal(q)[1, 1].real) for q in range(n + 1)]
         t_pop = r / (1 + r)
         all_at_once = sum(p - t_pop for p in initial_pops)

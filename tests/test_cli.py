@@ -277,7 +277,7 @@ def test_usage_error_exit_code(capsys):
 @pytest.mark.parametrize(
     "argv, message",
     (
-        (["cycle", "--k", "inf"], "particle count inf must be positive and finite"),
+        (["cycle", "--k", "inf"], "reservoir size ratio k=inf must be positive and finite"),
         (["cycle", "--n-cold", "nan"], "particle count nan must be positive and finite"),
         (["cycle", "--max-cycles", "0"], "max_cycles must be at least 1"),
         (["cycle", "--max-cycles", "-3"], "max_cycles must be at least 1"),
@@ -288,6 +288,15 @@ def test_usage_error_exit_code(capsys):
         (["cop", "--beta-r", "0"], "beta_r=0.0 must be positive and finite"),
         (["cop", "--beta-r", "nan"], "beta_r=nan must be positive and finite"),
         (["cop", "--beta-r", "-1"], "beta_r=-1.0 must be positive and finite"),
+        # --k is checked itself: an error names k, never the product k * n_cold
+        (["cycle", "--k", "1e308"], "reservoir size ratio k=1e+308 overflows the hot particle count at n_cold=16.0"),
+        (["cycle", "--k", "1e-320", "--max-cycles", "2"], "reservoir size ratio k=1e-320 is subnormal"),
+        (["cycle", "--k", "0"], "reservoir size ratio k=0.0 must be positive and finite"),
+        (
+            ["cycle", "--k", "1e-300", "--n-cold", "1e-10"],
+            "reservoir size ratio k=1e-300 underflows the hot particle count at n_cold=1e-10",
+        ),
+        (["cycle", "--n-cold", "1e-320"], "particle count 1e-320 is subnormal"),
     ),
 )
 def test_nonfinite_and_empty_inputs_exit_1(argv, message, capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from icofridge import cswap, nswitch, qmat, thermal
-from icofridge.cswap import cooling_reservoir_marginal, cooling_target_marginal, cswap_branches, cswap_energy_identity, cswap_evolve, cswap_populations, sequential_discard
+from icofridge.cswap import cooling_reservoir_marginal, cooling_target_marginal, cswap_branches, cswap_energy_identity, cswap_evolve, cswap_measure, cswap_populations, sequential_discard
 from icofridge.measurement import build_basis
 from icofridge.thermal import ThermalSpec
 
@@ -225,3 +225,14 @@ def test_branch_requires_control():
         cswap_branches(cool, build_basis(2))
     with pytest.raises(ValueError):
         cswap_branches(state, build_basis(3))
+
+
+def test_measure_equals_evolve_then_branches():
+    # the one-call form, which frees the joint before returning, gives the
+    # same branches bit for bit
+    for n, r in ((2, 0.3), (4, 0.7)):
+        measured = cswap_measure(n, r)
+        reference = cswap_branches(cswap_evolve(n, r), build_basis(n))
+        for (state, p), (ref_state, ref_p) in zip(measured, reference):
+            assert p == ref_p and state.has_control is False and state.n == n
+            assert np.array_equal(state.joint, ref_state.joint)

@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -265,32 +266,55 @@ def test_run_cycles_matches_per_cycle_reference(scheme, dim, k, r0, max_cycles, 
     trace = run_cycles(scheme, ens, n=3, dim=dim, seed=5, max_cycles=max_cycles)
     ref, ref_stop = _reference_cycles(scheme, ens, 3, dim, 5, max_cycles)
     assert trace.stop_reason == ref_stop == stop
+    dtypes = {"cycles": np.int64, "branches": object}
     for name in TRACE_COLUMNS:
         got, want = getattr(trace, name), ref[name]
-        assert isinstance(got, list) and len(got) == len(want)
-        assert all(type(g) is type(w) for g, w in zip(got, want)), name
+        assert isinstance(got, np.ndarray) and got.shape == (len(want),), name
+        assert got.dtype == dtypes.get(name, np.float64), name
         if name in ("work", "entropy"):
             # np.log and math.log may differ in the last place
-            assert all(abs(g - w) <= 1e-15 * abs(w) for g, w in zip(got, want)), name
+            assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want)), name
         else:
-            assert got == want, name
+            assert got.tolist() == want, name
     # labels are references to two shared strings, not one string per cycle
     assert {id(b) for b in trace.branches} <= {id(label) for label in fridge._LABELS}
+    assert type(trace.final_r_cold) is float and trace.final_r_cold == ref["r_cold"][-1]
+
+
+def test_trace_columns_are_packed_arrays():
+    # a k = 100 trace runs 26,251 cycles; what it keeps is counted by
+    # tracemalloc, whose count repeats exactly run to run. Eight 8-byte
+    # columns are 64 B per cycle; a list of boxed floats costs 32 per value
+    ens = ReservoirEnsemble.from_ratio(100.0, 0.5, n_cold=16)
+    run_cycles("ico", ens, n=2, seed=3)  # first-call allocations are not the trace's
+    tracemalloc.start()
+    try:
+        trace = run_cycles("ico", ens, n=2, seed=3)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    m = len(trace.cycles)
+    assert m > 20_000 and trace.stop_reason == "converged"
+    assert kept < 80 * m
+    for name in ("r_cold", "r_hot", "heat_cold", "heat_hot", "work", "entropy"):
+        column = getattr(trace, name)
+        assert isinstance(column, np.ndarray) and column.dtype == np.float64, name
+        assert column.shape == (m,) and column.flags.c_contiguous, name
 
 
 def test_trace_deterministic_given_seed():
     ens = ReservoirEnsemble.from_ratio(1.0, 0.5, n_cold=16)
     a = run_cycles("ico", ens, n=2, seed=8, max_cycles=50)
     b = run_cycles("ico", ens, n=2, seed=8, max_cycles=50)
-    assert a.branches == b.branches
-    assert a.r_cold == b.r_cold
+    assert np.array_equal(a.branches, b.branches)
+    assert np.array_equal(a.r_cold, b.r_cold)
 
 
 def test_sampled_branch_frequencies_follow_probabilities():
     ens = ReservoirEnsemble.from_ratio(1.0, 0.9, n_cold=1e12)  # quasi-static
     trace = run_cycles("ico", ens, n=2, seed=9, max_cycles=4000)
     p_c = OperatingPoint.at("ico", 2, 2, 0.9).p_c
-    freq = trace.branches.count("cooling") / len(trace.branches)
+    freq = np.count_nonzero(trace.branches == "cooling") / len(trace.branches)
     assert abs(freq - p_c) < 4 * math.sqrt(p_c * (1 - p_c) / len(trace.branches))
 
 
@@ -305,6 +329,15 @@ def test_ensemble_validation():
             ReservoirEnsemble(n_cold=n_cold, n_hot=n_hot, r_cold=0.5, r_hot=0.5)
     with pytest.raises(ValueError, match="finite"):
         ReservoirEnsemble.from_ratio(math.inf, 0.5, n_cold=16)
+    with pytest.raises(ValueError, match="particle count 1e-320 is subnormal"):
+        ReservoirEnsemble(n_cold=1.0, n_hot=1e-320, r_cold=0.5, r_hot=0.5)
+    with pytest.raises(ValueError, match="k=1e-320 is subnormal"):
+        ReservoirEnsemble.from_ratio(1e-320, 0.5, n_cold=16)
+    with pytest.raises(ValueError, match="k=1e[+]300 overflows"):
+        ReservoirEnsemble.from_ratio(1e300, 0.5, n_cold=1e10)
+    # the smallest normal k and count are sizes like any other
+    tiny = ReservoirEnsemble.from_ratio(2.2250738585072014e-308, 0.5, n_cold=1.0)
+    assert tiny.n_hot == 2.2250738585072014e-308
 
 
 def test_run_cycles_rejects_empty_budget():

@@ -1,6 +1,9 @@
 import json
 import math
 import re
+import tracemalloc
+
+import numpy as np
 
 from icofridge import cli, fridge, verify
 
@@ -72,6 +75,27 @@ def test_negative_defects_fold_to_the_zero_floor(monkeypatch):
 def test_audit_defect_keeps_nan():
     trace = fridge.CycleTrace(cycles=[1, 2], heat_cold=[0.1, math.nan], heat_hot=[0.1, 0.2])
     assert math.isnan(trace.audit_defect())
+    arrays = fridge.CycleTrace(
+        cycles=np.arange(1, 3), heat_cold=np.array([0.1, math.nan]), heat_hot=np.array([0.1, 0.2])
+    )
+    assert math.isnan(arrays.audit_defect())
+    assert fridge.CycleTrace(cycles=np.arange(1, 1)).audit_defect() == 0.0
+
+
+def test_cswap_checks_hold_one_dense_joint_at_a_time():
+    # the n = 6 control x target x reservoir joint is 768 x 768 complex;
+    # building the next grid point's joint while the last one is still held
+    # would peak near two of them. tracemalloc's peak repeats to within a kilobyte
+    joint_bytes = (6 * 2**7) ** 2 * np.dtype(complex).itemsize
+    verify.run_checks(["cswap_marginals"])  # first-call allocations are not the check's
+    tracemalloc.start()
+    try:
+        (result,) = verify.run_checks(["cswap_marginals"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.passed
+    assert peak < 1.5 * joint_bytes
 
 
 def test_json_rows_hold_every_defect_and_tolerance(tmp_path, capsys):
