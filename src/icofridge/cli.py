@@ -18,7 +18,7 @@ import itertools
 import json
 import math
 import sys
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import demon, fridge, verify
 from .cswap import cooling_reservoir_marginal, cooling_target_marginal, cswap_populations
@@ -124,7 +124,7 @@ def _emit(columns: Sequence[str], rows: list[list], args, keys: Sequence[str] = 
             body = body[2:-2].replace("],\n   [", "\n  ],\n  [\n   ")
             text = text.removesuffix("[]\n}") + "[\n  [\n   " + body + "\n  ]\n ]\n}"
         text += "\n"
-    _write(args.out, text)
+    _write(args.out, [text])
 
 
 def _encode_rows(rows: list[list]) -> str:
@@ -137,14 +137,15 @@ def _non_finite(v) -> bool:
     return isinstance(v, float) and not math.isfinite(v)
 
 
-def _write(path: str | None, text: str) -> None:
-    """Write ``text`` to ``path``, or to stdout when no path is given."""
+def _write(path: str | None, parts: Iterable[str]) -> None:
+    """Write the strings ``parts`` in turn to ``path``, or to stdout when no
+    path is given; a long table is passed as blocks and never held whole."""
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(parts)
         return
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(parts)
     except OSError as exc:
         raise IOError(f"cannot write {path}: {exc}") from exc
 
@@ -210,8 +211,9 @@ def _cmd_cycle(args) -> int:
     )
     keys = ("scheme", "n", "d", "k", "r_start", "n_cold", "max_cycles")
     config = _config(args, keys, stop=trace.stop_reason, audit_defect=trace.audit_defect())
-    # the trace writes its own rows: a template per row is half the cost of _cell per cell
-    _write(args.out, _config_comment(config) + trace.to_csv())
+    # the trace writes its own rows: a template per row is half the cost of
+    # _cell per cell, and its blocks go out as they are formatted
+    _write(args.out, itertools.chain([_config_comment(config)], trace.to_csv()))
     return 0
 
 
@@ -233,7 +235,7 @@ def _cmd_demon(args) -> int:
     if args.out is not None:
         edges, c_counts, d_counts = report.histogram()
         rows = zip(edges[:-1], edges[1:], c_counts, d_counts)
-        _write(args.out + ".hist.csv", _csv(["bin_left", "bin_right", "count_boxC", "count_boxD"], rows))
+        _write(args.out + ".hist.csv", [_csv(["bin_left", "bin_right", "count_boxC", "count_boxD"], rows)])
     return 0
 
 
@@ -248,7 +250,7 @@ def _cmd_verify(args) -> int:
         # the summed check time, excluding import and start-up
         seconds = sum(res.seconds for res in results)
         lines.append(f"{len(results) - failures}/{len(results)} checks passed in {seconds:.2f} s")
-        _write(args.out, "\n".join(lines) + "\n")
+        _write(args.out, ["\n".join(lines) + "\n"])
     else:
         rows = [[r.name, r.passed, r.defect, r.tol, r.seconds, r.detail] for r in results]
         _emit(["name", "passed", "defect", "tol", "seconds", "detail"], rows, args)

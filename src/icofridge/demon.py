@@ -32,6 +32,9 @@ from .thermal import _validate_ratio
 
 _INVERSION_ENERGY = 0.5  # mean energy above gap/2 means inverted populations
 
+# particles per in-place update in a round: bounds its draw and gather buffers
+_CHUNK = 2**16
+
 
 @dataclass(frozen=True)
 class DemonConfig:
@@ -120,22 +123,32 @@ def _rounds(cfg: DemonConfig):
     history, and each round doubles the table to the interleaved (cooling,
     heating) children. The table is compacted to the histories still held
     once it outgrows the sample, which bounds it for any number of rounds.
-    The per-round draws fill one buffer from one generator stream, the same
-    numbers as a single (rounds, particles) draw. Consumers gather
-    ``table[code]`` only for the rounds they read.
+
+    ``code`` and ``heated`` are updated in place, one ``_CHUNK`` of particles
+    at a time, so a round holds no per-particle temporaries: the yielded
+    arrays are overwritten by the next round. Each chunk's draws continue
+    one generator stream, the same numbers as a single (rounds, particles)
+    draw. Consumers gather ``table[code]`` only for the rounds they read.
     """
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
     step = _kernel(cfg.scheme, cfg.n, cfg.dim)
     table = np.array([_bath_energy(cfg.dim, cfg.r)])
     code = np.zeros(cfg.particles, dtype=np.intp)
-    u = np.empty(cfg.particles)
+    heated = np.empty(cfg.particles, dtype=bool)
+    u = np.empty(min(_CHUNK, cfg.particles))
     for _ in range(cfg.rounds):
         _, p_h, x_cool, x_heat, _ = step(cfg.r, table)
-        heated = rng.random(out=u) < ((cfg.n - 1) * p_h)[code]
-        code = 2 * code + heated
+        ph = (cfg.n - 1) * p_h
+        for start in range(0, cfg.particles, _CHUNK):
+            c, h = code[start : start + _CHUNK], heated[start : start + _CHUNK]
+            np.less(rng.random(out=u[: c.size]), ph[c], out=h)
+            c <<= 1
+            c += h
         table = np.column_stack((x_cool, x_heat)).ravel()
         if table.size > cfg.particles:
-            held, code = np.unique(code, return_inverse=True)
+            # in place: rebinding code would leave the last chunk view c
+            # holding the old codes
+            held, code[:] = np.unique(code, return_inverse=True)
             table = table[held]
         yield table, code, heated
 

@@ -43,6 +43,7 @@ from __future__ import annotations
 import math
 import sys
 from array import array
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -66,6 +67,7 @@ _LABELS = np.array(["heating", "cooling"], dtype=object)
 
 # one trace row: cycle, branch label and six numbers at 12 significant digits
 _CSV_ROW = "%d,%s" + ",%.12g" * 6 + "\n"
+_CSV_BLOCK = 4096  # rows formatted and written per string
 
 
 def _validate(scheme: str, n: int, dim: int, r: float) -> None:
@@ -332,9 +334,11 @@ class CycleTrace:
         # np.max keeps a NaN violation, where the builtin max may drop it
         return float(np.max(np.abs(np.subtract(self.heat_cold, self.heat_hot))))
 
-    def to_csv(self) -> str:
-        """The column line and one row per cycle; ``cli`` writes the config header."""
-        header = "cycle,branch,r_cold,r_hot,heat_cold,heat_hot,work,entropy\n"
+    def to_csv(self) -> Iterator[str]:
+        """Yield the column line, then the rows as one string per
+        ``_CSV_BLOCK`` cycles; ``cli`` writes the config header. Each block's
+        columns become Python numbers once, so the whole table is never held."""
+        yield "cycle,branch,r_cold,r_hot,heat_cold,heat_hot,work,entropy\n"
         columns = (
             self.cycles,
             self.branches,
@@ -345,7 +349,9 @@ class CycleTrace:
             self.work,
             self.entropy,
         )
-        return header + "".join([_CSV_ROW % row for row in zip(*columns)])
+        for start in range(0, len(self.cycles), _CSV_BLOCK):
+            block = [np.asarray(column[start : start + _CSV_BLOCK]).tolist() for column in columns]
+            yield "".join([_CSV_ROW % row for row in zip(*block)])
 
 
 def run_cycles(

@@ -2,6 +2,7 @@ import argparse
 import json
 import math
 import re
+import tracemalloc
 
 import pytest
 
@@ -145,7 +146,23 @@ def test_cycle_trace(tmp_path, capsys):
     trace = fridge.run_cycles("ico", ens, n=2, max_cycles=50)
     assert config["stop"] == trace.stop_reason
     assert float(config["audit_defect"]) == trace.audit_defect()
-    assert text.split("\n", 1)[1] == trace.to_csv()
+    assert text.split("\n", 1)[1] == "".join(trace.to_csv())
+
+
+def test_cycle_streams_its_csv(tmp_path):
+    # the CSV goes out in blocks as they are formatted; a writer that joins
+    # the rows, prepends the header and encodes the text peaks above 3x
+    out = tmp_path / "cycle.csv"
+    argv = ["cycle", "--k", "100", "--r-start", "0.5", "--out", str(out)]
+    assert cli.main(argv + ["--max-cycles", "10"]) == 0  # first-call allocations
+    tracemalloc.start()
+    try:
+        code = cli.main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 2 * out.stat().st_size
 
 
 def test_cswap_table(capsys):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -197,6 +198,10 @@ def _reference_rounds(cfg):
         # 2**12 histories outgrow 100 particles: the table is compacted
         DemonConfig(particles=100, n=100, r=0.33, rounds=12, seed=4),
         DemonConfig(particles=100, n=2, r=0.8, scheme="traj", rounds=12, seed=5),
+        # rounds run in place over chunks of demon._CHUNK particles: two full
+        # chunks and a short one, and a table compacted across two chunks
+        DemonConfig(particles=2 * 65536 + 7, n=10, r=0.3, rounds=3, seed=10),
+        DemonConfig(particles=65536 + 3, n=2, r=0.4, rounds=18, seed=11),
     ),
 )
 def test_rounds_match_per_particle_reference(cfg):
@@ -273,3 +278,19 @@ def test_heat_jump_matches_gathered_rounds(cfg):
     scan = heat_jump_scan(cfg)
     assert scan.max_energy_per_round == max_energy
     assert scan.inversion_count_per_round == inversions
+
+
+def test_rounds_hold_no_per_particle_temporaries():
+    # code (8 B) and heated (1 B) are updated in place and the report gathers
+    # the final weights (8 B): 17 B per particle. A round that builds its
+    # draws, gathered probabilities and next codes whole peaks above 26 B
+    cfg = DemonConfig(particles=2**18, n=10, r=0.3, rounds=4, seed=12)
+    assert demon._CHUNK < cfg.particles
+    run_demon(DemonConfig(particles=10, n=10, r=0.3, rounds=4))  # first-call allocations
+    tracemalloc.start()
+    try:
+        run_demon(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * cfg.particles

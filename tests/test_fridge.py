@@ -175,7 +175,7 @@ def test_run_cycles_budget_stop():
 def test_trace_csv_format():
     ens = ReservoirEnsemble.from_ratio(1.0, 0.5, n_cold=16)
     trace = run_cycles("ico", ens, n=2, seed=7, max_cycles=5)
-    lines = trace.to_csv().strip().splitlines()
+    lines = "".join(trace.to_csv()).strip().splitlines()
     assert lines[0] == "cycle,branch,r_cold,r_hot,heat_cold,heat_hot,work,entropy"
     assert len(lines) == 1 + 5
 
@@ -199,7 +199,17 @@ def _fstring_csv(trace):
 def test_trace_csv_matches_fstring_reference(scheme, dim):
     for k, r0 in ((2.0, 0.6), (5.0, 0.1), (100.0, 0.5)):
         trace = run_cycles(scheme, ReservoirEnsemble.from_ratio(k, r0, n_cold=4), n=3, dim=dim, seed=5)
-        assert trace.to_csv() == _fstring_csv(trace)
+        assert "".join(trace.to_csv()) == _fstring_csv(trace)
+
+
+@pytest.mark.parametrize("cycles", (4095, 4096, 4097, 8193))
+def test_trace_csv_blocks_match_fstring_reference(cycles):
+    # ico at k = 1 runs to the budget: its cold limit 0 is reached only like 1/cycles
+    trace = run_cycles("ico", ReservoirEnsemble.from_ratio(1.0, 0.2, n_cold=16), n=2, seed=9, max_cycles=cycles)
+    assert len(trace.cycles) == cycles and trace.stop_reason == "budget"
+    blocks = list(trace.to_csv())
+    assert len(blocks) == 1 + -(-cycles // fridge._CSV_BLOCK)
+    assert "".join(blocks) == _fstring_csv(trace)
 
 
 def test_trace_csv_extreme_values_match_fstring_reference():
@@ -210,7 +220,7 @@ def test_trace_csv_extreme_values_match_fstring_reference():
         branches=["cooling", "heating"] * (m // 2), r_cold=values, r_hot=values[::-1],
         heat_cold=values, heat_hot=values[::-1], work=values, entropy=values[::-1],
     )
-    text = trace.to_csv()
+    text = "".join(trace.to_csv())
     assert text == _fstring_csv(trace)
     assert "\n1,cooling,-0,1.23456789012e+14,-0," in text and ",1e+300," in text
 
