@@ -358,12 +358,15 @@ def _config_flags(args, parser: _Parser) -> list[str]:
     except OSError as exc:
         raise IOError(f"cannot read {args.config}: {exc}") from exc
     (commands,) = [a for a in parser._actions if a.dest == "command"]
-    several = {a.dest for a in commands.choices[args.command]._actions if a.nargs in ("*", "+")}
+    actions = commands.choices[args.command]._actions
+    # only a flag of this command, spelled out: argparse would also take a
+    # prefix (r for --r-list), and a nested --config would go unread; args
+    # also holds command and func, which are not flags
+    dests = {a.dest for a in actions} - {"help", "config"}
+    several = {a.dest for a in actions if a.nargs in ("*", "+")}
     flags = []
     for dest, value in values.items():
-        # only a flag of this command, spelled out: argparse would also take
-        # a prefix (r for --r-list), and a nested --config would go unread
-        if dest == "config" or dest not in vars(args):
+        if dest not in dests:
             raise ValueError(f"unknown config key {dest!r}")
         flag = f"--{dest.replace('_', '-')}"
         flags += [flag, *value.split()] if dest in several else [f"{flag}={value}"]

@@ -145,6 +145,8 @@ def _rounds(cfg: DemonConfig):
             c <<= 1
             c += h
         table = np.column_stack((x_cool, x_heat)).ravel()
+        # the round's table-sized arrays go before np.unique sorts the codes
+        del p_h, ph, x_cool, x_heat
         if table.size > cfg.particles:
             # in place: rebinding code would leave the last chunk view c
             # holding the old codes

@@ -76,6 +76,12 @@ def test_json_writer_matches_indented_dumps(table, capsys):
     assert capsys.readouterr().out == json.dumps(doc, indent=1, allow_nan=False) + "\n"
 
 
+def _reject_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+# every JSON table on its default grid and with r = 1 in its grid, where
+# cswap's total_over_target is 0/0 and written null
 @pytest.mark.parametrize(
     "argv",
     (
@@ -84,17 +90,24 @@ def test_json_writer_matches_indented_dumps(table, capsys):
         ["limits"],
         ["cswap"],
         ["traj"],
+        ["branches", "--r-list", "0.5,1"],
+        ["cop", "--r-list", "0.5,1"],
+        ["limits", "--r-list", "0.5,1"],
         ["cswap", "--n-list", "2,3", "--r-list", "0.5,1"],
+        ["traj", "--r-list", "0.5,1"],
         ["verify", "--checks", "qmat_algebra"],
         ["demon", "--particles", "100"],
+        ["demon", "--r", "1"],
     ),
     ids=" ".join,
 )
 def test_json_tables_keep_indented_layout(argv, capsys):
-    # float repr round-trips, so re-dumping the parsed table pins the layout
+    # float repr round-trips, so re-dumping the parsed table pins the layout;
+    # the strict parse rejects a bare NaN, which json.loads reads and
+    # json.dumps writes back
     code, out = run([*argv, "--format", "json"], capsys)
     assert code == 0
-    assert json.dumps(json.loads(out), indent=1) + "\n" == out
+    assert json.dumps(json.loads(out, parse_constant=_reject_constant), indent=1) + "\n" == out
 
 
 def test_cop_ratio_column(capsys):
@@ -416,10 +429,6 @@ def test_grid_config_echo(command, capsys):
     assert list(json.loads(out)["config"].items()) == list({**config, "format": "json"}.items())
 
 
-def _reject_constant(token):
-    raise ValueError(f"{token} is not JSON")
-
-
 def test_cswap_at_r_one_writes_nan_not_a_ratio(capsys):
     # at r = 1 the ratio is 0/0; its cell is NaN, written null in JSON
     code, out = run(["cswap", "--n-list", "2,3", "--r-list", "1", "--format", "json"], capsys)
@@ -461,12 +470,14 @@ def test_cswap_default_n_list_and_config_precedence(tmp_path, capsys):
 
 def test_unknown_config_key(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("bogus_key=1\n")
-    assert cli.main(["branches", "--config", str(cfg)]) == 1
-    # a key that is a flag of another command only
-    cfg.write_text("k_list=1\n")
-    assert cli.main(["branches", "--config", str(cfg)]) == 1
-    assert capsys.readouterr().out == ""
+    # k_list is a flag of another command only; command and func are
+    # attributes of the parsed arguments, not flags
+    for key, value in (("bogus_key", "1"), ("k_list", "1"), ("command", "branches"), ("func", "x")):
+        cfg.write_text(f"{key}={value}\n")
+        assert cli.main(["branches", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"usage error: unknown config key '{key}'" in captured.err
     # one flag named twice, in either spelling
     for second in ("n_list", "n-list"):
         cfg.write_text(f"n_list=2\n{second}=3\n")

@@ -96,14 +96,3 @@ def test_cswap_checks_hold_one_dense_joint_at_a_time():
         tracemalloc.stop()
     assert result.passed
     assert peak < 1.5 * joint_bytes
-
-
-def test_json_rows_hold_every_defect_and_tolerance(tmp_path, capsys):
-    path = tmp_path / "verify.json"
-    assert cli.main(["verify", "--format", "json", "--out", str(path)]) == 0
-    assert capsys.readouterr().out == ""
-    doc = json.loads(path.read_text())
-    assert doc["columns"] == ["name", "passed", "defect", "tol", "seconds", "detail"]
-    rows = [dict(zip(doc["columns"], row)) for row in doc["rows"]]
-    assert [row["name"] for row in rows] == list(verify.CHECKS)
-    assert all(row["passed"] and row["defect"] <= row["tol"] for row in rows)
