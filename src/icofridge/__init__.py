@@ -15,11 +15,11 @@ from .channels import (
     transformation_matrix,
 )
 from .cswap import (
-    CswapState,
     cswap_branches,
     cswap_energy_identity,
     cswap_evolve,
     cswap_populations,
+    qubit_marginal,
     sequential_discard,
 )
 from .demon import (
@@ -74,11 +74,11 @@ __all__ = [
     "depolarizing_kraus",
     "thermalizing_kraus",
     "transformation_matrix",
-    "CswapState",
     "cswap_branches",
     "cswap_energy_identity",
     "cswap_evolve",
     "cswap_populations",
+    "qubit_marginal",
     "sequential_discard",
     "DemonConfig",
     "DemonReport",

@@ -9,8 +9,11 @@ closed form, and the total extractable heat (hence the optimal coefficient
 of performance) is exactly three times the working-qubit-only value, for
 every N and every temperature.
 
-Joint states carry the full control x target x reservoir register, so all
-closed forms here are cross-checked against direct partial traces.
+``cswap_evolve`` returns the full control x target x reservoir register as
+an ``nswitch.SwitchOutput`` whose target is all N+1 qubits;
+``cswap_branches`` projects its control and returns each branch as a plain
+(N+1)-qubit density matrix. All closed forms here are cross-checked against
+direct partial traces of those arrays.
 """
 
 from __future__ import annotations
@@ -21,7 +24,8 @@ import numpy as np
 
 from . import qmat
 from .fridge import _bath_energy, _kernel, _validate
-from .measurement import MeasurementBasis, build_basis
+from .measurement import build_basis
+from .nswitch import SwitchOutput
 from .qmat import ALGEBRA_TOL
 from .thermal import ThermalSpec, degenerate_state, gibbs_state
 
@@ -30,36 +34,6 @@ MAX_QUBITS = 8
 
 # cswap_populations holds N index arrays of length 2**(N+1) instead.
 MAX_POPULATION_QUBITS = 16
-
-
-@dataclass(frozen=True)
-class CswapState:
-    """Joint state of the controlled-SWAP register.
-
-    Before measurement ``has_control`` is True and ``joint`` lives on
-    control (x) target (x) N reservoir qubits; after a branch projection the
-    control is removed.
-    """
-
-    joint: np.ndarray
-    n: int
-    has_control: bool = True
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        qubits = (2,) * (self.n + 1)
-        return ((self.n,) + qubits) if self.has_control else qubits
-
-    def qubit_marginal(self, index: int) -> np.ndarray:
-        """Single-qubit marginal; index 0 is the target, 1..N the reservoirs."""
-        offset = 1 if self.has_control else 0
-        return qmat.partial_trace(self.joint, self.dims, keep={index + offset})
-
-    def block(self, i: int, j: int) -> np.ndarray:
-        if not self.has_control:
-            raise ValueError("control already measured out")
-        q = 2 ** (self.n + 1)
-        return self.joint[i * q : (i + 1) * q, j * q : (j + 1) * q]
 
 
 def _swap_permutation(n_qubits: int, a: int, b: int) -> np.ndarray:
@@ -79,69 +53,79 @@ def _excited_bits(n_qubits: int) -> np.ndarray:
     return (np.arange(1 << n_qubits)[:, None] >> np.arange(n_qubits - 1, -1, -1)) & 1
 
 
-def cswap_evolve(n: int, r: float) -> CswapState:
+def _gather(rho_q: np.ndarray, perms: np.ndarray, n: int) -> np.ndarray:
+    """Control blocks of the uniform-control register from one gather.
+
+    ``perms`` concatenates the N branch permutations; block (i, j) is
+    ``rho_q`` reindexed by permutations i and j, divided in place by N so a
+    register (268 MB at n=8) is never held twice.
+    """
+    joint = rho_q[np.ix_(perms, perms)]
+    joint /= n
+    return joint
+
+
+def cswap_evolve(n: int, r: float) -> SwitchOutput:
     """Apply the control-conditioned SWAP to uniform control x thermal qubits.
 
     Control branch k swaps the target with reservoir qubit k+1; all N+1
-    qubits start in the Gibbs state of ratio ``r``. Every single-qubit
-    marginal of the result is still that Gibbs state, so no local observer
-    can tell the interaction happened.
+    qubits start in the Gibbs state of ratio ``r``. The result's target is
+    the whole (N+1)-qubit register. Every single-qubit marginal of it is
+    still that Gibbs state, so no local observer can tell the interaction
+    happened.
     """
-    if n < 2:
-        raise ValueError("need at least two reservoir qubits")
     if n > MAX_QUBITS:
         raise ValueError(f"joint dimension {n * 2 ** (n + 1)} exceeds the desk-scale guard")
     _validate("cswap", n, 2, r)
     rho_q = qmat.kron_all([gibbs_state(ThermalSpec.qubit(r))] * (n + 1))
+    # SWAPs are involutions, so block (i, j) = S_i rho S_j
     perms = np.concatenate([_swap_permutation(n + 1, 0, k + 1) for k in range(n)])
-    # SWAPs are involutions, so block (i, j) = S_i rho S_j is a row/column
-    # reindexing; all N^2 blocks come from one gather, divided in place so
-    # the n=8 register (268 MB) is never held twice
-    joint = rho_q[np.ix_(perms, perms)]
-    joint /= n
-    return CswapState(joint=joint, n=n)
+    return SwitchOutput(joint=_gather(rho_q, perms, n), control_dim=n, target_dim=2 ** (n + 1))
 
 
 def cswap_branches(
-    state: CswapState, basis: MeasurementBasis
-) -> tuple[tuple[CswapState, float], tuple[CswapState, float]]:
-    """Project the control, returning ((cooling, p_c), (heating, p_H)).
+    out: SwitchOutput,
+) -> tuple[tuple[np.ndarray, float], tuple[np.ndarray, float]]:
+    """Project the control in the coherent basis: ((cooling, p_c), (heating, p_H)).
 
-    The heating output pools the N-1 identical heating vectors. Both joint
-    states are normalized over the N+1 qubits.
+    The heating output pools the N-1 identical heating vectors. Both are
+    (N+1)-qubit density matrices normalized to unit trace. Called as
+    ``cswap_branches(cswap_evolve(n, r))`` it holds the only reference to the
+    joint, which is freed as it returns, so a loop over grid points holds one
+    joint at a time.
     """
-    if not state.has_control:
-        raise ValueError("control already measured out")
-    n = state.n
-    if basis.dim != n:
-        raise ValueError(f"basis dimension {basis.dim} does not match control {n}")
-    q = 1 << (n + 1)
-    v0 = basis.vectors[0]
+    n, q = out.control_dim, out.target_dim
+    v0 = build_basis(n).vectors[0]
     cool = np.zeros((q, q), dtype=complex)
     diag_sum = np.zeros((q, q), dtype=complex)
     for i in range(n):
-        diag_sum += state.block(i, i)
+        diag_sum += out.block(i, i)
         for j in range(n):
-            cool += np.conj(v0[i]) * v0[j] * state.block(i, j)
+            cool += np.conj(v0[i]) * v0[j] * out.block(i, j)
     heat = diag_sum - cool
     p_c = float(np.trace(cool).real)
     p_h = float(np.trace(heat).real)
-    cooling = CswapState(joint=cool / p_c, n=n, has_control=False)
     heat = heat / p_h if p_h > ALGEBRA_TOL else cool / p_c
-    heating = CswapState(joint=heat, n=n, has_control=False)
-    return (cooling, p_c), (heating, p_h)
+    return (cool / p_c, p_c), (heat, p_h)
 
 
-def cswap_measure(
-    n: int, r: float
-) -> tuple[tuple[CswapState, float], tuple[CswapState, float]]:
-    """``cswap_branches`` of ``cswap_evolve(n, r)`` in the coherent basis.
+def _qubit_count(rho: np.ndarray) -> int:
+    """k for a square 2^k x 2^k array with k >= 2; ValueError for anything
+    else, a ``SwitchOutput`` included."""
+    if isinstance(rho, np.ndarray) and rho.ndim == 2 and rho.shape[0] == rho.shape[1]:
+        k = rho.shape[0].bit_length() - 1
+        if k >= 2 and rho.shape[0] == 1 << k:
+            return k
+    shape = getattr(rho, "shape", None)
+    raise ValueError(
+        f"expected a square 2^k x 2^k qubit register, k >= 2; got {type(rho).__name__} {shape}"
+    )
 
-    The dense joint is freed before this returns, so a caller that loops
-    over grid points holds one joint at a time, never the previous point's
-    beside the next.
-    """
-    return cswap_branches(cswap_evolve(n, r), build_basis(n))
+
+def qubit_marginal(rho: np.ndarray, q: int) -> np.ndarray:
+    """Single-qubit marginal of a qubit register; index 0 is the target, 1..N
+    the reservoirs."""
+    return qmat.partial_trace(rho, (2,) * _qubit_count(rho), keep={q})
 
 
 def cswap_populations(n: int, r: float) -> tuple[float, float, np.ndarray, np.ndarray]:
@@ -205,10 +189,10 @@ def cswap_energy_identity(n: int, r: float) -> tuple[float, float]:
     the two are equal, which is how the total heat splits between the
     working qubit and the reservoir register.
     """
-    (cooling, _), _ = cswap_measure(n, r)
+    (cooling, _), _ = cswap_branches(cswap_evolve(n, r))
     t_pop = r / (1 + r)
-    res_pop = float(cooling.qubit_marginal(1)[1, 1].real)
-    tgt_pop = float(cooling.qubit_marginal(0)[1, 1].real)
+    res_pop = float(qubit_marginal(cooling, 1)[1, 1].real)
+    tgt_pop = float(qubit_marginal(cooling, 0)[1, 1].real)
     return n * (res_pop - t_pop), 2 * (tgt_pop - t_pop)
 
 
@@ -223,9 +207,9 @@ class DiscardSnapshot:
 
 
 def sequential_discard(
-    state: CswapState, order: list[int], spec: ThermalSpec
+    rho: np.ndarray, order: list[int], spec: ThermalSpec
 ) -> list[DiscardSnapshot]:
-    """Thermalize the register's qubits one at a time, in the given order.
+    """Thermalize the qubits of register ``rho`` one at a time, in the given order.
 
     Each step replaces one qubit with the Gibbs state of ``spec`` and books
     the energy difference as heat released to that reservoir (negative while
@@ -233,17 +217,14 @@ def sequential_discard(
     the cumulative heat is independent of the order and equals the
     all-at-once total.
     """
-    if state.has_control:
-        raise ValueError("measure the control before discarding qubits")
-    n_sub = state.n + 1
+    n_sub = _qubit_count(rho)
     order = [int(q) for q in order]
     if sorted(set(order)) != sorted(order) or any(q < 0 or q >= n_sub for q in order):
         raise ValueError(f"invalid discard order {order} for {n_sub} qubits")
     t = gibbs_state(spec)
     t_energy = float(t[1, 1].real)
-    dims = state.dims
+    dims = (2,) * n_sub
     bits = _excited_bits(n_sub)
-    rho = state.joint
     pops = tuple(float(p) for p in rho.diagonal().real @ bits)
     snapshots = []
     cumulative = 0.0
@@ -281,11 +262,9 @@ def ico_cswap_equivalent(r: float) -> tuple[np.ndarray, np.ndarray]:
     s2 = _swap_permutation(n + 1, 0, 2)
     plain = [s1, s2]
     ordered = [s2[s1], s1[s2]]  # branch 0: swap R1 then R2; branch 1: reverse
-
-    outs = []
-    for perms in (plain, ordered):
-        # block (i, j) is rho reindexed by the inverse permutations i and j;
-        # a permutation's argsort is its inverse
-        inv = np.concatenate([np.argsort(p) for p in perms])
-        outs.append(rho_q[np.ix_(inv, inv)] / n)
-    return outs[0], outs[1]
+    # block (i, j) is rho reindexed by the inverse permutations i and j;
+    # a permutation's argsort is its inverse
+    return tuple(
+        _gather(rho_q, np.concatenate([np.argsort(p) for p in perms]), n)
+        for perms in (plain, ordered)
+    )

@@ -87,7 +87,11 @@ class OrderSet:
 
 @dataclass(frozen=True)
 class SwitchOutput:
-    """Joint control x target state produced by the switch."""
+    """Joint control x target state of a coherently controlled scheme.
+
+    The switch, its brute force, the trajectory outputs and the
+    controlled-SWAP register (whose target is all N+1 qubits) return it.
+    """
 
     joint: np.ndarray
     control_dim: int

@@ -226,24 +226,25 @@ def _check_entropy_identity():
 def _check_cswap_no_signalling():
     """pre-measurement marginal defect"""
     for n, r in ((2, 0.3), (4, 0.3), (5, 0.8)):
-        state = cswap.cswap_evolve(n, r)
+        out = cswap.cswap_evolve(n, r)
+        dims = (n,) + (2,) * (n + 1)
         t = thermal.gibbs_state(thermal.ThermalSpec.qubit(r))
         for q in range(n + 1):
-            yield _max_abs(state.qubit_marginal(q), t)
+            yield _max_abs(qmat.partial_trace(out.joint, dims, {q + 1}), t)
 
 
 def _check_cswap_marginals():
     """cswap branch probability and marginal defect"""
     for n in (2, 3, 4, 5, 6):
         for r in (0.1, 0.5, 0.9):
-            (cool, p_c), (heat, p_h_tot) = cswap.cswap_measure(n, r)
+            (cool, p_c), (heat, p_h_tot) = cswap.cswap_branches(cswap.cswap_evolve(n, r))
             stats = nswitch.branch_stats(n, thermal.ThermalSpec.qubit(r))
             yield from (
                 abs(p_c - stats.p_c),
                 abs(p_h_tot - stats.p_heating_total),
-                _max_abs(cool.qubit_marginal(0), cswap.cooling_target_marginal(n, r)),
-                _max_abs(cool.qubit_marginal(1), cswap.cooling_reservoir_marginal(n, r)),
-                _max_abs(heat.qubit_marginal(0), stats.rho_h),
+                _max_abs(cswap.qubit_marginal(cool, 0), cswap.cooling_target_marginal(n, r)),
+                _max_abs(cswap.qubit_marginal(cool, 1), cswap.cooling_reservoir_marginal(n, r)),
+                _max_abs(cswap.qubit_marginal(heat, 0), stats.rho_h),
             )
 
 
@@ -259,10 +260,10 @@ def _check_cswap_tripling():
     """max relative deviation of total/target cooling from 3"""
     for n in (2, 3, 4, 5, 6):
         for r in (0.1, 0.3, 0.5, 0.7, 0.9):
-            (cool, _), _ = cswap.cswap_measure(n, r)
+            (cool, _), _ = cswap.cswap_branches(cswap.cswap_evolve(n, r))
             t_pop = r / (1 + r)
-            total = sum(float(cool.qubit_marginal(q)[1, 1].real) - t_pop for q in range(n + 1))
-            target = float(cool.qubit_marginal(0)[1, 1].real) - t_pop
+            total = sum(float(cswap.qubit_marginal(cool, q)[1, 1].real) - t_pop for q in range(n + 1))
+            target = float(cswap.qubit_marginal(cool, 0)[1, 1].real) - t_pop
             yield abs(total / target - 3.0) / 3.0
 
 
@@ -271,8 +272,8 @@ def _check_cswap_sequential_discard():
     for n in (2, 3, 4):
         r = 0.5
         spec = thermal.ThermalSpec.qubit(r)
-        (cool, _), _ = cswap.cswap_measure(n, r)
-        initial_pops = [float(cool.qubit_marginal(q)[1, 1].real) for q in range(n + 1)]
+        (cool, _), _ = cswap.cswap_branches(cswap.cswap_evolve(n, r))
+        initial_pops = [float(cswap.qubit_marginal(cool, q)[1, 1].real) for q in range(n + 1)]
         t_pop = r / (1 + r)
         all_at_once = sum(p - t_pop for p in initial_pops)
         for order in permutations(range(n + 1)):

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from icofridge import cswap, nswitch, qmat, thermal
-from icofridge.cswap import cooling_reservoir_marginal, cooling_target_marginal, cswap_branches, cswap_energy_identity, cswap_evolve, cswap_measure, cswap_populations, sequential_discard
-from icofridge.measurement import build_basis
+from icofridge.cswap import cooling_reservoir_marginal, cooling_target_marginal, cswap_branches, cswap_energy_identity, cswap_evolve, cswap_populations, qubit_marginal, sequential_discard
 from icofridge.thermal import ThermalSpec
 
 
@@ -14,13 +13,19 @@ def gibbs(r):
 
 
 def branches(n, r):
-    return cswap_branches(cswap_evolve(n, r), build_basis(n))
+    return cswap_branches(cswap_evolve(n, r))
+
+
+def register_marginal(out, q):
+    # qubit q of the pre-measurement register; subsystem 0 is the control
+    n = out.control_dim
+    return qmat.partial_trace(out.joint, (n,) + (2,) * (n + 1), {q + 1})
 
 
 def test_infinite_temperature_marginals():
     state = cswap_evolve(2, 1.0)
     for q in range(3):
-        assert np.max(np.abs(state.qubit_marginal(q) - np.eye(2) / 2)) < 1e-14
+        assert np.max(np.abs(register_marginal(state, q) - np.eye(2) / 2)) < 1e-14
 
 
 def test_no_signalling_before_measurement():
@@ -28,7 +33,7 @@ def test_no_signalling_before_measurement():
         state = cswap_evolve(n, r)
         t = gibbs(r)
         for q in range(n + 1):
-            assert np.max(np.abs(state.qubit_marginal(q) - t)) < 1e-12
+            assert np.max(np.abs(register_marginal(state, q) - t)) < 1e-12
 
 
 def test_cooling_target_matches_switch_branch():
@@ -37,12 +42,12 @@ def test_cooling_target_matches_switch_branch():
             (cool, p_c), _ = branches(n, r)
             stats = nswitch.branch_stats(n, ThermalSpec.qubit(r))
             assert abs(p_c - stats.p_c) < 1e-12
-            assert np.max(np.abs(cool.qubit_marginal(0) - stats.rho_c)) < 1e-10
+            assert np.max(np.abs(qubit_marginal(cool, 0) - stats.rho_c)) < 1e-10
 
 
 def test_two_reservoir_marginals_coincide():
     (cool, _), _ = branches(2, 0.4)
-    assert np.max(np.abs(cool.qubit_marginal(1) - cool.qubit_marginal(0))) < 1e-12
+    assert np.max(np.abs(qubit_marginal(cool, 1) - qubit_marginal(cool, 0))) < 1e-12
 
 
 def test_reservoir_marginal_closed_form():
@@ -51,7 +56,7 @@ def test_reservoir_marginal_closed_form():
             (cool, _), _ = branches(n, r)
             expected = cooling_reservoir_marginal(n, r)
             for q in range(1, n + 1):
-                assert np.max(np.abs(cool.qubit_marginal(q) - expected)) < 1e-10
+                assert np.max(np.abs(qubit_marginal(cool, q) - expected)) < 1e-10
 
 
 def test_heating_branch_target():
@@ -60,7 +65,7 @@ def test_heating_branch_target():
             _, (heat, p_h_tot) = branches(n, r)
             stats = nswitch.branch_stats(n, ThermalSpec.qubit(r))
             assert abs(p_h_tot - stats.p_heating_total) < 1e-12
-            assert np.max(np.abs(heat.qubit_marginal(0) - stats.rho_h)) < 1e-10
+            assert np.max(np.abs(qubit_marginal(heat, 0) - stats.rho_h)) < 1e-10
 
 
 def test_offdiagonal_term_classification():
@@ -101,8 +106,8 @@ def test_tripling_of_total_heat():
         for r in (0.1, 0.5, 0.9):
             (cool, _), _ = branches(n, r)
             t_pop = r / (1 + r)
-            total = sum(float(cool.qubit_marginal(q)[1, 1].real) - t_pop for q in range(n + 1))
-            target = float(cool.qubit_marginal(0)[1, 1].real) - t_pop
+            total = sum(float(qubit_marginal(cool, q)[1, 1].real) - t_pop for q in range(n + 1))
+            target = float(qubit_marginal(cool, 0)[1, 1].real) - t_pop
             assert abs(total / target - 3.0) < 1e-9
 
 
@@ -110,7 +115,7 @@ def test_sequential_discard_marginal_invariance():
     n, r = 3, 0.5
     spec = ThermalSpec.qubit(r)
     (cool, _), _ = branches(n, r)
-    initial = [float(cool.qubit_marginal(q)[1, 1].real) for q in range(n + 1)]
+    initial = [float(qubit_marginal(cool, q)[1, 1].real) for q in range(n + 1)]
     t_pop = r / (1 + r)
     snaps = sequential_discard(cool, [2, 0, 3, 1], spec)
     for snap in snaps:
@@ -124,7 +129,7 @@ def test_sequential_discard_heat_total_and_tripling():
     spec = ThermalSpec.qubit(r)
     (cool, _), _ = branches(n, r)
     t_pop = r / (1 + r)
-    target_deficit = float(cool.qubit_marginal(0)[1, 1].real) - t_pop
+    target_deficit = float(qubit_marginal(cool, 0)[1, 1].real) - t_pop
     snaps = sequential_discard(cool, list(range(n + 1)), spec)
     assert abs(snaps[-1].cumulative_heat - 3 * target_deficit) < 1e-10
 
@@ -156,6 +161,15 @@ def test_sequential_discard_validation():
         sequential_discard(state, [0], ThermalSpec.qubit(0.5))
 
 
+def test_qubit_marginal_validation():
+    # only a square 2^k x 2^k register with k >= 2 is accepted
+    out = cswap_evolve(2, 0.5)
+    for bad in (out, np.eye(2), np.eye(6), np.ones((4, 8)), np.ones(16), out.joint.tolist()):
+        with pytest.raises(ValueError, match="2\\^k x 2\\^k"):
+            qubit_marginal(bad, 0)
+    assert np.array_equal(qubit_marginal(np.eye(4) / 4, 1), np.eye(2) / 2)
+
+
 def test_ordered_circuit_equivalence():
     for r in (0.2, 0.6, 1.0):
         plain, ordered = cswap.ico_cswap_equivalent(r)
@@ -180,8 +194,8 @@ def test_populations_match_dense_register(n):
         got_c, got_h, cooling, heating = cswap_populations(n, r)
         assert abs(got_c - p_c) < 1e-14 and abs(got_h - p_h) < 1e-14
         for q in range(n + 1):
-            assert abs(cooling[q] - cool.qubit_marginal(q)[1, 1].real) < 1e-14
-            assert abs(heating[q] - heat.qubit_marginal(q)[1, 1].real) < 1e-14
+            assert abs(cooling[q] - qubit_marginal(cool, q)[1, 1].real) < 1e-14
+            assert abs(heating[q] - qubit_marginal(heat, q)[1, 1].real) < 1e-14
 
 
 @pytest.mark.parametrize("n", range(2, 6))
@@ -195,18 +209,20 @@ def test_evolve_matches_block_reference(n):
         for i in range(n):
             for j in range(n):
                 ref[i * q : (i + 1) * q, j * q : (j + 1) * q] = rho_q[np.ix_(perms[i], perms[j])] / n
-        assert np.array_equal(cswap_evolve(n, r).joint, ref)
+        out = cswap_evolve(n, r)
+        assert isinstance(out, nswitch.SwitchOutput) and (out.control_dim, out.target_dim) == (n, q)
+        assert np.array_equal(out.joint, ref)
 
 
 @pytest.mark.parametrize("n", (2, 3, 4))
 def test_sequential_discard_populations_match_partial_trace(n):
     (cool, _), _ = branches(n, 0.3)
     spec = ThermalSpec.qubit(0.6)
-    rho = cool.joint
+    rho = cool
     for snap in sequential_discard(cool, [n, 0, 1], spec):
-        rho = qmat.replace_subsystem(rho, cool.dims, snap.discarded[-1], gibbs(0.6))
+        rho = qmat.replace_subsystem(rho, (2,) * (n + 1), snap.discarded[-1], gibbs(0.6))
         for q in range(n + 1):
-            marg = qmat.partial_trace(rho, cool.dims, {q})
+            marg = qmat.partial_trace(rho, (2,) * (n + 1), {q})
             assert abs(snap.excited_populations[q] - marg[1, 1].real) < 1e-14
 
 
@@ -214,25 +230,5 @@ def test_evolve_rejects_invalid_ratios():
     for r in (float("nan"), 0.0, 1.5, 1e-320):
         with pytest.raises(ValueError, match="ratio"):
             cswap_evolve(3, r)
-    with pytest.raises(ValueError, match="two reservoir qubits"):
+    with pytest.raises(ValueError, match="two channels"):
         cswap_evolve(1, 0.5)
-
-
-def test_branch_requires_control():
-    state = cswap_evolve(2, 0.5)
-    (cool, _), _ = cswap_branches(state, build_basis(2))
-    with pytest.raises(ValueError):
-        cswap_branches(cool, build_basis(2))
-    with pytest.raises(ValueError):
-        cswap_branches(state, build_basis(3))
-
-
-def test_measure_equals_evolve_then_branches():
-    # the one-call form, which frees the joint before returning, gives the
-    # same branches bit for bit
-    for n, r in ((2, 0.3), (4, 0.7)):
-        measured = cswap_measure(n, r)
-        reference = cswap_branches(cswap_evolve(n, r), build_basis(n))
-        for (state, p), (ref_state, ref_p) in zip(measured, reference):
-            assert p == ref_p and state.has_control is False and state.n == n
-            assert np.array_equal(state.joint, ref_state.joint)
