@@ -62,7 +62,7 @@ def thermalizing_kraus(spec: ThermalSpec) -> KrausSet:
     The d**2 operators are exactly trace preserving.
     """
     d = spec.dim
-    a = qmat.sqrt_diagonal(gibbs_state(spec))
+    a = np.sqrt(gibbs_state(spec))  # T is diagonal, so its root is entrywise
     ops = tuple((a @ u) / np.sqrt(d) for u in qmat.pauli_basis(d))
     return KrausSet(operators=ops)
 

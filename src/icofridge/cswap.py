@@ -215,8 +215,10 @@ def sequential_discard(
     the energy difference as heat released to that reservoir (negative while
     the register is cold). The remaining qubits' marginals never move, so
     the cumulative heat is independent of the order and equals the
-    all-at-once total.
+    all-at-once total. ``spec`` must be a qubit's.
     """
+    if spec.dim != 2:
+        raise ValueError(f"sequential_discard needs a qubit spec, got {spec}")
     n_sub = _qubit_count(rho)
     order = [int(q) for q in order]
     if sorted(set(order)) != sorted(order) or any(q < 0 or q >= n_sub for q in order):

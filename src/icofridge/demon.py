@@ -168,8 +168,8 @@ def analytic_transfer_fraction(n: int, dim: int, r: float) -> float:
     """Expected transferred energy over initial sample energy, one round.
 
     Equals the weighted heating energy change divided by the Gibbs mean
-    energy: (N-1)(1-r^2) / (N (1+(D-1)r)^3) ... evaluated from the branch
-    closed forms rather than a separate formula.
+    energy, (N-1)(1-r^2) / (N (1+(D-1)r)^3); evaluated here from the ``ico``
+    operating point, while ``verify`` holds the sampler to the formula.
     """
     point = OperatingPoint.at("ico", n, dim, r)
     return point.weighted_energy / point.a

@@ -77,13 +77,6 @@ class OrderSet:
     def n_orders(self) -> int:
         return len(self.orders)
 
-    def is_latin_square(self) -> bool:
-        """True when every channel occupies every sequence position once."""
-        if self.n_orders != self.n_channels:
-            return False
-        cols = zip(*self.orders)
-        return all(sorted(c) == list(range(1, self.n_channels + 1)) for c in cols)
-
 
 @dataclass(frozen=True)
 class SwitchOutput:

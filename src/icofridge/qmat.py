@@ -9,6 +9,7 @@ and validated where it matters.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Iterable, Sequence
 
@@ -30,13 +31,8 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def kron_all(mats: Iterable[np.ndarray]) -> np.ndarray:
-    """Kronecker product of a sequence of matrices, left to right."""
-    out = None
-    for m in mats:
-        out = np.asarray(m) if out is None else np.kron(out, m)
-    if out is None:
-        raise ValueError("empty Kronecker product")
-    return out
+    """Kronecker product of a nonempty sequence of matrices, left to right."""
+    return functools.reduce(np.kron, mats)
 
 
 def check_shape(m: np.ndarray, dims: Sequence[int]) -> None:
@@ -92,17 +88,13 @@ def replace_subsystem(
     """Discard subsystem ``index`` and put the state ``fresh`` in its place.
 
     This is the action of a channel that traces out one factor and reprepares
-    it; marginals of all other subsystems are untouched.
+    it; marginals of all other subsystems are untouched. ``dims`` has at
+    least two factors, ``index`` names one of them and ``fresh`` is
+    ``dims[index]`` on a side; the caller checks these.
     """
     dims = tuple(int(d) for d in dims)
     n = len(dims)
-    if not 0 <= index < n:
-        raise ValueError(f"subsystem index {index} out of range")
     fresh = np.asarray(fresh, dtype=complex)
-    if fresh.shape != (dims[index], dims[index]):
-        raise ValueError("replacement state dimension mismatch")
-    if n == 1:
-        return fresh * np.trace(np.asarray(m)).real
     keep = [k for k in range(n) if k != index]
     rest = partial_trace(m, dims, keep)
     rest_dims = tuple(dims[k] for k in keep)
@@ -111,22 +103,6 @@ def replace_subsystem(
     tensor = np.multiply.outer(fresh, rest.reshape(rest_dims + rest_dims))
     tensor = np.moveaxis(tensor, (0, 1), (index, n + index))
     return tensor.reshape(math.prod(dims), -1)
-
-
-def sqrt_diagonal(m: np.ndarray) -> np.ndarray:
-    """Square root of a nonnegative diagonal matrix.
-
-    Only diagonal matrices appear under square roots in this package, so no
-    general matrix square root is provided.
-    """
-    m = np.asarray(m)
-    off = m - np.diag(np.diag(m))
-    if np.max(np.abs(off)) > ALGEBRA_TOL:
-        raise ValueError("matrix square root only supported for diagonal matrices")
-    d = np.diag(m)
-    if np.min(d.real) < -ALGEBRA_TOL or np.max(np.abs(d.imag)) > ALGEBRA_TOL:
-        raise ValueError("diagonal must be real and nonnegative")
-    return np.diag(np.sqrt(np.clip(d.real, 0.0, None))).astype(complex)
 
 
 def pauli_basis(d: int) -> list[np.ndarray]:

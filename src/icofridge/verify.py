@@ -386,8 +386,9 @@ def _check_demon_statistics():
         message = f"cooled fraction {frac:.4f} outside 4-sigma of {p_c:.4f}"
         _require(abs(frac - p_c) <= band, message)
     rep2 = demon.run_demon(demon.DemonConfig(particles=10_000, n=2, r=0.1, seed=20260810))
-    yield abs(rep.transferred_fraction - demon.analytic_transfer_fraction(100, 2, 0.1))
-    yield abs(rep2.transferred_fraction - demon.analytic_transfer_fraction(2, 2, 0.1))
+    # the qubit transfer fraction (N-1)(1-r^2) / (N (1+r)^3), not the kernel
+    for n, sample in ((100, rep), (2, rep2)):
+        yield abs(sample.transferred_fraction - (n - 1) * (1 - 0.1**2) / (n * (1 + 0.1) ** 3))
 
 
 def _check_demon_rounds_invariance():

@@ -130,3 +130,5 @@ def test_kraus_set_validation():
         KrausSet(operators=())
     with pytest.raises(ValueError):
         KrausSet(operators=(np.eye(2), np.eye(3)))
+    with pytest.raises(ValueError, match="^dimension must be at least 2$"):
+        depolarizing_kraus(1)

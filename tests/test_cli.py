@@ -216,6 +216,20 @@ def test_demon_files(tmp_path, capsys):
     assert (tmp_path / "demon.json.hist.csv").read_text() == "\n".join(lines) + "\n"
 
 
+def test_demon_histogram_when_no_energy_moves(tmp_path, capsys):
+    # at r = 1 every particle keeps its energy, so all ratios are equal and
+    # the 50 bins span [0, 1e-12]
+    out_path = tmp_path / "demon.json"
+    code, _ = run(["demon", "--particles", "200", "--r", "1", "--out", str(out_path)], capsys)
+    assert code == 0
+    (row,) = json.loads(out_path.read_text())["rows"]
+    lines = (tmp_path / "demon.json.hist.csv").read_text().splitlines()
+    assert len(lines) == 51
+    assert lines[1] == f"0,2e-14,{row[1]},{row[0]}"
+    assert all(line.endswith(",0,0") for line in lines[2:])
+    assert lines[-1].startswith("9.8e-13,1e-12,")
+
+
 def _command_parser(command):
     (commands,) = [a for a in cli._build_parser()._actions if a.dest == "command"]
     return commands.choices[command]
@@ -485,6 +499,20 @@ def test_unknown_config_key(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"usage error: {cfg}:2: duplicate config key 'n_list'" in captured.err
+
+
+def test_config_line_without_equals_exits_1(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("# grid\nn_list 2\n")
+    assert cli.main(["branches", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"usage error: {cfg}:2: expected key=value, got 'n_list 2'" in captured.err
+
+
+def test_parse_config_comment_needs_a_header_line():
+    with pytest.raises(ValueError, match="^not a config header line$"):
+        cli.parse_config_comment("n,d,r,p_c,p_H,dE_h,dE_c,weighted_dE_h")
 
 
 def test_empty_list_in_config_file_exits_1(tmp_path, capsys):

@@ -159,6 +159,8 @@ def test_sequential_discard_validation():
     state = cswap_evolve(2, 0.5)
     with pytest.raises(ValueError):
         sequential_discard(state, [0], ThermalSpec.qubit(0.5))
+    with pytest.raises(ValueError, match=r"needs a qubit spec, got ThermalSpec\(dim=3, r=0\.5\)"):
+        sequential_discard(cool, [0, 1, 2], ThermalSpec(3, 0.5))
 
 
 def test_qubit_marginal_validation():

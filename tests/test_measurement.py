@@ -88,6 +88,13 @@ def test_basis_dimension_mismatch():
         measure_control(switch_at(3, 0.5), build_basis(4))
 
 
+def test_basis_validation():
+    with pytest.raises(ValueError, match="^basis must be a square array of row vectors$"):
+        measurement.MeasurementBasis(np.ones((2, 3)))
+    with pytest.raises(ValueError, match="^control dimension must be at least 2$"):
+        build_basis(1)
+
+
 def test_povm_single_qubit_control_reduces_to_plus_minus():
     out = switch_at(2, 0.4)
     res = povm_ancilla_scheme(out)

@@ -17,6 +17,12 @@ def matpow(t, k):
     return np.linalg.matrix_power(t, k)
 
 
+def is_latin_square(oset):
+    """True when every channel occupies every sequence position once."""
+    labels = list(range(1, oset.n_channels + 1))
+    return oset.n_orders == oset.n_channels and all(sorted(c) == labels for c in zip(*oset.orders))
+
+
 # ---------------------------------------------------------------------------
 # order sets
 # ---------------------------------------------------------------------------
@@ -25,7 +31,7 @@ def matpow(t, k):
 def test_cyclic_order_set():
     oset = OrderSet.cyclic(4)
     assert oset.orders == ((1, 2, 3, 4), (2, 3, 4, 1), (3, 4, 1, 2), (4, 1, 2, 3))
-    assert oset.is_latin_square()
+    assert is_latin_square(oset)
 
 
 def test_order_set_validation():
@@ -33,6 +39,8 @@ def test_order_set_validation():
         OrderSet(orders=((1, 2), (2, 2)))
     with pytest.raises(ValueError):
         OrderSet(orders=())
+    with pytest.raises(ValueError, match="^need at least two channels$"):
+        OrderSet.cyclic(1)
 
 
 # ---------------------------------------------------------------------------
@@ -49,6 +57,14 @@ def test_closed_form_two_channels_structure():
     assert np.max(np.abs(out.block(1, 1) - t / 2)) < 1e-15
     assert np.max(np.abs(out.block(0, 1) - t3 / 2)) < 1e-15
     assert np.max(np.abs(out.block(1, 0) - t3 / 2)) < 1e-15
+
+
+def test_closed_form_validation():
+    t = gibbs(0.5)
+    with pytest.raises(ValueError, match=r"^dimension mismatch: \(3, 3\) vs \(2, 2\)$"):
+        switch_closed_form(2, np.eye(3) / 3, t)
+    with pytest.raises(ValueError, match="^need at least two channels$"):
+        switch_closed_form(1, t, t)
 
 
 def test_closed_form_three_channels_offdiagonals():
@@ -157,9 +173,25 @@ def test_latin_square_offdiagonals_pairwise_equal():
     spec = ThermalSpec.qubit(0.6)
     t = thermal.gibbs_state(spec)
     for oset in (OrderSet.cyclic(3), nswitch.noncyclic_order_set(3), nswitch.noncyclic_order_set(4)):
-        assert oset.is_latin_square()
+        assert is_latin_square(oset)
         out = switch_bruteforce(oset, t, spec)
         assert nswitch.offdiagonal_blocks_equal(out)
+
+
+def test_noncyclic_order_set_sizes():
+    with pytest.raises(ValueError, match=r"^explicit non-cyclic sets are provided for n in \{3, 4\} only$"):
+        nswitch.noncyclic_order_set(5)
+
+
+def test_repeated_order_breaks_offdiagonal_uniformity():
+    # two branches in one order compose the channel twice (block T), two in
+    # opposite orders interfere (block T^3), so the blocks differ below r = 1
+    spec = ThermalSpec.qubit(0.4)
+    t = thermal.gibbs_state(spec)
+    out = switch_bruteforce(OrderSet(orders=((1, 2), (2, 1), (1, 2))), t, spec)
+    assert np.max(np.abs(out.block(0, 1) - matpow(t, 3) / 3)) < 1e-12
+    assert np.max(np.abs(out.block(0, 2) - t / 3)) < 1e-12
+    assert not nswitch.offdiagonal_blocks_equal(out)
 
 
 def test_bruteforce_budget_guard():

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from icofridge import qmat
+from icofridge.channels import thermalizing_kraus
+from icofridge.thermal import ThermalSpec, gibbs_state
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -124,6 +126,10 @@ def test_partial_trace_shape_errors():
         qmat.partial_trace(np.eye(4), (2, 2), set())
     with pytest.raises(ValueError):
         qmat.partial_trace(np.eye(4), (2, 2), {5})
+    with pytest.raises(ValueError, match=r"expected a square matrix, got shape \(2, 4\)"):
+        qmat.partial_trace(np.ones((2, 4)), (2,), {0})
+    with pytest.raises(ValueError, match=r"subsystem dimensions must be positive, got \(-2, -2\)"):
+        qmat.partial_trace(np.eye(4), (-2, -2), {0})
 
 
 def test_pauli_basis_qubit_is_pauli_group():
@@ -157,11 +163,12 @@ def test_dagger_involution():
 
 
 def test_sqrt_diagonal():
-    m = np.diag([0.25, 1.0, 4.0]).astype(complex)
-    root = qmat.sqrt_diagonal(m)
-    assert np.max(np.abs(root @ root - m)) < 1e-15
-    with pytest.raises(ValueError):
-        qmat.sqrt_diagonal(np.array([[1, 0.5], [0.5, 1]], dtype=complex))
+    # the thermalizing channel's A = sqrt(T) is K_0 sqrt(d), since U_0 = I
+    for d in (2, 3, 5):
+        for r in (1e-300, 0.3, 1.0):
+            spec = ThermalSpec.degenerate(d, r)
+            a = thermalizing_kraus(spec).operators[0] * np.sqrt(d)
+            assert np.max(np.abs(a @ a - gibbs_state(spec))) < 1e-15
 
 
 def _kron_then_transpose(m, dims, index, fresh):

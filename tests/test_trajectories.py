@@ -138,6 +138,12 @@ def test_config_validation():
         TrajectoryConfig(n=2, kraus=kraus, env_overlaps=((2.0, 0, 0, 0), (1, 0, 0, 0)))
 
 
+def test_output_rejects_wrong_state_shape():
+    cfg = canonical_config(2, ThermalSpec.qubit(0.5))
+    with pytest.raises(ValueError, match=r"^state shape \(3, 3\) does not match channel dim 2$"):
+        traj_output(cfg, np.eye(3) / 3)
+
+
 def test_dilation_budget_guard():
     spec = ThermalSpec.qubit(0.5)
     cfg = canonical_config(7, spec)  # 7 * 4 * 5**7 amplitudes is over budget

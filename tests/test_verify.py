@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 
-from icofridge import cli, fridge, verify
+from icofridge import cli, fridge, nswitch, verify
 
 
 def test_defect_above_tolerance_fails(monkeypatch, capsys):
@@ -48,6 +48,14 @@ def test_raising_check_fails_and_the_next_still_runs(monkeypatch, tmp_path):
     text = path.read_text()
     assert "NaN" not in text
     assert json.loads(text)["rows"][0][1:3] == [False, None]
+
+
+def test_failed_side_condition_fails_its_check(monkeypatch):
+    monkeypatch.setattr(nswitch, "offdiagonal_blocks_equal", lambda out: False)
+    (res,) = verify.run_checks(["noncyclic_order_sets"])
+    assert res.passed is False
+    assert math.isnan(res.defect)
+    assert res.detail == "raised AssertionError: off-diagonal blocks differ for n=3"
 
 
 def test_nan_defect_after_the_first_grid_point_fails(monkeypatch):
