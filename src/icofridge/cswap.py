@@ -10,10 +10,12 @@ of performance) is exactly three times the working-qubit-only value, for
 every N and every temperature.
 
 ``cswap_evolve`` returns the full control x target x reservoir register as
-an ``nswitch.SwitchOutput`` whose target is all N+1 qubits;
-``cswap_branches`` projects its control and returns each branch as a plain
-(N+1)-qubit density matrix. All closed forms here are cross-checked against
-direct partial traces of those arrays.
+an ``nswitch.SwitchOutput`` whose target is all N+1 qubits. Its input is a
+product of diagonal Gibbs states and SWAPs only permute the energy basis, so
+the register is real and held as float64. ``cswap_branches`` projects its
+control and returns each branch as a plain (N+1)-qubit density matrix. All
+closed forms here are cross-checked against direct partial traces of those
+arrays.
 """
 
 from __future__ import annotations
@@ -57,11 +59,14 @@ def _gather(rho_q: np.ndarray, perms: np.ndarray, n: int) -> np.ndarray:
     """Control blocks of the uniform-control register from one gather.
 
     ``perms`` concatenates the N branch permutations; block (i, j) is
-    ``rho_q`` reindexed by permutations i and j, divided in place by N so a
-    register (268 MB at n=8) is never held twice.
+    ``rho_q`` reindexed by permutations i and j, scaled in place by 1/N so a
+    register (134 MB of float64 at n=8) is never held twice. Multiplying by
+    the rounded reciprocal is what complex division by N does, so the real
+    register holds the same values a complex one would; true division moves
+    some entries by one ulp at N = 3, 5, 6 and 7.
     """
     joint = rho_q[np.ix_(perms, perms)]
-    joint /= n
+    joint *= 1.0 / n
     return joint
 
 
@@ -70,14 +75,15 @@ def cswap_evolve(n: int, r: float) -> SwitchOutput:
 
     Control branch k swaps the target with reservoir qubit k+1; all N+1
     qubits start in the Gibbs state of ratio ``r``. The result's target is
-    the whole (N+1)-qubit register. Every single-qubit marginal of it is
-    still that Gibbs state, so no local observer can tell the interaction
-    happened.
+    the whole (N+1)-qubit register, a real float64 array: the Gibbs product
+    and the swap permutations are both real in the energy basis. Every
+    single-qubit marginal of it is still that Gibbs state, so no local
+    observer can tell the interaction happened.
     """
     if n > MAX_QUBITS:
         raise ValueError(f"joint dimension {n * 2 ** (n + 1)} exceeds the desk-scale guard")
     _validate("cswap", n, 2, r)
-    rho_q = qmat.kron_all([gibbs_state(ThermalSpec.qubit(r))] * (n + 1))
+    rho_q = qmat.kron_all([gibbs_state(ThermalSpec.qubit(r)).real] * (n + 1))
     # SWAPs are involutions, so block (i, j) = S_i rho S_j
     perms = np.concatenate([_swap_permutation(n + 1, 0, k + 1) for k in range(n)])
     return SwitchOutput(joint=_gather(rho_q, perms, n), control_dim=n, target_dim=2 ** (n + 1))
@@ -96,6 +102,9 @@ def cswap_branches(
     """
     n, q = out.control_dim, out.target_dim
     v0 = build_basis(n).vectors[0]
+    # complex accumulators: complex division by p_c scales by the rounded
+    # reciprocal, so real branches divided by p_c would differ by one ulp in
+    # some entries
     cool = np.zeros((q, q), dtype=complex)
     diag_sum = np.zeros((q, q), dtype=complex)
     for i in range(n):
@@ -257,9 +266,7 @@ def ico_cswap_equivalent(r: float) -> tuple[np.ndarray, np.ndarray]:
     branch. For two reservoirs the two joint states coincide.
     """
     n = 2
-    spec = ThermalSpec.qubit(r)
-    t = gibbs_state(spec)
-    rho_q = qmat.kron_all([t] * (n + 1))
+    rho_q = qmat.kron_all([gibbs_state(ThermalSpec.qubit(r)).real] * (n + 1))
     s1 = _swap_permutation(n + 1, 0, 1)
     s2 = _swap_permutation(n + 1, 0, 2)
     plain = [s1, s2]

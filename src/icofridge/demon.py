@@ -32,7 +32,8 @@ from .thermal import _validate_ratio
 
 _INVERSION_ENERGY = 0.5  # mean energy above gap/2 means inverted populations
 
-# particles per in-place update in a round: bounds its draw and gather buffers
+# particles or table entries per slice of a round: bounds its draw, gather
+# and kernel buffers
 _CHUNK = 2**16
 
 
@@ -124,11 +125,13 @@ def _rounds(cfg: DemonConfig):
     heating) children. The table is compacted to the histories still held
     once it outgrows the sample, which bounds it for any number of rounds.
 
-    ``code`` and ``heated`` are updated in place, one ``_CHUNK`` of particles
-    at a time, so a round holds no per-particle temporaries: the yielded
-    arrays are overwritten by the next round. Each chunk's draws continue
-    one generator stream, the same numbers as a single (rounds, particles)
-    draw. Consumers gather ``table[code]`` only for the rounds they read.
+    Every loop runs over ``_CHUNK``-sized slices, so a round holds no
+    temporaries the size of the sample or the table. The kernel writes each
+    slice's heating probabilities and children into preallocated arrays;
+    ``code`` and ``heated`` are updated in place, so the yielded ones are
+    overwritten by the next round. Each chunk's draws continue one generator
+    stream, the same numbers as a single (rounds, particles) draw. Consumers
+    gather ``table[code]`` only for the rounds they read.
     """
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
     step = _kernel(cfg.scheme, cfg.n, cfg.dim)
@@ -137,21 +140,36 @@ def _rounds(cfg: DemonConfig):
     heated = np.empty(cfg.particles, dtype=bool)
     u = np.empty(min(_CHUNK, cfg.particles))
     for _ in range(cfg.rounds):
-        _, p_h, x_cool, x_heat, _ = step(cfg.r, table)
-        ph = (cfg.n - 1) * p_h
+        parent = table
+        ph = np.empty(parent.size)
+        table = np.empty(2 * parent.size)
+        for start in range(0, parent.size, _CHUNK):
+            stop = min(start + _CHUNK, parent.size)
+            _, p_h, x_cool, x_heat, _ = step(cfg.r, parent[start:stop])
+            np.multiply(cfg.n - 1, p_h, out=ph[start:stop])
+            table[2 * start : 2 * stop : 2] = x_cool
+            table[2 * start + 1 : 2 * stop : 2] = x_heat
+        del parent, p_h, x_cool, x_heat
         for start in range(0, cfg.particles, _CHUNK):
             c, h = code[start : start + _CHUNK], heated[start : start + _CHUNK]
             np.less(rng.random(out=u[: c.size]), ph[c], out=h)
             c <<= 1
             c += h
-        table = np.column_stack((x_cool, x_heat)).ravel()
-        # the round's table-sized arrays go before np.unique sorts the codes
-        del p_h, ph, x_cool, x_heat
+        # the probabilities go before the compaction builds its arrays
+        del ph
         if table.size > cfg.particles:
-            # in place: rebinding code would leave the last chunk view c
-            # holding the old codes
-            held, code[:] = np.unique(code, return_inverse=True)
+            # the held histories in sorted order, as np.unique lists them,
+            # and each one's rank among them as its new code
+            held = np.zeros(table.size, dtype=bool)
+            for start in range(0, cfg.particles, _CHUNK):
+                held[code[start : start + _CHUNK]] = True
+            remap = np.cumsum(held)
+            remap -= 1
+            for start in range(0, cfg.particles, _CHUNK):
+                c = code[start : start + _CHUNK]
+                c[:] = remap[c]
             table = table[held]
+            del held, remap
         yield table, code, heated
 
 

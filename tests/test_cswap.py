@@ -5,6 +5,7 @@ import pytest
 
 from icofridge import cswap, nswitch, qmat, thermal
 from icofridge.cswap import cooling_reservoir_marginal, cooling_target_marginal, cswap_branches, cswap_energy_identity, cswap_evolve, cswap_populations, qubit_marginal, sequential_discard
+from icofridge.measurement import build_basis, measure_control
 from icofridge.thermal import ThermalSpec
 
 
@@ -213,7 +214,19 @@ def test_evolve_matches_block_reference(n):
                 ref[i * q : (i + 1) * q, j * q : (j + 1) * q] = rho_q[np.ix_(perms[i], perms[j])] / n
         out = cswap_evolve(n, r)
         assert isinstance(out, nswitch.SwitchOutput) and (out.control_dim, out.target_dim) == (n, q)
+        assert out.joint.dtype == np.float64
         assert np.array_equal(out.joint, ref)
+
+
+@pytest.mark.parametrize("r", (0.1, 0.37, 1.0))
+def test_measurement_of_real_register_matches_complex_copy(r):
+    out = cswap_evolve(4, r)
+    as_complex = nswitch.SwitchOutput(out.joint.astype(complex), out.control_dim, out.target_dim)
+    basis = build_basis(4)
+    outcomes = zip(measure_control(out, basis), measure_control(as_complex, basis), strict=True)
+    for got, want in outcomes:
+        assert got.probability == want.probability and got.label == want.label
+        assert np.array_equal(got.state, want.state)
 
 
 @pytest.mark.parametrize("n", (2, 3, 4))

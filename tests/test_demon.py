@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -284,11 +285,13 @@ def test_rounds_hold_no_per_particle_temporaries():
     # code (8 B) and heated (1 B) are updated in place and the report gathers
     # the final weights (8 B): 17 B per particle. A round that builds its
     # draws, gathered probabilities and next codes whole peaks above 26 B.
-    # From 19 rounds np.unique compacts a table larger than the sample, at
-    # 107 B (19 rounds) and 112 B (24 rounds); a round that still holds its
-    # table-sized p_h, ph, x_cool and x_heat there peaks at 123 and 142 B
+    # From 19 rounds the history table outgrows the sample. Running the
+    # kernel one chunk of the table at a time and compacting with a held mask
+    # and a rank remap peaks at 71 B at 19 and 24 rounds; the kernel on the
+    # whole table (about 11 table-sized temporaries) followed by np.unique
+    # peaked at 107 and 112 B
     run_demon(DemonConfig(particles=10, n=10, r=0.3, rounds=4))  # first-call allocations
-    for rounds, bytes_per_particle in ((4, 20), (19, 115), (24, 125)):
+    for rounds, bytes_per_particle in ((4, 20), (19, 74), (24, 74)):
         cfg = DemonConfig(particles=2**18, n=10, r=0.3, rounds=rounds, seed=12)
         assert demon._CHUNK < cfg.particles
         tracemalloc.start()
@@ -298,3 +301,45 @@ def test_rounds_hold_no_per_particle_temporaries():
         finally:
             tracemalloc.stop()
         assert peak < bytes_per_particle * cfg.particles, rounds
+
+
+# per-round heated counts of DemonConfig(2**18, n=10, r=0.3, seed=12); the
+# 19-round run's are the first 19
+_ICO_COUNTS = [
+    125900, 124944, 125015, 125975, 125810, 125826, 125621, 125689,
+    126139, 125882, 126098, 126081, 125865, 125364, 125615, 125604,
+    125580, 125382, 125358, 125028, 125185, 125406, 125757, 125680,
+]  # fmt: skip
+
+
+@pytest.mark.parametrize(
+    "cfg, counts, digest",
+    (
+        (
+            DemonConfig(particles=2**18, n=10, r=0.3, rounds=19, seed=12),
+            _ICO_COUNTS[:19],
+            "81f4dba7556704644642da6bb17135e2ef450df21a777474d452a834f48172e8",
+        ),
+        (
+            DemonConfig(particles=2**18, n=10, r=0.3, rounds=24, seed=12),
+            _ICO_COUNTS,
+            "bb37a4c5368e2da260ca35d0a6185554d08935eaed2594aa611daa3676a7e614",
+        ),
+        (
+            DemonConfig(particles=200_000, n=2, r=0.4, scheme="traj", rounds=20, seed=7),
+            [
+                40819, 40728, 40931, 40798, 40977, 40557, 40907, 41045, 40633, 40984,
+                40671, 41023, 40797, 40952, 40928, 41125, 40986, 40728, 40801, 40828,
+            ],
+            "54d93925b147f396827c25aacd00dab9149e11e8911178789e1dd4bf698fa29a",
+        ),
+    ),
+)
+def test_compacting_runs_are_pinned(cfg, counts, digest):
+    # recorded when compaction still ran np.unique on the whole table: the
+    # chunked kernel and mask compaction must reproduce every bit of the
+    # final energies and boxes
+    rep = run_demon(cfg)
+    assert rep.rounds_heated_count == counts
+    got = hashlib.sha256(rep.final_energies.astype("<f8").tobytes() + rep.heated.tobytes())
+    assert got.hexdigest() == digest

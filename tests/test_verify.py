@@ -91,10 +91,11 @@ def test_audit_defect_keeps_nan():
 
 
 def test_cswap_checks_hold_one_dense_joint_at_a_time():
-    # the n = 6 control x target x reservoir joint is 768 x 768 complex;
+    # the n = 6 control x target x reservoir joint is 768 x 768 float64;
     # building the next grid point's joint while the last one is still held
-    # would peak near two of them. tracemalloc's peak repeats to within a kilobyte
-    joint_bytes = (6 * 2**7) ** 2 * np.dtype(complex).itemsize
+    # would peak near two of them, and a complex joint near two on its own.
+    # tracemalloc's peak repeats to within a kilobyte
+    joint_bytes = (6 * 2**7) ** 2 * np.dtype(np.float64).itemsize
     verify.run_checks(["cswap_marginals"])  # first-call allocations are not the check's
     tracemalloc.start()
     try:
