@@ -25,7 +25,6 @@ from .cswap import (
 from .demon import (
     DemonConfig,
     DemonReport,
-    analytic_transfer_fraction,
     heat_jump_scan,
     run_demon,
 )
@@ -82,7 +81,6 @@ __all__ = [
     "sequential_discard",
     "DemonConfig",
     "DemonReport",
-    "analytic_transfer_fraction",
     "heat_jump_scan",
     "run_demon",
     "CycleTrace",

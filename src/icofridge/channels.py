@@ -92,16 +92,12 @@ class TransformationMatrix:
     obtainable: bool
 
 
-def transformation_matrix(
-    kraus: KrausSet,
-    env_overlaps: Sequence[complex],
-    thermal_state: np.ndarray | None = None,
-) -> TransformationMatrix:
+def transformation_matrix(kraus: KrausSet, env_overlaps: Sequence[complex]) -> TransformationMatrix:
     """M = sum_a <env|a> K_a for environment overlaps <env|a>.
 
-    ``thermal_state`` is the channel's fixed point, used for the obtainability
-    check tr(M^dag T M) <= 1/d; when omitted it is computed by applying the
-    channel to the maximally mixed state.
+    The obtainability check tr(M^dag T M) <= 1/d uses the channel's own fixed
+    point T, the channel applied to the maximally mixed state: which M are
+    reachable depends on the channel alone, not on the state it acts on.
     """
     overlaps = tuple(complex(c) for c in env_overlaps)
     if len(overlaps) != len(kraus.operators):
@@ -110,7 +106,6 @@ def transformation_matrix(
         )
     m = sum(c * k for c, k in zip(overlaps, kraus.operators))
     d = kraus.dim
-    if thermal_state is None:
-        thermal_state = apply_channel(kraus, np.eye(d, dtype=complex) / d)
-    bound = float(np.trace(dagger(m) @ np.asarray(thermal_state) @ m).real)
+    fixed = apply_channel(kraus, np.eye(d, dtype=complex) / d)
+    bound = float(np.trace(dagger(m) @ fixed @ m).real)
     return TransformationMatrix(matrix=m, bound=bound, obtainable=bound <= 1.0 / d + ALGEBRA_TOL)

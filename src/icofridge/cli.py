@@ -3,8 +3,9 @@ demon runs, and the oracle verification suite.
 
 This is the one module that knows the output format. Every CSV or JSON
 output embeds its full effective configuration in a ``# config:`` header
-(CSV) or a ``config`` object (JSON): ``command``, each flag, ``seed`` and
-``format``, so passing the echoed flags back regenerates the file exactly.
+(CSV) or a ``config`` object (JSON): ``command`` and each flag the command
+takes, so passing the echoed flags back regenerates the file exactly. Only
+``cycle`` and ``demon`` draw random numbers, so only they take ``--seed``.
 ``cycle``'s echo ends with its results, ``stop`` and ``audit_defect``. Rows
 are written in grid order; ``demon`` writes its summary as one row.
 
@@ -82,13 +83,13 @@ def parse_config_comment(line: str) -> dict[str, str]:
 
 
 def _config(args, keys: Sequence[str] = (), **results) -> dict:
-    """The config echo: ``command``, the flags named in ``keys``, ``seed`` and
-    ``format``, then the run's ``results``."""
+    """The config echo: ``command``, the flags named in ``keys``, ``format``,
+    then the run's ``results``."""
     config = {"command": args.command}
     for key in keys:
         value = getattr(args, key)
         config[key] = ",".join(str(v) for v in value) if isinstance(value, list) else value
-    config.update(seed=args.seed, format=args.format, **results)
+    config.update(format=args.format, **results)
     return config
 
 
@@ -209,7 +210,7 @@ def _cmd_cycle(args) -> int:
     trace = fridge.run_cycles(
         args.scheme, ens, n=args.n, dim=args.d, seed=args.seed, max_cycles=args.max_cycles
     )
-    keys = ("scheme", "n", "d", "k", "r_start", "n_cold", "max_cycles")
+    keys = ("scheme", "n", "d", "k", "r_start", "n_cold", "max_cycles", "seed")
     config = _config(args, keys, stop=trace.stop_reason, audit_defect=trace.audit_defect())
     # the trace writes its own rows: a template per row is half the cost of
     # _cell per cell, and its blocks go out as they are formatted
@@ -231,7 +232,7 @@ def _cmd_demon(args) -> int:
     columns = ["cooled_count", "heated_count", "initial_total_energy"]
     columns += ["box_c_energy", "box_d_energy", "transferred_fraction"]
     row = [getattr(report, column) for column in columns]
-    _emit(columns, [row], args, ("scheme", "particles", "n", "d", "r", "rounds"))
+    _emit(columns, [row], args, ("scheme", "particles", "n", "d", "r", "rounds", "seed"))
     if args.out is not None:
         edges, c_counts, d_counts = report.histogram()
         rows = zip(edges[:-1], edges[1:], c_counts, d_counts)
@@ -273,7 +274,6 @@ def _build_parser() -> _Parser:
     def common(p, formats=("csv", "json")):
         """The flags every command takes; ``formats`` lists what it writes, default first."""
         p.add_argument("--config", help="flat key=value config file; flags override it")
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", help="output path (default stdout)")
         p.add_argument("--format", choices=formats, default=formats[0])
 
@@ -307,6 +307,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("cycle", help="finite-reservoir refrigeration trace")
     common(p, ("csv",))
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--scheme", default="ico")
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--d", type=int, default=2)
@@ -334,6 +335,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("demon", help="Maxwell-demon sorting experiment")
     common(p, ("json",))
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--scheme", default="ico")
     p.add_argument("--particles", type=int, default=10_000)
     p.add_argument("--n", type=int, default=2)

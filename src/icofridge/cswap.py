@@ -262,18 +262,16 @@ def ico_cswap_equivalent(r: float) -> tuple[np.ndarray, np.ndarray]:
     superposed orderings.
 
     The ordered variant applies both SWAPs in the two possible sequences
-    conditioned on the control; the plain variant applies a single SWAP per
-    branch. For two reservoirs the two joint states coincide.
+    conditioned on the control; the plain variant, a single SWAP per branch,
+    is ``cswap_evolve(2, r)``. For two reservoirs the two joint states
+    coincide.
     """
-    n = 2
-    rho_q = qmat.kron_all([gibbs_state(ThermalSpec.qubit(r)).real] * (n + 1))
-    s1 = _swap_permutation(n + 1, 0, 1)
-    s2 = _swap_permutation(n + 1, 0, 2)
-    plain = [s1, s2]
-    ordered = [s2[s1], s1[s2]]  # branch 0: swap R1 then R2; branch 1: reverse
-    # block (i, j) is rho reindexed by the inverse permutations i and j;
-    # a permutation's argsort is its inverse
-    return tuple(
-        _gather(rho_q, np.concatenate([np.argsort(p) for p in perms]), n)
-        for perms in (plain, ordered)
-    )
+    plain = cswap_evolve(2, r).joint
+    rho_q = qmat.kron_all([gibbs_state(ThermalSpec.qubit(r)).real] * 3)
+    s1 = _swap_permutation(3, 0, 1)
+    s2 = _swap_permutation(3, 0, 2)
+    # branch 0: swap R1 then R2; branch 1: reverse. Block (i, j) is rho
+    # reindexed by the inverse permutations i and j; a permutation's argsort
+    # is its inverse
+    ordered = np.concatenate([np.argsort(s2[s1]), np.argsort(s1[s2])])
+    return plain, _gather(rho_q, ordered, 2)

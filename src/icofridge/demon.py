@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fridge import OperatingPoint, _bath_energy, _kernel, _validate
+from .fridge import _bath_energy, _kernel, _validate
 from .thermal import _validate_ratio
 
 _INVERSION_ENERGY = 0.5  # mean energy above gap/2 means inverted populations
@@ -182,17 +182,6 @@ def run_demon(cfg: DemonConfig) -> DemonReport:
     return DemonReport(cfg, table[code], heated, heated_counts)
 
 
-def analytic_transfer_fraction(n: int, dim: int, r: float) -> float:
-    """Expected transferred energy over initial sample energy, one round.
-
-    Equals the weighted heating energy change divided by the Gibbs mean
-    energy, (N-1)(1-r^2) / (N (1+(D-1)r)^3); evaluated here from the ``ico``
-    operating point, while ``verify`` holds the sampler to the formula.
-    """
-    point = OperatingPoint.at("ico", n, dim, r)
-    return point.weighted_energy / point.a
-
-
 def expected_transfer_exact(n: int, dim: int, r: float, rounds: int, scheme: str = "ico") -> float:
     """Exact branch-tree expectation of the transferred fraction.
 
@@ -255,8 +244,9 @@ def heat_jump_scan(cfg: DemonConfig) -> HeatJumpReport:
         heated_counts.append(int(np.count_nonzero(heated)))
         max_energy.append(float(np.max(x)))
         inversions.append(int(np.count_nonzero(new)))
-    # the last round's weights are already gathered: x is the final energies
-    return HeatJumpReport(DemonReport(cfg, x, heated, heated_counts), max_energy, inversions)
+        # the next round runs without this one's weights
+        del x, new
+    return HeatJumpReport(DemonReport(cfg, table[code], heated, heated_counts), max_energy, inversions)
 
 
 def qubit_never_inverts(r: float) -> bool:

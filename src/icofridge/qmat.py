@@ -25,11 +25,6 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return m.conj().T
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two matrices."""
-    return np.kron(np.asarray(a), np.asarray(b))
-
-
 def kron_all(mats: Iterable[np.ndarray]) -> np.ndarray:
     """Kronecker product of a nonempty sequence of matrices, left to right."""
     return functools.reduce(np.kron, mats)

@@ -57,13 +57,8 @@ class TrajectoryConfig:
                 raise ValueError(f"environment overlap weight {norm} exceeds 1")
         object.__setattr__(self, "env_overlaps", overlaps)
 
-    def transformation_matrices(
-        self, thermal_state: np.ndarray | None = None
-    ) -> list[TransformationMatrix]:
-        return [
-            transformation_matrix(self.kraus, o, thermal_state=thermal_state)
-            for o in self.env_overlaps
-        ]
+    def transformation_matrices(self) -> list[TransformationMatrix]:
+        return [transformation_matrix(self.kraus, o) for o in self.env_overlaps]
 
 
 def canonical_config(n: int, spec: ThermalSpec) -> TrajectoryConfig:
@@ -89,7 +84,7 @@ def traj_output(cfg: TrajectoryConfig, rho: np.ndarray) -> SwitchOutput:
     if rho.shape != (d, d):
         raise ValueError(f"state shape {rho.shape} does not match channel dim {d}")
     fixed = apply_channel(cfg.kraus, rho)
-    ms = [tm.matrix for tm in cfg.transformation_matrices(thermal_state=fixed)]
+    ms = [tm.matrix for tm in cfg.transformation_matrices()]
     n = cfg.n
     joint = np.zeros((n * d, n * d), dtype=complex)
     for k in range(n):

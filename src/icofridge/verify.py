@@ -69,8 +69,8 @@ def _check_qmat_algebra():
     for da, db in ((2, 2), (2, 3), (3, 3), (4, 2)):
         a, b, c, d = (_random_matrix(rng, dim) for dim in (da, db, da, db))
         yield from (
-            _max_abs(qmat.kron(a, b) @ qmat.kron(c, d), qmat.kron(a @ c, b @ d)),
-            _max_abs(qmat.partial_trace(qmat.kron(a, b), (da, db), {0}), a * np.trace(b)),
+            _max_abs(np.kron(a, b) @ np.kron(c, d), np.kron(a @ c, b @ d)),
+            _max_abs(qmat.partial_trace(np.kron(a, b), (da, db), {0}), a * np.trace(b)),
         )
     for dim in (2, 3, 4):
         m = _random_matrix(rng, dim)

@@ -69,10 +69,10 @@ _WRITER_TABLES = {
 @pytest.mark.parametrize("table", sorted(_WRITER_TABLES))
 def test_json_writer_matches_indented_dumps(table, capsys):
     columns, rows = _WRITER_TABLES[table]
-    args = argparse.Namespace(command="t", seed=3, format="json", out=None)
+    args = argparse.Namespace(command="t", format="json", out=None)
     cli._emit(columns, rows, args)
     cells = [[None if isinstance(v, float) and not math.isfinite(v) else v for v in row] for row in rows]
-    doc = {"config": {"command": "t", "seed": 3, "format": "json"}, "columns": columns, "rows": cells}
+    doc = {"config": {"command": "t", "format": "json"}, "columns": columns, "rows": cells}
     assert capsys.readouterr().out == json.dumps(doc, indent=1, allow_nan=False) + "\n"
 
 
@@ -239,7 +239,7 @@ def _command_parser(command):
 # significant digits; the second cop run leaves r_hot at its default, echoed null
 _REGENERATE = {
     "branches": [
-        "branches", "--n-list", "2,7", "--d-list", "2,3", "--r-list", "0.12345678901234567,0.9", "--seed", "3"
+        "branches", "--n-list", "2,7", "--d-list", "2,3", "--r-list", "0.12345678901234567,0.9"
     ],
     "cop": [
         "cop", "--scheme", "ico,traj", "--n-list", "3", "--r-list", "0.3", "--r-hot", "0.7", "--beta-r", "2.5"
@@ -247,7 +247,7 @@ _REGENERATE = {
     "cop-default-r-hot": ["cop", "--n-list", "2,5", "--r-list", "0.12345678901234567", "--beta-r", "0.5"],
     "limits": ["limits", "--scheme", "ico,traj", "--k-list", "0.5,3.3333333333333335", "--r-list", "0.2"],
     "cswap": ["cswap", "--n-list", "2,5", "--r-list", "0.12345678901234567"],
-    "traj": ["traj", "--n-list", "4", "--r-list", "0.12345678901234567", "--seed", "2"],
+    "traj": ["traj", "--n-list", "4", "--r-list", "0.12345678901234567"],
     "cycle": [
         "cycle", "--n", "3", "--d", "3", "--k", "3.3333333333333335", "--r-start", "0.12345678901234567",
         "--n-cold", "8", "--max-cycles", "40", "--seed", "9",
@@ -399,6 +399,9 @@ def test_nonfinite_and_empty_inputs_exit_1(argv, message, capsys):
             ["cop", "--n-list", "1" + "0" * 15, "--r-list", "0.5", "--beta-r", "3e-308"],
             "erasure work overflows at beta_r=3e-308",
         ),
+        # only cycle and demon draw random numbers, so only they take --seed
+        (["branches", "--seed", "1"], "unrecognized arguments: --seed 1"),
+        (["verify", "--seed", "1"], "unrecognized arguments: --seed 1"),
     ),
 )
 def test_user_errors_exit_1_with_message(argv, message, capsys):
@@ -409,7 +412,7 @@ def test_user_errors_exit_1_with_message(argv, message, capsys):
 
 
 # each grid command on a tiny grid: its list flags in grid order, then its
-# scalar flags, then seed and format
+# scalar flags, then format
 _TINY_GRIDS = {
     "branches": (
         ["--n-list", "2", "--d-list", "3", "--r-list", "0.5"],
@@ -432,13 +435,13 @@ _TINY_GRIDS = {
 @pytest.mark.parametrize("command", sorted(_TINY_GRIDS))
 def test_grid_config_echo(command, capsys):
     flags, echoed = _TINY_GRIDS[command]
-    config = {"command": command, **echoed, "seed": 7}
-    code, out = run([command, *flags, "--seed", "7"], capsys)
+    config = {"command": command, **echoed}
+    code, out = run([command, *flags], capsys)
     assert code == 0
     assert out.splitlines()[0] == "# config: " + " ".join(
         f"{k}={v}" for k, v in {**config, "format": "csv"}.items()
     )
-    code, out = run([command, *flags, "--seed", "7", "--format", "json"], capsys)
+    code, out = run([command, *flags, "--format", "json"], capsys)
     assert code == 0
     assert list(json.loads(out)["config"].items()) == list({**config, "format": "json"}.items())
 
@@ -484,9 +487,9 @@ def test_cswap_default_n_list_and_config_precedence(tmp_path, capsys):
 
 def test_unknown_config_key(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
-    # k_list is a flag of another command only; command and func are
-    # attributes of the parsed arguments, not flags
-    for key, value in (("bogus_key", "1"), ("k_list", "1"), ("command", "branches"), ("func", "x")):
+    # k_list and seed are flags of other commands only; command and func
+    # are attributes of the parsed arguments, not flags
+    for key, value in (("bogus_key", "1"), ("k_list", "1"), ("command", "branches"), ("func", "x"), ("seed", "1")):
         cfg.write_text(f"{key}={value}\n")
         assert cli.main(["branches", "--config", str(cfg)]) == 1
         captured = capsys.readouterr()

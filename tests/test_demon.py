@@ -7,7 +7,7 @@ import pytest
 
 from icofridge import demon, fridge, nswitch, thermal
 from icofridge.fridge import OperatingPoint, _bath_energy, _kernel
-from icofridge.demon import DemonConfig, analytic_transfer_fraction, expected_transfer_exact, heat_jump_scan, qubit_never_inverts, run_demon
+from icofridge.demon import DemonConfig, expected_transfer_exact, heat_jump_scan, qubit_never_inverts, run_demon
 from icofridge.thermal import ThermalSpec
 
 SEED = 20260810
@@ -19,22 +19,22 @@ def test_hundred_reservoir_run():
     assert abs(rep.initial_total_energy - 909.0909090909091) < 1e-9
     cooled = rep.cooled_count / cfg.particles
     assert abs(cooled - 0.75) < 0.02
-    assert abs(rep.transferred_fraction - analytic_transfer_fraction(100, 2, 0.1)) < 0.03
+    assert abs(rep.transferred_fraction - expected_transfer_exact(100, 2, 0.1, 1)) < 0.03
     assert rep.cooled_count + rep.heated_count == cfg.particles
 
 
 def test_two_reservoir_run():
     cfg = DemonConfig(particles=10_000, n=2, r=0.1, seed=SEED)
     rep = run_demon(cfg)
-    analytic = analytic_transfer_fraction(2, 2, 0.1)
+    analytic = expected_transfer_exact(2, 2, 0.1, 1)
     assert abs(analytic - (1 - 0.1) / (2 * 1.1**2)) < 1e-12
     assert abs(rep.transferred_fraction - analytic) < 0.03
 
 
 def test_analytic_fraction_values():
-    assert analytic_transfer_fraction(2, 2, 1.0) == 0.0
-    assert abs(analytic_transfer_fraction(100, 2, 0.1) - 0.736364) < 1e-6
-    assert abs(analytic_transfer_fraction(100, 2, 0.01) - 0.960788) < 1e-6
+    assert expected_transfer_exact(2, 2, 1.0, 1) == 0.0
+    assert abs(expected_transfer_exact(100, 2, 0.1, 1) - 0.736364) < 1e-6
+    assert abs(expected_transfer_exact(100, 2, 0.01, 1) - 0.960788) < 1e-6
 
 
 def test_analytic_fraction_matches_weighted_energy():
@@ -43,7 +43,7 @@ def test_analytic_fraction_matches_weighted_energy():
         h = thermal.hamiltonian(spec)
         e0 = thermal.mean_energy(thermal.gibbs_state(spec), h)
         expected = OperatingPoint.at("ico", n, dim, r).weighted_energy / e0
-        assert abs(analytic_transfer_fraction(n, dim, r) - expected) < 1e-12
+        assert abs(expected_transfer_exact(n, dim, r, 1) - expected) < 1e-12
 
 
 def test_cooled_fraction_converges():
@@ -251,7 +251,7 @@ def test_tree_is_independent_of_sampling(monkeypatch):
 
     monkeypatch.setattr(demon, "_rounds", forbidden)
     monkeypatch.setattr(demon, "run_demon", forbidden)
-    assert abs(expected_transfer_exact(10, 2, 0.3, 6) - analytic_transfer_fraction(10, 2, 0.3)) < 1e-10
+    assert abs(expected_transfer_exact(10, 2, 0.3, 6) - expected_transfer_exact(10, 2, 0.3, 1)) < 1e-10
     with pytest.raises(ValueError, match="rounds <= 16"):
         expected_transfer_exact(10, 2, 0.3, 17)
 
@@ -301,6 +301,23 @@ def test_rounds_hold_no_per_particle_temporaries():
         finally:
             tracemalloc.stop()
         assert peak < bytes_per_particle * cfg.particles, rounds
+
+
+def test_heat_jump_scan_drops_each_rounds_weights():
+    # the scan gathers each round's weights (8 B per particle) and its new
+    # inversions (1 B) and drops both before the next round runs: 72 B at 24
+    # rounds and 22 B at 4, against run_demon's 71 and 17. Holding them into
+    # the next round peaked at 81 and 29 B
+    heat_jump_scan(DemonConfig(particles=10, n=10, r=0.3, rounds=4))  # first-call allocations
+    for rounds, bytes_per_particle in ((4, 25), (24, 76)):
+        cfg = DemonConfig(particles=2**18, n=10, r=0.3, rounds=rounds, seed=12)
+        tracemalloc.start()
+        try:
+            heat_jump_scan(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bytes_per_particle * cfg.particles, rounds
 
 
 # per-round heated counts of DemonConfig(2**18, n=10, r=0.3, seed=12); the

@@ -56,12 +56,12 @@ def test_oracles_run_without_the_kernel(stubbed):
 
 
 def test_the_stub_catches_the_closed_forms(stubbed):
-    # _kernel in fridge, cswap and demon; OperatingPoint in fridge, nswitch,
-    # demon and the package
+    # _kernel in fridge, cswap and demon; OperatingPoint in fridge, nswitch
+    # and the package
     assert {(m.__name__, name) for m, name in stubbed} >= {
         ("icofridge.fridge", "_kernel"), ("icofridge.cswap", "_kernel"), ("icofridge.demon", "_kernel"),
         ("icofridge.fridge", "OperatingPoint"), ("icofridge.nswitch", "OperatingPoint"),
-        ("icofridge.demon", "OperatingPoint"), ("icofridge", "OperatingPoint"),
+        ("icofridge", "OperatingPoint"),
     }
     with pytest.raises(KernelCalled):
         nswitch.branch_stats(3, thermal.ThermalSpec.qubit(0.4))

