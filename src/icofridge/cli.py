@@ -3,9 +3,10 @@ demon runs, and the oracle verification suite.
 
 This is the one module that knows the output format. Every CSV or JSON
 output embeds its full effective configuration in a ``# config:`` header
-(CSV) or a ``config`` object (JSON): ``command`` and each flag the command
-takes, so passing the echoed flags back regenerates the file exactly. Only
-``cycle`` and ``demon`` draw random numbers, so only they take ``--seed``.
+(CSV) or a ``config`` object (JSON): ``command``, every flag the command
+declares in its order, then ``format``, so passing the echoed flags back
+regenerates the file exactly. Only ``cycle`` and ``demon`` draw random
+numbers, so only they take ``--seed``.
 ``cycle``'s echo ends with its results, ``stop`` and ``audit_defect``. Rows
 are written in grid order; ``demon`` writes its summary as one row.
 
@@ -25,6 +26,7 @@ from . import demon, fridge, verify
 from .cswap import cooling_reservoir_marginal, cooling_target_marginal, cswap_populations
 # kept as cli.cswap_evolve: the benchmark tests wrap it there
 from .cswap import cswap_evolve  # noqa: F401
+from .thermal import excited_weight
 
 
 class _Parser(argparse.ArgumentParser):
@@ -82,13 +84,13 @@ def parse_config_comment(line: str) -> dict[str, str]:
     return values
 
 
-def _config(args, keys: Sequence[str] = (), **results) -> dict:
-    """The config echo: ``command``, the flags named in ``keys``, ``format``,
-    then the run's ``results``."""
+def _config(args, **results) -> dict:
+    """The config echo: ``command``, every flag in ``args`` in declared order
+    (a list comma-joined), then ``format`` and the run's ``results``."""
     config = {"command": args.command}
-    for key in keys:
-        value = getattr(args, key)
-        config[key] = ",".join(str(v) for v in value) if isinstance(value, list) else value
+    for key, value in vars(args).items():
+        if key not in ("command", "config", "out", "format", "func"):
+            config[key] = ",".join(str(v) for v in value) if isinstance(value, list) else value
     config.update(format=args.format, **results)
     return config
 
@@ -104,11 +106,11 @@ def _csv(columns: Sequence[str], rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(columns: Sequence[str], rows: list[list], args, keys: Sequence[str] = ()):
+def _emit(columns: Sequence[str], rows: list[list], args):
     """Write ``rows`` in ``args.format`` to ``args.out``, headed by the config
-    echo of the flags named in ``keys``. A NaN or infinite cell is ``nan`` or
-    ``inf`` in CSV and ``null`` in JSON, which has no such numbers."""
-    config = _config(args, keys)
+    echo. A NaN or infinite cell is ``nan`` or ``inf`` in CSV and ``null`` in
+    JSON, which has no such numbers."""
+    config = _config(args)
     if args.format == "csv":
         text = _config_comment(config) + _csv(columns, rows)
     else:
@@ -162,13 +164,13 @@ def _cell(v) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _table(columns: Sequence[str], row, axes: tuple[str, ...], scalars: tuple[str, ...] = ()):
+def _table(columns: Sequence[str], row, axes: tuple[str, ...]):
     """A grid command: one ``row(args, *point)`` per point of the product of
-    the list flags ``axes``, in their order, with ``axes + scalars`` echoed."""
+    the list flags ``axes``, in their order."""
 
     def run(args) -> int:
         points = itertools.product(*(getattr(args, axis) for axis in axes))
-        _emit(columns, [row(args, *point) for point in points], args, axes + scalars)
+        _emit(columns, [row(args, *point) for point in points], args)
         return 0
 
     return run
@@ -191,7 +193,7 @@ def _limits_row(args, scheme, k, r):
 
 def _cswap_row(args, n, r):
     p_c, p_h_tot, cool, heat = cswap_populations(n, r)
-    t_pop = r / (1 + r)
+    t_pop = excited_weight(2, r)
     target = float(cooling_target_marginal(n, r)[1, 1].real)
     reservoir = float(cooling_reservoir_marginal(n, r)[1, 1].real)
     total = sum(cool.tolist())
@@ -210,8 +212,7 @@ def _cmd_cycle(args) -> int:
     trace = fridge.run_cycles(
         args.scheme, ens, n=args.n, dim=args.d, seed=args.seed, max_cycles=args.max_cycles
     )
-    keys = ("scheme", "n", "d", "k", "r_start", "n_cold", "max_cycles", "seed")
-    config = _config(args, keys, stop=trace.stop_reason, audit_defect=trace.audit_defect())
+    config = _config(args, stop=trace.stop_reason, audit_defect=trace.audit_defect())
     # the trace writes its own rows: a template per row is half the cost of
     # _cell per cell, and its blocks go out as they are formatted
     _write(args.out, itertools.chain([_config_comment(config)], trace.to_csv()))
@@ -232,7 +233,7 @@ def _cmd_demon(args) -> int:
     columns = ["cooled_count", "heated_count", "initial_total_energy"]
     columns += ["box_c_energy", "box_d_energy", "transferred_fraction"]
     row = [getattr(report, column) for column in columns]
-    _emit(columns, [row], args, ("scheme", "particles", "n", "d", "r", "rounds", "seed"))
+    _emit(columns, [row], args)
     if args.out is not None:
         edges, c_counts, d_counts = report.histogram()
         rows = zip(edges[:-1], edges[1:], c_counts, d_counts)
@@ -294,8 +295,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--r-hot", type=float, default=None, help="default: optimal case r_hot=r")
     p.add_argument("--beta-r", type=float, default=1.0)
     columns = ["scheme", "n", "d", "r", "r_hot", "cop", "cop_over_gap_beta"]
-    axes = ("scheme", "n_list", "d_list", "r_list")
-    p.set_defaults(func=_table(columns, _cop_row, axes, ("r_hot", "beta_r")))
+    p.set_defaults(func=_table(columns, _cop_row, ("scheme", "n_list", "d_list", "r_list")))
 
     p = sub.add_parser("limits", help="lowest reachable cold ratio (closed form)")
     common(p)
@@ -307,7 +307,6 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("cycle", help="finite-reservoir refrigeration trace")
     common(p, ("csv",))
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--scheme", default="ico")
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--d", type=int, default=2)
@@ -315,6 +314,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--r-start", type=float, default=0.5)
     p.add_argument("--n-cold", type=float, default=16.0)
     p.add_argument("--max-cycles", type=int, default=200_000)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_cycle)
 
     p = sub.add_parser("cswap", help="controlled-SWAP branch marginals over a grid")
@@ -335,13 +335,13 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("demon", help="Maxwell-demon sorting experiment")
     common(p, ("json",))
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--scheme", default="ico")
     p.add_argument("--particles", type=int, default=10_000)
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--r", type=float, default=0.1)
     p.add_argument("--rounds", type=int, default=1)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_demon)
 
     p = sub.add_parser("verify", help="run the named oracle suite")

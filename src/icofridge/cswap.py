@@ -25,11 +25,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qmat
-from .fridge import _bath_energy, _kernel, _validate
+from .fridge import _kernel, _validate
 from .measurement import build_basis
-from .nswitch import SwitchOutput
+from .nswitch import SwitchOutput, branch_stats
 from .qmat import ALGEBRA_TOL
-from .thermal import ThermalSpec, degenerate_state, gibbs_state
+from .thermal import ThermalSpec, degenerate_state, excited_weight, gibbs_state
 
 # Joint dimension N * 2**(N+1); kept at desk scale.
 MAX_QUBITS = 8
@@ -180,15 +180,14 @@ def cooling_reservoir_marginal(n: int, r: float) -> np.ndarray:
     branch kernel ``fridge._kernel``.
     """
     _validate("cswap", n, 2, r)
-    *_, x_res = _kernel("cswap", n, 2)(r, _bath_energy(2, r))
+    *_, x_res = _kernel("cswap", n, 2)(r, excited_weight(2, r))
     return degenerate_state(2, x_res)
 
 
 def cooling_target_marginal(n: int, r: float) -> np.ndarray:
-    """Closed form for the working qubit's cooling-branch marginal."""
-    _validate("cswap", n, 2, r)
-    _, _, x_cool, _, _ = _kernel("cswap", n, 2)(r, _bath_energy(2, r))
-    return degenerate_state(2, x_cool)
+    """The working qubit's cooling-branch marginal: the cyclic-order switch's
+    cooling state, which the controlled SWAP reproduces exactly."""
+    return branch_stats(n, ThermalSpec.qubit(r)).rho_c
 
 
 def cswap_energy_identity(n: int, r: float) -> tuple[float, float]:
@@ -199,7 +198,7 @@ def cswap_energy_identity(n: int, r: float) -> tuple[float, float]:
     working qubit and the reservoir register.
     """
     (cooling, _), _ = cswap_branches(cswap_evolve(n, r))
-    t_pop = r / (1 + r)
+    t_pop = excited_weight(2, r)
     res_pop = float(qubit_marginal(cooling, 1)[1, 1].real)
     tgt_pop = float(qubit_marginal(cooling, 0)[1, 1].real)
     return n * (res_pop - t_pop), 2 * (tgt_pop - t_pop)

@@ -27,10 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fridge import _bath_energy, _kernel, _validate
-from .thermal import _validate_ratio
-
-_INVERSION_ENERGY = 0.5  # mean energy above gap/2 means inverted populations
+from .fridge import _kernel, _validate
+from .thermal import _validate_ratio, excited_weight, inversion_weight
 
 # particles or table entries per slice of a round: bounds its draw, gather
 # and kernel buffers
@@ -67,7 +65,7 @@ class DemonReport:
     @property
     def initial_energy(self) -> float:
         """Per-particle energy of the thermal sample."""
-        return _bath_energy(self.config.dim, self.config.r)
+        return excited_weight(self.config.dim, self.config.r)
 
     @property
     def cooled_count(self) -> int:
@@ -135,7 +133,7 @@ def _rounds(cfg: DemonConfig):
     """
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
     step = _kernel(cfg.scheme, cfg.n, cfg.dim)
-    table = np.array([_bath_energy(cfg.dim, cfg.r)])
+    table = np.array([excited_weight(cfg.dim, cfg.r)])
     code = np.zeros(cfg.particles, dtype=np.intp)
     heated = np.empty(cfg.particles, dtype=bool)
     u = np.empty(min(_CHUNK, cfg.particles))
@@ -194,7 +192,7 @@ def expected_transfer_exact(n: int, dim: int, r: float, rounds: int, scheme: str
         raise ValueError("branch tree is desk-scale only (rounds <= 16)")
     DemonConfig(particles=1, n=n, r=r, dim=dim, scheme=scheme, rounds=rounds)  # validates
     step = _kernel(scheme, n, dim)
-    e0 = _bath_energy(dim, r)
+    e0 = excited_weight(dim, r)
     # excited weight and probability of every history at the current depth
     x, prob = np.array([e0]), np.array([1.0])
     for _ in range(rounds - 1):
@@ -229,17 +227,20 @@ class HeatJumpReport:
 def heat_jump_scan(cfg: DemonConfig) -> HeatJumpReport:
     """Track per-round maximum energies and population-inversion events.
 
-    A particle counts as inverted in the round where its mean energy first
-    exceeds half the gap. The rounds are run_demon's, so the report inside
+    A particle counts as inverted in the round where its excited weight
+    first exceeds (D-1)/D, ``thermal.inversion_weight``; at r = 1 the sample
+    stays maximally mixed, on that threshold, and a weight rounded an ulp
+    above it counts nothing. The rounds are run_demon's, so the report inside
     is bit-identical to it (a thermal particle cannot overshoot in one pass).
     """
+    threshold = inversion_weight(cfg.dim) if cfg.r < 1.0 else np.inf
     heated_counts: list[int] = []
     max_energy: list[float] = []
     inversions: list[int] = []
     inverted = np.zeros(cfg.particles, dtype=bool)
     for table, code, heated in _rounds(cfg):
         x = table[code]
-        new = (x > _INVERSION_ENERGY) & ~inverted
+        new = (x > threshold) & ~inverted
         inverted[new] = True
         heated_counts.append(int(np.count_nonzero(heated)))
         max_energy.append(float(np.max(x)))

@@ -41,6 +41,7 @@ gap; work uses a unit-inverse-temperature erasure reservoir.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from array import array
 from collections.abc import Iterator
@@ -49,7 +50,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .thermal import _validate_ratio
+from .thermal import _validate_family, _validate_ratio, excited_weight, ratio_of_weight
 
 SCHEMES = ("ico", "cswap", "traj")
 
@@ -71,14 +72,14 @@ _CSV_BLOCK = 4096  # rows formatted and written per string
 
 
 def _validate(scheme: str, n: int, dim: int, r: float) -> None:
-    """Reject inputs the branch kernel is not defined for."""
+    """Reject inputs the branch kernel is not defined for; N and D are integers."""
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
-    _validate_ratio(r)
-    if n < 2:
+    _validate_family(dim, r)
+    if operator.index(n) < 2:
         raise ValueError("need at least two channels")
-    if dim < 2:
-        raise ValueError("dimension must be at least 2")
+    if (n - 1) * (n - 2 if scheme == "cswap" else 1) > sys.float_info.max:
+        raise ValueError(f"number of channels overflows a float in the branch kernel: n={n}")
     if scheme in ("cswap", "traj") and dim != 2:
         raise ValueError(f"scheme {scheme!r} is defined for qubit working systems")
 
@@ -157,7 +158,7 @@ class OperatingPoint(NamedTuple):
         rejected: the heating branch and the register entropy vanish there.
         """
         _validate(scheme, n, dim, r)
-        a = _bath_energy(dim, r)
+        a = excited_weight(dim, r)
         p_c, p_h, e_cool, e_heat, x_res = _kernel(scheme, n, dim)(r, a)
         if p_h == 0.0:
             raise ValueError(f"heating probability underflows to 0 at n={n}, d={dim}, r={r}")
@@ -239,7 +240,7 @@ def cop(n: int, dim: int, r: float, r_hot: float, beta_r: float, scheme: str = "
     if not 0.0 < r_hot < math.inf:
         raise ValueError(f"hot ratio {r_hot} must be positive and finite")
     _validate_ratio(min(r_hot, 1.0))
-    a_hot = _bath_energy(dim, r_hot)
+    a_hot = excited_weight(dim, r_hot)
     if math.isnan(a_hot):  # (dim - 1) * r_hot overflows
         raise ValueError(f"hot ratio {r_hot} overflows the bath energy at d={dim}")
     numerator = point.weighted_energy - point.p_heating * point.n_med * (a_hot - point.a)
@@ -254,8 +255,7 @@ def lowest_r(scheme: str, r_start: float, k: float) -> float:
     starting ratio.
     """
     _validate_ratio(r_start)
-    if not 0.0 < k < math.inf:
-        raise ValueError(f"reservoir size ratio k={k} must be positive and finite")
+    _validate_size(f"reservoir size ratio k={k}", k)
     r = r_start
     if scheme == "ico":
         raw = (k - (2 * k + 3) * r) / (k * r - 3 - 2 * k)
@@ -386,9 +386,9 @@ def run_cycles(
     if max_cycles < 1:
         raise ValueError(f"max_cycles must be at least 1, got {max_cycles}")
     nc, nh = ensemble.n_cold, ensemble.n_hot
-    a_c = _bath_energy(dim, ensemble.r_cold)
-    a_h = _bath_energy(dim, ensemble.r_hot)
-    r_cold = r_first = float(_bath_ratio(dim, a_c))
+    a_c = excited_weight(dim, ensemble.r_cold)
+    a_h = excited_weight(dim, ensemble.r_hot)
+    r_cold = r_first = float(ratio_of_weight(dim, a_c))
     # 8 bytes per value, where a list holds a pointer and a boxed float
     cold_ratios, hot_weights, heat_cold, heat_hot = (array("d") for _ in range(4))
     stop_reason = "budget"
@@ -398,7 +398,7 @@ def run_cycles(
     for _ in range(max_cycles):
         # branch statistics degenerate at absolute zero; freeze just above it
         r_c = 1e-12 if r_cold < 1e-12 else r_cold  # max(r_cold, 1e-12)
-        # OperatingPoint.at(scheme, n, dim, r_c), inlined
+        # OperatingPoint.at(scheme, n, dim, r_c) and thermal.excited_weight, inlined
         x = (dim - 1) * r_c
         a = x / (1.0 + x)
         p_c, p_h, e_cool, e_heat, x_res = step(r_c, a)
@@ -411,8 +411,8 @@ def run_cycles(
         d_hot = p_heating * nh * (a_h_eq - a_h)
         a_c += d_cold / nc
         a_h += d_hot / nh
-        # _bath_ratio(dim, a_c), inlined; min and max are spelled as
-        # conditionals because the builtins cost about four times as much
+        # thermal.ratio_of_weight(dim, a_c), inlined; min and max are spelled
+        # as conditionals because the builtins cost about four times as much
         a = 0.0 if a_c < 0.0 else a_c
         a = 1.0 - 1e-15 if a > 1.0 - 1e-15 else a
         x = a / (1.0 - a) / (dim - 1)
@@ -432,14 +432,14 @@ def run_cycles(
     cold = np.frombuffer(cold_ratios)
     # the ratio each cycle started from, clamped as in the loop
     r_c = np.maximum(np.concatenate(([r_first], cold[:-1])), 1e-12)
-    p_c, p_h, *_ = step(r_c, _bath_energy(dim, r_c))
+    p_c, p_h, *_ = step(r_c, excited_weight(dim, r_c))
     entropy = _entropy(n, p_c, p_h)
     cooling = np.random.default_rng(seed).random(m) < p_c
     return CycleTrace(
         cycles=np.arange(1, m + 1),
         branches=_LABELS[cooling.astype(int)],
         r_cold=cold,
-        r_hot=_bath_ratio(dim, np.frombuffer(hot_weights)),
+        r_hot=ratio_of_weight(dim, np.frombuffer(hot_weights)),
         heat_cold=np.frombuffer(heat_cold),
         heat_hot=np.frombuffer(heat_hot),
         work=np.cumsum(entropy),  # erasure work at beta_R = 1
@@ -459,16 +459,6 @@ def _validate_size(name: str, x: float) -> None:
         raise ValueError(f"{name} must be positive and finite")
     if not _is_normal(x):
         raise ValueError(f"{name} is subnormal (below {sys.float_info.min})")
-
-
-def _bath_energy(dim: int, r: float) -> float:
-    x = (dim - 1) * r
-    return x / (1.0 + x)
-
-
-def _bath_ratio(dim: int, a):
-    a = np.clip(a, 0.0, 1.0 - 1e-15)
-    return np.minimum(a / (1.0 - a) / (dim - 1), 1.0)
 
 
 def _xlogx(p):

@@ -30,24 +30,6 @@ def kron_all(mats: Iterable[np.ndarray]) -> np.ndarray:
     return functools.reduce(np.kron, mats)
 
 
-def check_shape(m: np.ndarray, dims: Sequence[int]) -> None:
-    """Validate that ``dims`` is a subsystem factorization of ``m``.
-
-    Raises ValueError on non-square input, non-positive dimensions, or a
-    product mismatch.
-    """
-    m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    dims = tuple(int(d) for d in dims)
-    if any(d <= 0 for d in dims):
-        raise ValueError(f"subsystem dimensions must be positive, got {dims}")
-    if math.prod(dims) != m.shape[0]:
-        raise ValueError(
-            f"subsystem dims {dims} do not factor matrix dimension {m.shape[0]}"
-        )
-
-
 def partial_trace(m: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
     """Trace out all subsystems not listed in ``keep``.
 
@@ -56,8 +38,13 @@ def partial_trace(m: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> np
     The trace of the result equals the trace of the input.
     """
     m = np.asarray(m)
-    check_shape(m, dims)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
     dims = tuple(int(d) for d in dims)
+    if any(d <= 0 for d in dims):
+        raise ValueError(f"subsystem dimensions must be positive, got {dims}")
+    if math.prod(dims) != m.shape[0]:
+        raise ValueError(f"subsystem dims {dims} do not factor matrix dimension {m.shape[0]}")
     n = len(dims)
     keep = sorted(set(int(k) for k in keep))
     if not keep:

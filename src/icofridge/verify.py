@@ -261,7 +261,7 @@ def _check_cswap_tripling():
     for n in (2, 3, 4, 5, 6):
         for r in (0.1, 0.3, 0.5, 0.7, 0.9):
             (cool, _), _ = cswap.cswap_branches(cswap.cswap_evolve(n, r))
-            t_pop = r / (1 + r)
+            t_pop = thermal.excited_weight(2, r)
             total = sum(float(cswap.qubit_marginal(cool, q)[1, 1].real) - t_pop for q in range(n + 1))
             target = float(cswap.qubit_marginal(cool, 0)[1, 1].real) - t_pop
             yield abs(total / target - 3.0) / 3.0
@@ -274,7 +274,7 @@ def _check_cswap_sequential_discard():
         spec = thermal.ThermalSpec.qubit(r)
         (cool, _), _ = cswap.cswap_branches(cswap.cswap_evolve(n, r))
         initial_pops = [float(cswap.qubit_marginal(cool, q)[1, 1].real) for q in range(n + 1)]
-        t_pop = r / (1 + r)
+        t_pop = thermal.excited_weight(2, r)
         all_at_once = sum(p - t_pop for p in initial_pops)
         for order in permutations(range(n + 1)):
             snaps = cswap.sequential_discard(cool, list(order), spec)

@@ -402,6 +402,12 @@ def test_nonfinite_and_empty_inputs_exit_1(argv, message, capsys):
         # only cycle and demon draw random numbers, so only they take --seed
         (["branches", "--seed", "1"], "unrecognized arguments: --seed 1"),
         (["verify", "--seed", "1"], "unrecognized arguments: --seed 1"),
+        # an N whose N - 1, or cswap's (N - 1)(N - 2), no float holds is
+        # named, where the kernel would raise OverflowError
+        (["cop", "--scheme", "cswap", "--n-list", "1" + "0" * 200], "number of channels overflows a float"),
+        (["branches", "--n-list", "1" + "0" * 400], "number of channels overflows a float"),
+        # limits holds k to the rule that cycle --k follows
+        (["limits", "--k-list", "1e-320"], "reservoir size ratio k=1e-320 is subnormal"),
     ),
 )
 def test_user_errors_exit_1_with_message(argv, message, capsys):
@@ -444,6 +450,17 @@ def test_grid_config_echo(command, capsys):
     code, out = run([command, *flags, "--format", "json"], capsys)
     assert code == 0
     assert list(json.loads(out)["config"].items()) == list({**config, "format": "json"}.items())
+
+
+def test_verify_config_echoes_its_flags(capsys):
+    # the echo is the parsed command line, so verify's JSON records --checks
+    argv = ["verify", "--checks", "qmat_algebra", "kraus_completeness", "--format", "json"]
+    code, out = run(argv, capsys)
+    assert code == 0
+    config = {"command": "verify", "checks": "qmat_algebra,kraus_completeness", "format": "json"}
+    assert json.loads(out)["config"] == config
+    code, out = run(["verify", "--checks", "qmat_algebra", "--format", "json"], capsys)
+    assert (code, json.loads(out)["config"]["checks"]) == (0, "qmat_algebra")
 
 
 def test_cswap_at_r_one_writes_nan_not_a_ratio(capsys):

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from icofridge import demon, fridge, nswitch, thermal
-from icofridge.fridge import OperatingPoint, _bath_energy, _kernel
+from icofridge.fridge import OperatingPoint, _kernel
 from icofridge.demon import DemonConfig, expected_transfer_exact, heat_jump_scan, qubit_never_inverts, run_demon
-from icofridge.thermal import ThermalSpec
+from icofridge.thermal import ThermalSpec, excited_weight, inversion_weight
 
 SEED = 20260810
 
@@ -181,7 +181,7 @@ def test_traj_demon_uses_damping_interference():
 def _reference_rounds(cfg):
     """Every particle's weight carried through the kernel, one draw of all
     rounds up front."""
-    x = np.full(cfg.particles, _bath_energy(cfg.dim, cfg.r))
+    x = np.full(cfg.particles, excited_weight(cfg.dim, cfg.r))
     draws = np.random.Generator(np.random.Philox(key=cfg.seed)).random((cfg.rounds, cfg.particles))
     for draw in draws:
         _, p_h, x_cool, x_heat, _ = _kernel(cfg.scheme, cfg.n, cfg.dim)(cfg.r, x)
@@ -215,14 +215,31 @@ def test_rounds_match_per_particle_reference(cfg):
     assert scan.max_energy_per_round == [float(np.max(x)) for x, _ in ref]
     inverted = np.zeros(cfg.particles, dtype=bool)
     for (x, _), count in zip(ref, scan.inversion_count_per_round):
-        new = (x > 0.5) & ~inverted
+        new = (x > inversion_weight(cfg.dim)) & ~inverted
         inverted |= new
         assert count == int(np.count_nonzero(new))
 
 
+def test_qutrit_inversion_starts_where_an_excited_level_outweighs_the_ground():
+    # a maximally mixed qutrit holds 2/3 on its excited levels and inverts
+    # nothing; a half-gap threshold counted all 2,000 particles
+    mixed = heat_jump_scan(DemonConfig(particles=2000, n=10, r=1.0, dim=3, rounds=3, seed=7))
+    assert mixed.inversion_count_per_round == [0, 0, 0]
+    # at N = 3 the kernel rounds some r = 1 weights one ulp above 2/3
+    assert heat_jump_scan(DemonConfig(particles=2000, n=3, r=1.0, dim=3, rounds=3, seed=7)).ever_inverted_count == 0
+    # one pass from thermal cannot overshoot: a half-gap threshold counted
+    # every heated particle
+    one = heat_jump_scan(DemonConfig(particles=2000, n=10, r=0.5, dim=3, rounds=1, seed=7))
+    assert (one.report.heated_count, one.inversion_count_per_round) == (1541, [0])
+    # a cold qutrit that then heats at N = 100 does invert
+    hot = heat_jump_scan(DemonConfig(particles=2000, n=100, r=0.6, dim=3, rounds=6, seed=7))
+    assert hot.inversion_count_per_round == [0, 0, 0, 7, 8, 3]
+    assert inversion_weight(2) == 0.5
+
+
 def _dfs_transfer(n, dim, r, rounds, scheme):
     """Reference tree walk: one node per stack entry, one kernel call each."""
-    e0 = _bath_energy(dim, r)
+    e0 = excited_weight(dim, r)
     total = 0.0
     stack = [(0, 1.0, e0)]
     while stack:

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from icofridge import fridge
+from icofridge.demon import DemonConfig
 from icofridge.fridge import OperatingPoint, ReservoirEnsemble, cop, lowest_r, run_cycles, work_cost
 from icofridge.measurement import build_basis, measure_control
 from icofridge.nswitch import SwitchOutput, switch_closed_form
-from icofridge.thermal import ThermalSpec, degenerate_state, gibbs_state
+from icofridge.thermal import ThermalSpec, degenerate_state, excited_weight, gibbs_state, ratio_of_weight
 
 
 def test_register_entropy_hot_two_channel():
@@ -229,11 +230,11 @@ def _reference_cycles(scheme, ens, n, dim, seed, max_cycles):
     """Per-cycle reference: one kernel call and one scalar draw per cycle."""
     rng = np.random.default_rng(seed)
     nc, nh = ens.n_cold, ens.n_hot
-    a_c = fridge._bath_energy(dim, ens.r_cold)
-    a_h = fridge._bath_energy(dim, ens.r_hot)
+    a_c = excited_weight(dim, ens.r_cold)
+    a_h = excited_weight(dim, ens.r_hot)
     cols = {name: [] for name in TRACE_COLUMNS}
     work, stop = 0.0, "budget"
-    r_cold = float(fridge._bath_ratio(dim, a_c))
+    r_cold = float(ratio_of_weight(dim, a_c))
     for cycle in range(1, max_cycles + 1):
         point = OperatingPoint.at(scheme, n, dim, max(r_cold, 1e-12))
         p_c, p_h, e_cool, e_heat, n_med = point.p_c, point.p_h, point.e_cool, point.e_heat, point.n_med
@@ -246,8 +247,8 @@ def _reference_cycles(scheme, ens, n, dim, seed, max_cycles):
         d_hot = p_heating * nh * (a_h_eq - a_h)
         a_c += d_cold / nc
         a_h += d_hot / nh
-        r_cold = float(fridge._bath_ratio(dim, a_c))
-        row = (cycle, branch, r_cold, float(fridge._bath_ratio(dim, a_h)), -d_cold, d_hot, work, s)
+        r_cold = float(ratio_of_weight(dim, a_c))
+        row = (cycle, branch, r_cold, float(ratio_of_weight(dim, a_h)), -d_cold, d_hot, work, s)
         for name, value in zip(TRACE_COLUMNS, row):
             cols[name].append(value)
         if abs(e_heat / n_med - a_h) < fridge.STOP_POPULATION_TOL:
@@ -379,6 +380,33 @@ def test_point_validation():
         OperatingPoint.at("ico", 2, 2, 1e-320)
 
 
+def test_channel_count_and_dimension_follow_the_family_rule():
+    # n and D are integers, as ThermalSpec's D is, not floats that compare >= 2
+    ens = ReservoirEnsemble.from_ratio(1.0, 0.5, n_cold=16)
+    for call in (
+        lambda: OperatingPoint.at("ico", 2, 2.5, 0.3),
+        lambda: OperatingPoint.at("ico", 2.5, 2, 0.3),
+        lambda: cop(2.5, 2, 0.3, 0.3, 1.0),
+        lambda: cop(2, 2.5, 0.3, 0.3, 1.0),
+        lambda: run_cycles("ico", ens, n=2.5),
+        lambda: run_cycles("ico", ens, n=2, dim=2.5),
+        lambda: DemonConfig(particles=10, n=2.5, r=0.3),
+        lambda: DemonConfig(particles=10, n=2, r=0.3, dim=2.5),
+    ):
+        with pytest.raises(TypeError):
+            call()
+    assert OperatingPoint.at("ico", np.int64(3), np.int64(2), 0.3) == OperatingPoint.at("ico", 3, 2, 0.3)
+    # N - 1, and cswap's (N - 1)(N - 2), must fit a float
+    with pytest.raises(ValueError, match="overflows a float in the branch kernel: n=10{200}$"):
+        OperatingPoint.at("cswap", 10**200, 2, 0.3)
+    with pytest.raises(ValueError, match="overflows a float in the branch kernel: n=10{400}$"):
+        OperatingPoint.at("ico", 10**400, 2, 0.3)
+    assert OperatingPoint.at("ico", 10**200, 2, 0.3).p_c > 0
+    # k follows the size rule that ReservoirEnsemble.from_ratio applies
+    with pytest.raises(ValueError, match="k=1e-320 is subnormal"):
+        lowest_r("ico", 0.5, 1e-320)
+
+
 def test_qudit_ico_cycle_runs():
     ens = ReservoirEnsemble.from_ratio(2.0, 0.4, n_cold=16)
     trace = run_cycles("ico", ens, n=2, dim=3, seed=10, max_cycles=20_000)
@@ -439,7 +467,7 @@ def test_kernel_float_and_array_paths_agree(scheme, dim):
         for n in (2, 5, 10**6):
             step = fridge._kernel(scheme, n, dim)
             for r in (2.3e-308, 1e-300, 1e-9, 0.2, 0.7, 1.0):
-                xs_r = xs + [fridge._bath_energy(dim, r)]
+                xs_r = xs + [excited_weight(dim, r)]
                 batch = step(r, np.array(xs_r))
                 for i, x in enumerate(xs_r):
                     got = step(r, x)
@@ -476,7 +504,7 @@ def test_branch_kernel_exact_at_small_ratios(scheme, dim):
     # the kernel must keep every output's digits
     for n in (2, 5):
         for r in (0.3, 1e-6, 1e-12, 1e-15, 1e-300):
-            for x in (fridge._bath_energy(dim, r), 0.0, 0.5, 0.992, 1 - 1e-9):
+            for x in (excited_weight(dim, r), 0.0, 0.5, 0.992, 1 - 1e-9):
                 got = fridge._kernel(scheme, n, dim)(r, x)
                 ref = _exact_branches(scheme, n, dim, r, x)
                 for value, exact in zip(got, ref):
