@@ -13,9 +13,9 @@ every N and every temperature.
 an ``nswitch.SwitchOutput`` whose target is all N+1 qubits. Its input is a
 product of diagonal Gibbs states and SWAPs only permute the energy basis, so
 the register is real and held as float64. ``cswap_branches`` projects its
-control and returns each branch as a plain (N+1)-qubit density matrix. All
-closed forms here are cross-checked against direct partial traces of those
-arrays.
+control with one reduction over the control axes and returns each branch as
+a real (N+1)-qubit density matrix. All closed forms here are cross-checked
+against direct partial traces of those arrays.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ import numpy as np
 
 from . import qmat
 from .fridge import _kernel, _validate
-from .measurement import build_basis
 from .nswitch import SwitchOutput, branch_stats
 from .qmat import ALGEBRA_TOL
 from .thermal import ThermalSpec, degenerate_state, excited_weight, gibbs_state
@@ -59,14 +58,11 @@ def _gather(rho_q: np.ndarray, perms: np.ndarray, n: int) -> np.ndarray:
     """Control blocks of the uniform-control register from one gather.
 
     ``perms`` concatenates the N branch permutations; block (i, j) is
-    ``rho_q`` reindexed by permutations i and j, scaled in place by 1/N so a
-    register (134 MB of float64 at n=8) is never held twice. Multiplying by
-    the rounded reciprocal is what complex division by N does, so the real
-    register holds the same values a complex one would; true division moves
-    some entries by one ulp at N = 3, 5, 6 and 7.
+    ``rho_q`` reindexed by permutations i and j, divided in place by N so a
+    register (134 MB of float64 at n=8) is never held twice.
     """
     joint = rho_q[np.ix_(perms, perms)]
-    joint *= 1.0 / n
+    joint /= n
     return joint
 
 
@@ -94,24 +90,20 @@ def cswap_branches(
 ) -> tuple[tuple[np.ndarray, float], tuple[np.ndarray, float]]:
     """Project the control in the coherent basis: ((cooling, p_c), (heating, p_H)).
 
-    The heating output pools the N-1 identical heating vectors. Both are
-    (N+1)-qubit density matrices normalized to unit trace. Called as
-    ``cswap_branches(cswap_evolve(n, r))`` it holds the only reference to the
-    joint, which is freed as it returns, so a loop over grid points holds one
-    joint at a time.
+    The uniform vector's projector weighs every control block by 1/N, so the
+    cooling branch sums all N^2 blocks over N; the heating output, the N-1
+    identical heating vectors pooled, is the control diagonal's sum less
+    that. The difference cancels as r -> 0, so at p_H <= ALGEBRA_TOL the
+    cooling state stands in for it. Both are (N+1)-qubit density matrices of
+    the register's dtype (float64 from ``cswap_evolve``), normalized to unit
+    trace. Called as ``cswap_branches(cswap_evolve(n, r))`` it holds the only
+    reference to the joint, which is freed as it returns, so a loop over grid
+    points holds one joint at a time.
     """
     n, q = out.control_dim, out.target_dim
-    v0 = build_basis(n).vectors[0]
-    # complex accumulators: complex division by p_c scales by the rounded
-    # reciprocal, so real branches divided by p_c would differ by one ulp in
-    # some entries
-    cool = np.zeros((q, q), dtype=complex)
-    diag_sum = np.zeros((q, q), dtype=complex)
-    for i in range(n):
-        diag_sum += out.block(i, i)
-        for j in range(n):
-            cool += np.conj(v0[i]) * v0[j] * out.block(i, j)
-    heat = diag_sum - cool
+    blocks = out.joint.reshape(n, q, n, q)
+    cool = blocks.sum(axis=(0, 2)) / n
+    heat = np.einsum("iaib->ab", blocks) - cool
     p_c = float(np.trace(cool).real)
     p_h = float(np.trace(heat).real)
     heat = heat / p_h if p_h > ALGEBRA_TOL else cool / p_c
@@ -144,10 +136,12 @@ def cswap_populations(n: int, r: float) -> tuple[float, float, np.ndarray, np.nd
     each branch's excited population of the target (index 0) and the N
     reservoir qubits (1..N). The Gibbs product is diagonal, so diagonal
     entry x of the control block S_i rho S_j is rho[pi_i(x)] when the swap
-    permutations agree, pi_i(x) = pi_j(x), and 0 otherwise; the cooling
-    branch sums all N^2 blocks and the control diagonal gives their total.
-    Only swap indices and the Gibbs diagonal enter, none of the branch
-    closed forms, so this stays an oracle for them; ``cswap_evolve`` with
+    permutations agree, pi_i(x) = pi_j(x), and 0 otherwise. The cooling
+    branch sums all N^2 blocks over N; the pooled heating branch, the control
+    diagonal less that, sums the disagreeing pairs, so no entry of either is
+    a difference and both keep their digits at every valid ratio. Only swap
+    indices and the Gibbs diagonal enter, none of the branch closed forms,
+    so this stays an oracle for them; ``cswap_evolve`` with
     ``cswap_branches`` is the dense reference at n <= MAX_QUBITS.
     """
     _validate("cswap", n, 2, r)
@@ -159,14 +153,18 @@ def cswap_populations(n: int, r: float) -> tuple[float, float, np.ndarray, np.nd
     rho = qmat.kron_all([t] * (n + 1))
     perms = np.array([_swap_permutation(n + 1, 0, k + 1) for k in range(n)])
     rho_perm = rho[perms]
-    # sum over i, j of [pi_i(x) = pi_j(x)] rho[pi_i(x)]
-    agree = sum(rho_perm[i] * np.count_nonzero(perms == perms[i], axis=0) for i in range(n))
-    cool = agree / (n * n)
-    heat = rho_perm.sum(axis=0) / n - cool
+    # N^2 times each branch: rho[pi_i(x)] over agreeing or disagreeing (i, j)
+    cool, heat = np.zeros(rho.size), np.zeros(rho.size)
+    for i in range(n):
+        agree = np.count_nonzero(perms == perms[i], axis=0)
+        cool += rho_perm[i] * agree
+        heat += rho_perm[i] * (n - agree)
+    cool /= n * n
+    heat /= n * n
     p_c, p_h = float(cool.sum()), float(heat.sum())
     bits = _excited_bits(n + 1)
     cooling = cool @ bits / p_c
-    heating = heat @ bits / p_h if p_h > ALGEBRA_TOL else cooling
+    heating = heat @ bits / p_h
     return p_c, p_h, cooling, heating
 
 
@@ -231,8 +229,8 @@ def sequential_discard(
     order = [int(q) for q in order]
     if sorted(set(order)) != sorted(order) or any(q < 0 or q >= n_sub for q in order):
         raise ValueError(f"invalid discard order {order} for {n_sub} qubits")
-    t = gibbs_state(spec)
-    t_energy = float(t[1, 1].real)
+    t = gibbs_state(spec).real
+    t_energy = float(t[1, 1])
     dims = (2,) * n_sub
     bits = _excited_bits(n_sub)
     pops = tuple(float(p) for p in rho.diagonal().real @ bits)

@@ -396,12 +396,10 @@ def run_cycles(
     cswap = scheme == "cswap"
     n_med = 1  # working mediums per branch; cswap's N+1 come with its sums
     for _ in range(max_cycles):
-        # branch statistics degenerate at absolute zero; freeze just above it
-        r_c = 1e-12 if r_cold < 1e-12 else r_cold  # max(r_cold, 1e-12)
-        # OperatingPoint.at(scheme, n, dim, r_c) and thermal.excited_weight, inlined
-        x = (dim - 1) * r_c
+        # OperatingPoint.at(scheme, n, dim, r_cold) and thermal.excited_weight, inlined
+        x = (dim - 1) * r_cold
         a = x / (1.0 + x)
-        p_c, p_h, e_cool, e_heat, x_res = step(r_c, a)
+        p_c, p_h, e_cool, e_heat, x_res = step(r_cold, a)
         p_heating = (n - 1) * p_h
         if cswap:
             e_cool, e_heat, n_med = _cswap_mediums(n, a, p_c, p_h, e_cool, x_res)
@@ -430,8 +428,8 @@ def run_cycles(
 
     m = len(cold_ratios)
     cold = np.frombuffer(cold_ratios)
-    # the ratio each cycle started from, clamped as in the loop
-    r_c = np.maximum(np.concatenate(([r_first], cold[:-1])), 1e-12)
+    # the ratio each cycle started from
+    r_c = np.concatenate(([r_first], cold[:-1]))
     p_c, p_h, *_ = step(r_c, excited_weight(dim, r_c))
     entropy = _entropy(n, p_c, p_h)
     cooling = np.random.default_rng(seed).random(m) < p_c

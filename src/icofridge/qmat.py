@@ -76,7 +76,7 @@ def replace_subsystem(
     """
     dims = tuple(int(d) for d in dims)
     n = len(dims)
-    fresh = np.asarray(fresh, dtype=complex)
+    fresh = np.asarray(fresh)
     keep = [k for k in range(n) if k != index]
     rest = partial_trace(m, dims, keep)
     rest_dims = tuple(dims[k] for k in keep)

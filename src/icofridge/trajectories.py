@@ -18,14 +18,13 @@ environment vector of every other path, slot by slot.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .channels import KrausSet, TransformationMatrix, apply_channel, thermalizing_kraus, transformation_matrix
 from .measurement import build_basis, measure_control
 from .nswitch import BranchStats, SwitchOutput
-from .qmat import ALGEBRA_TOL, dagger
+from .qmat import dagger
 from .thermal import ThermalSpec, gibbs_state
 
 # Ceiling on the dilation's pure-state vector length.

@@ -381,7 +381,9 @@ def _check_demon_statistics():
     for n, r in ((2, 0.3), (10, 0.6), (100, 0.9)):
         c = demon.DemonConfig(particles=20_000, n=n, r=r, seed=99)
         frac = demon.run_demon(c).cooled_count / c.particles
-        p_c = nswitch.branch_stats(n, thermal.ThermalSpec.qubit(r)).p_c
+        # measured_branches' closed side, not the kernel: tr(T + (N-1)T^3) / N
+        t = thermal.gibbs_state(thermal.ThermalSpec.qubit(r))
+        p_c = float(np.trace(t + (n - 1) * np.linalg.matrix_power(t, 3)).real) / n
         band = 4 * math.sqrt(p_c * (1 - p_c) / c.particles)
         message = f"cooled fraction {frac:.4f} outside 4-sigma of {p_c:.4f}"
         _require(abs(frac - p_c) <= band, message)

@@ -3,7 +3,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from icofridge import cswap, nswitch, qmat, thermal
+from icofridge import cswap, fridge, nswitch, qmat, thermal
 from icofridge.cswap import cooling_reservoir_marginal, cooling_target_marginal, cswap_branches, cswap_energy_identity, cswap_evolve, cswap_populations, qubit_marginal, sequential_discard
 from icofridge.measurement import build_basis, measure_control
 from icofridge.thermal import ThermalSpec
@@ -201,14 +201,28 @@ def test_populations_match_dense_register(n):
             assert abs(heating[q] - qubit_marginal(heat, q)[1, 1].real) < 1e-14
 
 
+@pytest.mark.parametrize("n", (2, 3, 8, 16))
+def test_populations_match_kernel_at_tiny_ratios(n):
+    # no cancellation in either branch: the heating branch keeps its digits
+    # where p_H is far below ALGEBRA_TOL, down to the smallest normal ratio
+    step = fridge._kernel("cswap", n, 2)
+    for r in (3e-11, 1e-12, 1e-13, 1e-14, 1e-15, 1e-16, 1e-100, 2.3e-308):
+        p_c, p_h, cooling, heating = cswap_populations(n, r)
+        want_c, want_h, x_cool, x_heat, _ = step(r, thermal.excited_weight(2, r))
+        assert p_h < qmat.ALGEBRA_TOL
+        assert abs(p_h - (n - 1) * want_h) <= 3e-15 * (n - 1) * want_h, r
+        assert abs(heating[0] - x_heat) <= 3e-15 * x_heat, r
+        assert abs(cooling[0] - x_cool) <= 3e-15 * x_cool, r
+
+
 @pytest.mark.parametrize("n", range(2, 6))
 def test_evolve_matches_block_reference(n):
     # each control block S_i rho S_j built on its own, divided by N
     for r in (0.1, 0.5, 1.0):
-        rho_q = qmat.kron_all([gibbs(r)] * (n + 1))
+        rho_q = qmat.kron_all([gibbs(r).real] * (n + 1))
         q = 1 << (n + 1)
         perms = [cswap._swap_permutation(n + 1, 0, k + 1) for k in range(n)]
-        ref = np.zeros((n * q, n * q), dtype=complex)
+        ref = np.zeros((n * q, n * q))
         for i in range(n):
             for j in range(n):
                 ref[i * q : (i + 1) * q, j * q : (j + 1) * q] = rho_q[np.ix_(perms[i], perms[j])] / n

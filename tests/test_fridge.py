@@ -236,7 +236,7 @@ def _reference_cycles(scheme, ens, n, dim, seed, max_cycles):
     work, stop = 0.0, "budget"
     r_cold = float(ratio_of_weight(dim, a_c))
     for cycle in range(1, max_cycles + 1):
-        point = OperatingPoint.at(scheme, n, dim, max(r_cold, 1e-12))
+        point = OperatingPoint.at(scheme, n, dim, r_cold)
         p_c, p_h, e_cool, e_heat, n_med = point.p_c, point.p_h, point.e_cool, point.e_heat, point.n_med
         p_heating = (n - 1) * p_h
         branch = "cooling" if rng.random() < p_c else "heating"
@@ -268,6 +268,7 @@ def _reference_cycles(scheme, ens, n, dim, seed, max_cycles):
         (5.0, 0.1, 20_000, "cold-exhausted"),
         (2.0, 0.6, 1, "budget"),
         (2.0, 0.6, 3, "budget"),
+        (1.0, 1e-300, 20_000, "cold-exhausted"),
     ),
 )
 def test_run_cycles_matches_per_cycle_reference(scheme, dim, k, r0, max_cycles, stop):
@@ -290,6 +291,10 @@ def test_run_cycles_matches_per_cycle_reference(scheme, dim, k, r0, max_cycles, 
     # labels are references to two shared strings, not one string per cycle
     assert {id(b) for b in trace.branches} <= {id(label) for label in fridge._LABELS}
     assert type(trace.final_r_cold) is float and trace.final_r_cold == ref["r_cold"][-1]
+    # the first cycle runs at the start ratio, however small: the cold bath
+    # cools, and it loses what the hot bath gains up to rounding
+    assert trace.r_cold[0] < r0
+    assert trace.audit_defect() <= 1e-13 * np.max(np.abs(trace.heat_cold))
 
 
 def test_trace_columns_are_packed_arrays():

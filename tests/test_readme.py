@@ -53,7 +53,7 @@ def test_check_table_matches_the_suite():
     for name, closed, oracle in rows:
         assert closed.startswith("property: ") == (oracle == "—"), name
     flagged = {name.strip("`") for name, _, oracle in rows if "kernel against kernel" in oracle}
-    assert flagged == {"cop_zero_point", "cop_cswap_tripling", "demon_statistics"}
+    assert flagged == {"cop_zero_point", "cop_cswap_tripling"}
 
 
 def test_shell_examples_run(tmp_path, monkeypatch, capsys):
