@@ -44,6 +44,10 @@ def _float_list(text: str) -> list[float]:
     return _nonempty([float(x) for x in text.split(",") if x.strip()])
 
 
+def _str_list(text: str) -> list[str]:
+    return _nonempty([x.strip() for x in text.split(",") if x.strip()])
+
+
 def _nonempty(values: list) -> list:
     """A list flag's values; an empty one is a usage error, not an empty grid."""
     if not values:
@@ -319,7 +323,6 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("cswap", help="controlled-SWAP branch marginals over a grid")
     common(p)
-    # cswap_populations stops at 16 reservoir qubits
     p.add_argument("--n-list", type=_int_list, default="2,3,4,10")
     p.add_argument("--r-list", type=_float_list, default=_R_LIST)
     columns = ["n", "r", "p_c", "p_H", "target_cool_pop", "reservoir_cool_pop"]
@@ -346,32 +349,28 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("verify", help="run the named oracle suite")
     common(p, ("text", "json"))
-    p.add_argument("--checks", nargs="+", default=None, help="subset of check names")
+    p.add_argument("--checks", type=_str_list, default=None, help="comma-separated subset of check names")
     p.set_defaults(func=_cmd_verify)
 
     return parser
 
 
 def _config_flags(args, parser: _Parser) -> list[str]:
-    """The ``--config`` file's keys as ``--key=value`` flags of ``args.command``;
-    a flag that takes several values (``--checks``) gets the value's words."""
+    """The ``--config`` file's keys as ``--key=value`` flags of ``args.command``."""
     try:
         values = read_config_file(args.config)
     except OSError as exc:
         raise IOError(f"cannot read {args.config}: {exc}") from exc
     (commands,) = [a for a in parser._actions if a.dest == "command"]
-    actions = commands.choices[args.command]._actions
     # only a flag of this command, spelled out: argparse would also take a
     # prefix (r for --r-list), and a nested --config would go unread; args
     # also holds command and func, which are not flags
-    dests = {a.dest for a in actions} - {"help", "config"}
-    several = {a.dest for a in actions if a.nargs in ("*", "+")}
+    dests = {a.dest for a in commands.choices[args.command]._actions} - {"help", "config"}
     flags = []
     for dest, value in values.items():
         if dest not in dests:
             raise ValueError(f"unknown config key {dest!r}")
-        flag = f"--{dest.replace('_', '-')}"
-        flags += [flag, *value.split()] if dest in several else [f"{flag}={value}"]
+        flags.append(f"--{dest.replace('_', '-')}={value}")
     return flags
 
 

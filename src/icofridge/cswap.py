@@ -15,11 +15,13 @@ product of diagonal Gibbs states and SWAPs only permute the energy basis, so
 the register is real and held as float64. ``cswap_branches`` projects its
 control with one reduction over the control axes and returns each branch as
 a real (N+1)-qubit density matrix. All closed forms here are cross-checked
-against direct partial traces of those arrays.
+against direct partial traces of those arrays, and against
+``cswap_populations``, which counts the same populations by symmetry class.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,8 +35,8 @@ from .thermal import ThermalSpec, degenerate_state, excited_weight, gibbs_state
 # Joint dimension N * 2**(N+1); kept at desk scale.
 MAX_QUBITS = 8
 
-# cswap_populations holds N index arrays of length 2**(N+1) instead.
-MAX_POPULATION_QUBITS = 16
+# cswap_populations' 2(N+1) class sums: C(N, w) and 2**(N+1) stay finite floats.
+MAX_POPULATION_QUBITS = 1000
 
 
 def _swap_permutation(n_qubits: int, a: int, b: int) -> np.ndarray:
@@ -134,38 +136,35 @@ def cswap_populations(n: int, r: float) -> tuple[float, float, np.ndarray, np.nd
 
     Returns (p_c, p_H, cooling, heating): the two branch probabilities and
     each branch's excited population of the target (index 0) and the N
-    reservoir qubits (1..N). The Gibbs product is diagonal, so diagonal
-    entry x of the control block S_i rho S_j is rho[pi_i(x)] when the swap
-    permutations agree, pi_i(x) = pi_j(x), and 0 otherwise. The cooling
-    branch sums all N^2 blocks over N; the pooled heating branch, the control
-    diagonal less that, sums the disagreeing pairs, so no entry of either is
-    a difference and both keep their digits at every valid ratio. Only swap
-    indices and the Gibbs diagonal enter, none of the branch closed forms,
-    so this stays an oracle for them; ``cswap_evolve`` with
-    ``cswap_branches`` is the dense reference at n <= MAX_QUBITS.
+    reservoir qubits (1..N). The Gibbs product is diagonal and the same on
+    every qubit, so entry x of control block S_i rho S_j is rho(x) if
+    pi_i(x) = pi_j(x), else 0, and swaps i != j agree exactly when
+    reservoirs i and j both equal the target bit t. With m such reservoirs,
+    x's cooling diagonal is rho(x)(N + m(m-1))/N^2 and its pooled heating
+    diagonal rho(x)(N(N-1) - m(m-1))/N^2: summed over the 2(N+1) classes
+    (t, w) of C(N, w) states with w excited reservoirs, no term is a
+    difference, and each exchangeable reservoir holds the mean w/N. No
+    branch closed form enters, so this is an oracle for them; the dense
+    reference at n <= MAX_QUBITS is ``cswap_branches(cswap_evolve(n, r))``.
     """
     _validate("cswap", n, 2, r)
     if n > MAX_POPULATION_QUBITS:
-        raise ValueError(
-            f"{n} reservoir qubits exceed the population guard (n <= {MAX_POPULATION_QUBITS})"
-        )
-    t = np.diag(gibbs_state(ThermalSpec.qubit(r))).real
-    rho = qmat.kron_all([t] * (n + 1))
-    perms = np.array([_swap_permutation(n + 1, 0, k + 1) for k in range(n)])
-    rho_perm = rho[perms]
-    # N^2 times each branch: rho[pi_i(x)] over agreeing or disagreeing (i, j)
-    cool, heat = np.zeros(rho.size), np.zeros(rho.size)
-    for i in range(n):
-        agree = np.count_nonzero(perms == perms[i], axis=0)
-        cool += rho_perm[i] * agree
-        heat += rho_perm[i] * (n - agree)
-    cool /= n * n
-    heat /= n * n
-    p_c, p_h = float(cool.sum()), float(heat.sum())
-    bits = _excited_bits(n + 1)
-    cooling = cool @ bits / p_c
-    heating = heat @ bits / p_h
-    return p_c, p_h, cooling, heating
+        raise ValueError(f"{n} reservoir qubits exceed the population guard (n <= {MAX_POPULATION_QUBITS})")
+    classes = [(t, w) for t in (0, 1) for w in range(n + 1)]
+    weights = [float(math.comb(n, w)) * r ** (t + w) for t, w in classes]
+    total = math.fsum(weights)
+    agree = [n + m * (m - 1) for m in (w if t else n - w for t, w in classes)]
+    # normalized before the 1/N^2, so a tiny ratio's terms stay normal
+    cool = [p / total * (a / n**2) for p, a in zip(weights, agree)]
+    heat = [p / total * ((n**2 - a) / n**2) for p, a in zip(weights, agree)]
+
+    def populations(branch: list[float], p: float) -> np.ndarray:
+        target = math.fsum(b * t for b, (t, _) in zip(branch, classes)) / p
+        reservoir = math.fsum(b * (w / n) for b, (_, w) in zip(branch, classes)) / p
+        return np.array([target] + [reservoir] * n)
+
+    p_c, p_h = math.fsum(cool), math.fsum(heat)
+    return p_c, p_h, populations(cool, p_c), populations(heat, p_h)
 
 
 def cooling_reservoir_marginal(n: int, r: float) -> np.ndarray:

@@ -361,7 +361,7 @@ def test_nonfinite_and_empty_inputs_exit_1(argv, message, capsys):
         (["traj", "--n-list", "1"], "need at least two channels"),
         (["branches", "--r-list", "1e-320"], "ratio 1e-320 is subnormal"),
         (["demon", "--r", "1e-320"], "ratio 1e-320 is subnormal"),
-        (["cswap", "--n-list", "17"], "17 reservoir qubits exceed the population guard (n <= 16)"),
+        (["cswap", "--n-list", "1001"], "1001 reservoir qubits exceed the population guard (n <= 1000)"),
         # argparse's "choose from" wording differs across Python versions
         (["cycle", "--format", "json"], "argument --format: invalid choice: 'json'"),
         (["demon", "--format", "csv"], "argument --format: invalid choice: 'csv'"),
@@ -377,7 +377,7 @@ def test_nonfinite_and_empty_inputs_exit_1(argv, message, capsys):
         (["limits", "--k-list", " , "], "argument --k-list: empty list"),
         (["cop", "--scheme", ""], "unknown scheme ''"),
         (["limits", "--scheme", ","], "no closed-form temperature limit for scheme ''"),
-        (["verify", "--checks"], "argument --checks: expected at least one argument"),
+        (["verify", "--checks"], "argument --checks: expected one argument"),
         # a heating probability that underflows to 0 is an error, not a p_H = 0 row
         (["traj", "--n-list", "1" + "0" * 30, "--r-list", "1e-300"], "heating probability underflows to 0"),
         (["cop", "--n-list", "1" + "0" * 30, "--r-list", "1e-300"], "heating probability underflows to 0"),
@@ -454,13 +454,28 @@ def test_grid_config_echo(command, capsys):
 
 def test_verify_config_echoes_its_flags(capsys):
     # the echo is the parsed command line, so verify's JSON records --checks
-    argv = ["verify", "--checks", "qmat_algebra", "kraus_completeness", "--format", "json"]
+    argv = ["verify", "--checks", "qmat_algebra,kraus_completeness", "--format", "json"]
     code, out = run(argv, capsys)
     assert code == 0
     config = {"command": "verify", "checks": "qmat_algebra,kraus_completeness", "format": "json"}
     assert json.loads(out)["config"] == config
     code, out = run(["verify", "--checks", "qmat_algebra", "--format", "json"], capsys)
     assert (code, json.loads(out)["config"]["checks"]) == (0, "qmat_algebra")
+
+
+def test_verify_echo_round_trips_through_config(tmp_path, capsys):
+    # verify's JSON echo of checks, fed back as a config key, selects the same checks
+    argv = ["verify", "--checks", "measurement_basis,qmat_algebra", "--format", "json"]
+    code, out = run(argv, capsys)
+    doc = json.loads(out)
+    assert code == 0
+    cfg = tmp_path / "echo.cfg"
+    cfg.write_text(f"checks={doc['config']['checks']}\nformat={doc['config']['format']}\n")
+    code, again = run(["verify", "--config", str(cfg)], capsys)
+    assert code == 0
+    assert json.loads(again)["config"] == doc["config"]
+    assert [row[0] for row in json.loads(again)["rows"]] == [row[0] for row in doc["rows"]]
+    assert [row[0] for row in doc["rows"]] == ["measurement_basis", "qmat_algebra"]
 
 
 def test_cswap_at_r_one_writes_nan_not_a_ratio(capsys):
@@ -542,12 +557,12 @@ def test_empty_list_in_config_file_exits_1(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "usage error: argument --r-list: empty list" in captured.err
-    # a key that takes several values needs at least one word
+    # the comma-separated --checks needs at least one name
     cfg.write_text("checks=\n")
     assert cli.main(["verify", "--config", str(cfg)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "usage error: argument --checks: expected at least one argument" in captured.err
+    assert "usage error: argument --checks: empty list" in captured.err
 
 
 def test_io_error_exit_code(capsys):
@@ -558,7 +573,7 @@ def test_io_error_exit_code(capsys):
 
 
 def test_verify_subset(capsys):
-    code, out = run(["verify", "--checks", "kraus_completeness", "measurement_basis"], capsys)
+    code, out = run(["verify", "--checks", "kraus_completeness,measurement_basis"], capsys)
     assert code == 0
     assert "PASS  kraus_completeness" in out
     assert "2/2 checks passed" in out
@@ -570,9 +585,9 @@ def test_verify_unknown_check(capsys):
 
 
 def test_config_file_names_several_checks(tmp_path, capsys):
-    # a flag that takes several values reads the key's words as its values
+    # the checks key is one comma-separated list, as every list key is
     cfg = tmp_path / "verify.cfg"
-    cfg.write_text("checks=kraus_completeness  measurement_basis\n")
+    cfg.write_text("checks=kraus_completeness,measurement_basis\n")
     code, out = run(["verify", "--config", str(cfg)], capsys)
     assert code == 0
     assert re.findall(r"^PASS  (\w+)", out, re.MULTILINE) == ["kraus_completeness", "measurement_basis"]

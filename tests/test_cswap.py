@@ -1,9 +1,12 @@
+import json
+import math
+from fractions import Fraction
 from itertools import permutations
 
 import numpy as np
 import pytest
 
-from icofridge import cswap, fridge, nswitch, qmat, thermal
+from icofridge import cli, cswap, fridge, nswitch, qmat, thermal
 from icofridge.cswap import cooling_reservoir_marginal, cooling_target_marginal, cswap_branches, cswap_energy_identity, cswap_evolve, cswap_populations, qubit_marginal, sequential_discard
 from icofridge.measurement import build_basis, measure_control
 from icofridge.thermal import ThermalSpec
@@ -182,12 +185,15 @@ def test_ordered_circuit_equivalence():
 def test_size_guard():
     with pytest.raises(ValueError):
         cswap_evolve(9, 0.5)
-    with pytest.raises(ValueError, match="population guard"):
-        cswap_populations(17, 0.5)
+    with pytest.raises(ValueError, match=r"1001 reservoir qubits exceed the population guard \(n <= 1000\)"):
+        cswap_populations(1001, 0.5)
     with pytest.raises(ValueError, match="two channels"):
         cswap_populations(1, 0.5)
-    p_c, p_h, cooling, heating = cswap_populations(16, 0.5)
-    assert abs(p_c + p_h - 1.0) < 1e-12 and cooling.shape == heating.shape == (17,)
+    # r = 1 gives the largest class weights, up to C(1000, 500) ~ 2.7e299
+    for r in (0.5, 1.0):
+        p_c, p_h, cooling, heating = cswap_populations(1000, r)
+        assert abs(p_c + p_h - 1.0) < 1e-12 and cooling.shape == heating.shape == (1001,)
+        assert np.isfinite(cooling).all() and np.isfinite(heating).all()
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -261,3 +267,53 @@ def test_evolve_rejects_invalid_ratios():
             cswap_evolve(3, r)
     with pytest.raises(ValueError, match="two channels"):
         cswap_evolve(1, 0.5)
+
+
+def exact_populations(n, r):
+    """``cswap_populations``' class sums in rationals: (p_c, p_H, cooling,
+    heating), each population pair (target, one reservoir)."""
+    r = Fraction(r)
+    cool, heat = [0, 0, 0], [0, 0, 0]  # branch weight, target and reservoir excitations
+    for t in (0, 1):
+        for w in range(n + 1):
+            m = w if t else n - w
+            rho = math.comb(n, w) * r ** (t + w)
+            for sums, pairs in ((cool, n + m * (m - 1)), (heat, n * (n - 1) - m * (m - 1))):
+                sums[0] += rho * pairs
+                sums[1] += t * rho * pairs
+                sums[2] += Fraction(w, n) * rho * pairs
+    norm = n * n * (1 + r) ** (n + 1)
+    return (
+        cool[0] / norm, heat[0] / norm, (cool[1] / cool[0], cool[2] / cool[0]), (heat[1] / heat[0], heat[2] / heat[0])
+    )
+
+
+@pytest.mark.parametrize(
+    "n, r", [(n, r) for n in (20, 100) for r in (1e-6, 0.3, 0.999999, 1.0)] + [(20, 2.3e-308)]
+)
+def test_populations_match_exact_class_sums(n, r):
+    p_c, p_h, cooling, heating = cswap_populations(n, r)
+    want_c, want_h, (cool_t, cool_r), (heat_t, heat_r) = exact_populations(n, r)
+    pairs = [(p_c, want_c), (p_h, want_h), (cooling[0], cool_t), (heating[0], heat_t)]
+    pairs += [(got, cool_r) for got in cooling[1:]] + [(got, heat_r) for got in heating[1:]]
+    for got, want in pairs:
+        assert abs(Fraction(got) / want - 1) <= 4e-15, (got, float(want))
+
+
+def test_cli_rows_match_closed_forms_beyond_the_dense_register(capsys):
+    # verify's cswap_marginals (1e-10) and cswap_tripling (1e-9 relative)
+    # tolerances, at N the dense register and the old enumeration never reached
+    argv = ["cswap", "--n-list", "17,100,1000", "--r-list", "0.1,0.5,0.9", "--format", "json"]
+    assert cli.main(argv) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [row[:2] for row in rows] == [[n, r] for n in (17, 100, 1000) for r in (0.1, 0.5, 0.9)]
+    for n, r, p_c, p_h, target_cool, reservoir_cool, target_heat, ratio in rows:
+        stats = nswitch.branch_stats(n, ThermalSpec.qubit(r))
+        _, _, cooling, _ = cswap_populations(n, r)
+        assert abs(p_c - stats.p_c) < 1e-10 and abs(p_h - stats.p_heating_total) < 1e-10
+        assert abs(target_heat - stats.rho_h[1, 1].real) < 1e-10
+        assert abs(target_cool - cooling_target_marginal(n, r)[1, 1].real) < 1e-10
+        assert abs(cooling[0] - cooling_target_marginal(n, r)[1, 1].real) < 1e-10
+        assert abs(reservoir_cool - cooling_reservoir_marginal(n, r)[1, 1].real) < 1e-10
+        assert abs(cooling[1] - cooling_reservoir_marginal(n, r)[1, 1].real) < 1e-10
+        assert abs(ratio / 3.0 - 1.0) < 1e-9

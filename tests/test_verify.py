@@ -14,7 +14,7 @@ def test_defect_above_tolerance_fails(monkeypatch, capsys):
     (res,) = verify.run_checks(["qudit_boost"])
     assert res.passed is False
     assert (res.defect, res.tol) == (2 * tol, tol)
-    assert cli.main(["verify", "--checks", "kraus_completeness", "qudit_boost"]) == 2
+    assert cli.main(["verify", "--checks", "kraus_completeness,qudit_boost"]) == 2
     out = capsys.readouterr().out
     assert re.search(r"^FAIL  qudit_boost ", out, re.MULTILINE)
     assert "1/2 checks passed" in out
