@@ -105,9 +105,12 @@ def _config_comment(config: dict) -> str:
 
 
 def _csv(columns: Sequence[str], rows) -> str:
-    """The column line and one line of cells per row."""
-    lines = [",".join(columns)] + [",".join(map(_cell, row)) for row in rows]
-    return "\n".join(lines) + "\n"
+    """The column line and one line per row, all rows formatted by one ``%``
+    template built from the first row's cells: ``%.12g`` for a float, ``%s``
+    for any other cell."""
+    rows = list(rows)
+    template = ",".join(["%.12g" if isinstance(v, float) else "%s" for v in (rows or [()])[0]]) + "\n"
+    return ",".join(columns) + "\n" + "".join([template % tuple(row) for row in rows])
 
 
 def _emit(columns: Sequence[str], rows: list[list], args):
@@ -157,58 +160,59 @@ def _write(path: str | None, parts: Iterable[str]) -> None:
         raise IOError(f"cannot write {path}: {exc}") from exc
 
 
-def _cell(v) -> str:
-    if isinstance(v, float):
-        return f"{v:.12g}"
-    return str(v)
-
-
 # ---------------------------------------------------------------------------
 # subcommand implementations
 # ---------------------------------------------------------------------------
 
 
-def _table(columns: Sequence[str], row, axes: tuple[str, ...]):
-    """A grid command: one ``row(args, *point)`` per point of the product of
-    the list flags ``axes``, in their order."""
+def _table(columns: Sequence[str], rows, axes: tuple[str, ...]):
+    """A grid command over the list flags ``axes``, in their order. Each
+    ``rows(args, *point, values)`` returns one slice's rows: the last axis's
+    whole list ``values`` at one point of the product of the others."""
 
     def run(args) -> int:
-        points = itertools.product(*(getattr(args, axis) for axis in axes))
-        _emit(columns, [row(args, *point) for point in points], args)
+        *outer, last = (getattr(args, axis) for axis in axes)
+        points = itertools.product(*outer)
+        _emit(columns, [row for point in points for row in rows(args, *point, last)], args)
         return 0
 
     return run
 
 
-def _branches_row(args, n, d, r):
-    pt = fridge.OperatingPoint.at("ico", n, d, r)
-    return [n, d, r, pt.p_c, pt.p_heating, pt.e_heat - pt.a, pt.e_cool - pt.a, pt.weighted_energy]
+def _branches_rows(args, n, d, r_list):
+    p = fridge.OperatingPoint.at("ico", n, d, r_list)
+    columns = (p.p_c, p.p_heating, p.e_heat - p.a, p.e_cool - p.a, p.weighted_energy)
+    return [[n, d, *row] for row in zip(r_list, *(c.tolist() for c in columns))]
 
 
-def _cop_row(args, scheme, n, d, r):
-    r_hot = r if args.r_hot is None else args.r_hot
-    value = fridge.cop(n, d, r, r_hot, args.beta_r, scheme)
-    return [scheme, n, d, r, r_hot, value, value / args.beta_r]
+def _cop_rows(args, scheme, n, d, r_list):
+    hots = r_list if args.r_hot is None else [args.r_hot] * len(r_list)
+    values = fridge.cop(n, d, r_list, hots, args.beta_r, scheme)
+    return [[scheme, n, d, r, r_hot, v, v / args.beta_r] for r, r_hot, v in zip(r_list, hots, values)]
 
 
-def _limits_row(args, scheme, k, r):
-    return [scheme, k, r, fridge.lowest_r(scheme, r, k)]
+def _limits_rows(args, scheme, k, r_list):
+    return [[scheme, k, r, fridge.lowest_r(scheme, r, k)] for r in r_list]
 
 
-def _cswap_row(args, n, r):
-    p_c, p_h_tot, cool, heat = cswap_populations(n, r)
-    t_pop = excited_weight(2, r)
-    target = float(cooling_target_marginal(n, r)[1, 1].real)
-    reservoir = float(cooling_reservoir_marginal(n, r)[1, 1].real)
-    total = sum(cool.tolist())
-    # at r = 1 no population moves and the ratio is 0/0, so the cell is NaN
-    ratio = (total - (n + 1) * t_pop) / (target - t_pop) if target != t_pop else math.nan
-    return [n, r, p_c, p_h_tot, target, reservoir, float(heat[0]), ratio]
+def _cswap_rows(args, n, r_list):
+    rows = []
+    for r in r_list:
+        p_c, p_h_tot, cool, heat = cswap_populations(n, r)
+        t_pop = excited_weight(2, r)
+        target = float(cooling_target_marginal(n, r)[1, 1].real)
+        reservoir = float(cooling_reservoir_marginal(n, r)[1, 1].real)
+        total = sum(cool.tolist())
+        # at r = 1 no population moves and the ratio is 0/0, so the cell is NaN
+        ratio = (total - (n + 1) * t_pop) / (target - t_pop) if target != t_pop else math.nan
+        rows.append([n, r, p_c, p_h_tot, target, reservoir, float(heat[0]), ratio])
+    return rows
 
 
-def _traj_row(args, n, r):
-    pt = fridge.OperatingPoint.at("traj", n, 2, r)
-    return [n, r, pt.p_c, pt.p_heating, pt.weighted_energy, pt.weighted_energy / pt.entropy]
+def _traj_rows(args, n, r_list):
+    p = fridge.OperatingPoint.at("traj", n, 2, r_list)
+    columns = (p.p_c, p.p_heating, p.weighted_energy, p.weighted_energy / p.entropy)
+    return [[n, *row] for row in zip(r_list, *(c.tolist() for c in columns))]
 
 
 def _cmd_cycle(args) -> int:
@@ -217,8 +221,7 @@ def _cmd_cycle(args) -> int:
         args.scheme, ens, n=args.n, dim=args.d, seed=args.seed, max_cycles=args.max_cycles
     )
     config = _config(args, stop=trace.stop_reason, audit_defect=trace.audit_defect())
-    # the trace writes its own rows: a template per row is half the cost of
-    # _cell per cell, and its blocks go out as they are formatted
+    # the trace writes its own rows in blocks, which go out as they are formatted
     _write(args.out, itertools.chain([_config_comment(config)], trace.to_csv()))
     return 0
 
@@ -288,7 +291,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--d-list", type=_int_list, default="2")
     p.add_argument("--r-list", type=_float_list, default=_R_LIST)
     columns = ["n", "d", "r", "p_c", "p_H", "dE_h", "dE_c", "weighted_dE_h"]
-    p.set_defaults(func=_table(columns, _branches_row, ("n_list", "d_list", "r_list")))
+    p.set_defaults(func=_table(columns, _branches_rows, ("n_list", "d_list", "r_list")))
 
     p = sub.add_parser("cop", help="coefficient of performance over a grid")
     common(p)
@@ -299,7 +302,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--r-hot", type=float, default=None, help="default: optimal case r_hot=r")
     p.add_argument("--beta-r", type=float, default=1.0)
     columns = ["scheme", "n", "d", "r", "r_hot", "cop", "cop_over_gap_beta"]
-    p.set_defaults(func=_table(columns, _cop_row, ("scheme", "n_list", "d_list", "r_list")))
+    p.set_defaults(func=_table(columns, _cop_rows, ("scheme", "n_list", "d_list", "r_list")))
 
     p = sub.add_parser("limits", help="lowest reachable cold ratio (closed form)")
     common(p)
@@ -307,7 +310,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--k-list", type=_float_list, default="0.5,1,5,100")
     p.add_argument("--r-list", type=_float_list, default=_R_LIST)
     columns = ["scheme", "k", "r_start", "r_lowest"]
-    p.set_defaults(func=_table(columns, _limits_row, ("scheme", "k_list", "r_list")))
+    p.set_defaults(func=_table(columns, _limits_rows, ("scheme", "k_list", "r_list")))
 
     p = sub.add_parser("cycle", help="finite-reservoir refrigeration trace")
     common(p, ("csv",))
@@ -327,14 +330,14 @@ def _build_parser() -> _Parser:
     p.add_argument("--r-list", type=_float_list, default=_R_LIST)
     columns = ["n", "r", "p_c", "p_H", "target_cool_pop", "reservoir_cool_pop"]
     columns += ["target_heat_pop", "total_over_target"]
-    p.set_defaults(func=_table(columns, _cswap_row, ("n_list", "r_list")))
+    p.set_defaults(func=_table(columns, _cswap_rows, ("n_list", "r_list")))
 
     p = sub.add_parser("traj", help="superposed-trajectory fridge data over a grid")
     common(p)
     p.add_argument("--n-list", type=_int_list, default=_N_LIST)
     p.add_argument("--r-list", type=_float_list, default=_R_LIST)
     columns = ["n", "r", "p_c", "p_H", "weighted_dE_h", "cop_over_gap_beta"]
-    p.set_defaults(func=_table(columns, _traj_row, ("n_list", "r_list")))
+    p.set_defaults(func=_table(columns, _traj_rows, ("n_list", "r_list")))
 
     p = sub.add_parser("demon", help="Maxwell-demon sorting experiment")
     common(p, ("json",))

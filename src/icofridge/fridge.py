@@ -24,7 +24,9 @@ Every branch statistic in the package (switch, controlled SWAP, cycles,
 demon, CLI tables) comes from one kernel, ``_kernel``: the heralded
 branches T + (N-1) M rho M^dag and T - M rho M^dag of a degenerate working
 system, with M = T (``ico``, ``cswap``) or M = A (``traj``). Every
-statistic at a thermal input is read from one validated ``OperatingPoint``.
+statistic at a thermal input is read from one validated ``OperatingPoint``;
+a sequence of ratios takes one array call of the kernel and gives, bit for
+bit, its ratios' points, entropy included (taken with ``math.log``).
 
 Reservoirs are mean field: a bath is its particle count and current ratio.
 A refrigeration run builds its step once and makes one call to it per
@@ -44,7 +46,7 @@ import math
 import operator
 import sys
 from array import array
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -71,11 +73,13 @@ _CSV_ROW = "%d,%s" + ",%.12g" * 6 + "\n"
 _CSV_BLOCK = 4096  # rows formatted and written per string
 
 
-def _validate(scheme: str, n: int, dim: int, r: float) -> None:
-    """Reject inputs the branch kernel is not defined for; N and D are integers."""
+def _validate(scheme: str, n: int, dim: int, r) -> None:
+    """Reject inputs the branch kernel is not defined for; N and D are
+    integers, ``r`` is a ratio or a sequence of ratios checked in order."""
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
-    _validate_family(dim, r)
+    for x in r if isinstance(r, Sequence) else (r,):
+        _validate_family(dim, x)
     if operator.index(n) < 2:
         raise ValueError("need at least two channels")
     if (n - 1) * (n - 2 if scheme == "cswap" else 1) > sys.float_info.max:
@@ -132,7 +136,8 @@ def _kernel(scheme: str, n: int, dim: int):
 
 
 class OperatingPoint(NamedTuple):
-    """Branch statistics of one (scheme, N, D) at the thermal input of ratio r.
+    """Branch statistics of one (scheme, N, D) at the thermal input of ratio r,
+    or at each ratio of a sequence, in arrays (see ``at``).
 
     ``p_c`` is the cooling probability and ``p_h`` that of each of the N-1
     heating branches; ``a`` is the bath's excited weight. ``e_cool`` and
@@ -151,17 +156,24 @@ class OperatingPoint(NamedTuple):
     n_med: int
 
     @classmethod
-    def at(cls, scheme: str, n: int, dim: int, r: float) -> "OperatingPoint":
+    def at(cls, scheme: str, n: int, dim: int, r) -> "OperatingPoint":
         """Validate (scheme, N, D, r) and evaluate the kernel there once.
 
-        A heating probability that underflows to 0 (huge N at a tiny r) is
-        rejected: the heating branch and the register entropy vanish there.
+        ``r`` is a ratio or a sequence of ratios. A sequence is checked
+        ratio by ratio, then evaluated in one array call of the kernel; each
+        float field is then an array over the ratios, equal bit for bit to
+        the ratios' own points. A heating probability that underflows to 0
+        (huge N at a tiny r) is rejected, naming its r: the heating branch
+        and the register entropy vanish there.
         """
         _validate(scheme, n, dim, r)
-        a = excited_weight(dim, r)
-        p_c, p_h, e_cool, e_heat, x_res = _kernel(scheme, n, dim)(r, a)
-        if p_h == 0.0:
-            raise ValueError(f"heating probability underflows to 0 at n={n}, d={dim}, r={r}")
+        many = isinstance(r, Sequence)
+        rs = np.array(r, dtype=float) if many else r
+        a = excited_weight(dim, rs)
+        p_c, p_h, e_cool, e_heat, x_res = _kernel(scheme, n, dim)(rs, a)
+        for x, p in zip(r, p_h.tolist()) if many else [(r, p_h)]:
+            if p == 0.0:
+                raise ValueError(f"heating probability underflows to 0 at n={n}, d={dim}, r={x}")
         n_med = 1
         if scheme == "cswap":
             e_cool, e_heat, n_med = _cswap_mediums(n, a, p_c, p_h, e_cool, x_res)
@@ -177,8 +189,11 @@ class OperatingPoint(NamedTuple):
         """Shannon entropy (nats) of the fine-grained measurement record.
 
         One cooling outcome and N-1 individually recorded heating outcomes:
-        S = -p_c ln p_c - (N-1) p_h ln p_h.
+        S = -p_c ln p_c - (N-1) p_h ln p_h. Over a sequence of ratios each
+        entry still comes from ``math.log``, which ``np.log`` may miss by an ulp.
         """
+        if isinstance(self.p_c, np.ndarray):
+            return np.array([_entropy(self.n, c, h) for c, h in zip(self.p_c.tolist(), self.p_h.tolist())])
         return _entropy(self.n, self.p_c, self.p_h)
 
     @property
@@ -197,17 +212,19 @@ class OperatingPoint(NamedTuple):
         return pop / (1.0 - pop) / (self.dim - 1)
 
 
-def _cswap_mediums(n: int, a: float, p_c: float, p_h: float, x_cool: float, x_res: float):
+def _cswap_mediums(n: int, a, p_c, p_h, x_cool, x_res):
     """cswap's (e_cool, e_heat, n_med) from one kernel step at bath weight ``a``.
 
     The target and the N reservoir qubits are the N+1 working mediums; the
     heating-branch sum follows from energy conservation, and falls back to
-    the thermal sum when the heating branches have no weight.
+    the thermal sum when the heating branches have no weight. Only a float
+    step from ``run_cycles`` can have none: ``OperatingPoint.at`` rejects it.
     """
     e_cool = x_cool + n * x_res
     p_heating = (n - 1) * p_h
-    e_heat = ((n + 1) * a - p_c * e_cool) / p_heating if p_heating > 0 else (n + 1) * a
-    return e_cool, e_heat, n + 1
+    if isinstance(p_heating, float) and not p_heating > 0:
+        return e_cool, (n + 1) * a, n + 1
+    return e_cool, ((n + 1) * a - p_c * e_cool) / p_heating, n + 1
 
 
 def _entropy(n: int, p_c: float, p_h: float) -> float:
@@ -226,25 +243,34 @@ def work_cost(entropy: float, beta_r: float) -> float:
     return work
 
 
-def cop(n: int, dim: int, r: float, r_hot: float, beta_r: float, scheme: str = "ico") -> float:
+def cop(n: int, dim: int, r, r_hot, beta_r: float, scheme: str = "ico"):
     """Coefficient of performance at cold ratio ``r`` and hot ratio ``r_hot``.
 
     Average heat drawn from the cold reservoirs (cooling-branch extraction
     minus the heat the mediums carry back from the hot bath on heating
     branches) divided by the register erasure work. Zero exactly when the
     hot bath matches the heating-branch mediums; maximal at r_hot = r.
+
+    A sequence ``r`` gives the list of its ratios' values from one
+    ``OperatingPoint.at`` call; ``r_hot`` is then one ratio or a sequence as
+    long, and the hot-ratio and work checks run ratio by ratio.
     """
     point = OperatingPoint.at(scheme, n, dim, r)
-    # no upper bound: stop_ratio may round just above 1 and cop is zero there;
-    # the ratio rule still rejects a subnormal r_hot
-    if not 0.0 < r_hot < math.inf:
-        raise ValueError(f"hot ratio {r_hot} must be positive and finite")
-    _validate_ratio(min(r_hot, 1.0))
-    a_hot = excited_weight(dim, r_hot)
-    if math.isnan(a_hot):  # (dim - 1) * r_hot overflows
-        raise ValueError(f"hot ratio {r_hot} overflows the bath energy at d={dim}")
+    many = isinstance(r, Sequence)
+    hots = r_hot if isinstance(r_hot, Sequence) else [r_hot] * (len(r) if many else 1)
+    for h in hots:
+        # no upper bound: stop_ratio may round just above 1 and cop is zero there;
+        # the ratio rule still rejects a subnormal r_hot
+        if not 0.0 < h < math.inf:
+            raise ValueError(f"hot ratio {h} must be positive and finite")
+        _validate_ratio(min(h, 1.0))
+        if math.isnan(excited_weight(dim, h)):  # (dim - 1) * r_hot overflows
+            raise ValueError(f"hot ratio {h} overflows the bath energy at d={dim}")
+    a_hot = excited_weight(dim, np.array(hots) if many else r_hot)
     numerator = point.weighted_energy - point.p_heating * point.n_med * (a_hot - point.a)
-    return numerator / work_cost(point.entropy, beta_r)
+    if not many:
+        return numerator / work_cost(point.entropy, beta_r)
+    return [v / work_cost(s, beta_r) for v, s in zip(numerator.tolist(), point.entropy.tolist())]
 
 
 def lowest_r(scheme: str, r_start: float, k: float) -> float:

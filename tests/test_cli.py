@@ -1,4 +1,5 @@
 import argparse
+import itertools
 import json
 import math
 import re
@@ -7,6 +8,8 @@ import tracemalloc
 import pytest
 
 from icofridge import cli, demon, fridge
+from icofridge.cswap import cooling_reservoir_marginal, cooling_target_marginal, cswap_populations
+from icofridge.thermal import excited_weight
 
 
 def run(argv, capsys):
@@ -74,6 +77,78 @@ def test_json_writer_matches_indented_dumps(table, capsys):
     cells = [[None if isinstance(v, float) and not math.isfinite(v) else v for v in row] for row in rows]
     doc = {"config": {"command": "t", "format": "json"}, "columns": columns, "rows": cells}
     assert capsys.readouterr().out == json.dumps(doc, indent=1, allow_nan=False) + "\n"
+
+
+def _points(config, *keys):
+    """The grid points of a config echo's list keys, in grid order."""
+    kinds = {"scheme": str, "n_list": int, "d_list": int}
+    return itertools.product(*([kinds.get(key, float)(x) for x in config[key].split(",")] for key in keys))
+
+
+def _point_rows(command, config):
+    """A grid command's rows, one float call of the closed forms per point."""
+    if command == "branches":
+        rows = []
+        for n, d, r in _points(config, "n_list", "d_list", "r_list"):
+            pt = fridge.OperatingPoint.at("ico", n, d, r)
+            rows.append([n, d, r, pt.p_c, pt.p_heating, pt.e_heat - pt.a, pt.e_cool - pt.a, pt.weighted_energy])
+        return rows
+    if command == "cop":
+        beta = config["beta_r"]
+        rows = []
+        for scheme, n, d, r in _points(config, "scheme", "n_list", "d_list", "r_list"):
+            r_hot = r if config["r_hot"] is None else config["r_hot"]
+            value = fridge.cop(n, d, r, r_hot, beta, scheme)
+            rows.append([scheme, n, d, r, r_hot, value, value / beta])
+        return rows
+    if command == "limits":
+        return [[s, k, r, fridge.lowest_r(s, r, k)] for s, k, r in _points(config, "scheme", "k_list", "r_list")]
+    if command == "traj":
+        rows = []
+        for n, r in _points(config, "n_list", "r_list"):
+            pt = fridge.OperatingPoint.at("traj", n, 2, r)
+            rows.append([n, r, pt.p_c, pt.p_heating, pt.weighted_energy, pt.weighted_energy / pt.entropy])
+        return rows
+    rows = []
+    for n, r in _points(config, "n_list", "r_list"):
+        p_c, p_h, cool, heat = cswap_populations(n, r)
+        t_pop = excited_weight(2, r)
+        target = float(cooling_target_marginal(n, r)[1, 1].real)
+        reservoir = float(cooling_reservoir_marginal(n, r)[1, 1].real)
+        ratio = (sum(cool.tolist()) - (n + 1) * t_pop) / (target - t_pop) if target != t_pop else math.nan
+        rows.append([n, r, p_c, p_h, target, reservoir, float(heat[0]), ratio])
+    return rows
+
+
+# each grid command on its default grid, and edge grids: the smallest normal
+# ratio, r = 1, D up to 9, a million channels, a fixed hot ratio, a NaN cell
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ["branches"],
+        ["cop"],
+        ["limits"],
+        ["cswap"],
+        ["traj"],
+        ["branches", "--n-list", "2,3,10", "--d-list", "2,3,6,9", "--r-list", "1e-300,2.3e-308,0.3,0.999999,1"],
+        ["cop", "--scheme", "ico,cswap,traj", "--n-list", "2,7,1000000", "--r-list", "1e-300,0.5,1", "--beta-r", "0.3"],
+        ["cop", "--r-hot", "0.7"],
+        ["cswap", "--n-list", "2,16", "--r-list", "0.5,1"],
+    ),
+    ids=" ".join,
+)
+def test_grid_tables_equal_their_points_one_at_a_time(argv, capsys):
+    # a whole --r-list per kernel call writes the bytes that one float call
+    # per point, formatted cell by cell, gives
+    code, out = run([*argv, "--format", "json"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    rows = _point_rows(argv[0], doc["config"])
+    cells = [[None if isinstance(v, float) and not math.isfinite(v) else v for v in row] for row in rows]
+    assert out == json.dumps(doc | {"rows": cells}, indent=1, allow_nan=False) + "\n"
+    code, out = run(argv, capsys)
+    lines = [",".join(f"{v:.12g}" if isinstance(v, float) else str(v) for v in row) + "\n" for row in rows]
+    assert (code, out.split("\n", 1)[1]) == (0, ",".join(doc["columns"]) + "\n" + "".join(lines))
 
 
 def _reject_constant(token):
@@ -417,6 +492,36 @@ def test_user_errors_exit_1_with_message(argv, message, capsys):
     assert f"usage error: {message}" in captured.err
 
 
+_HUGE_N = "1" + "0" * 30
+
+
+def test_fault_after_a_good_ratio_in_one_list_exits_1(capsys):
+    # a bad ratio after a good one in the same --r-list: exit 1, no table
+    cases = (
+        (["branches", "--r-list", "0.5,0"], "ratio 0.0 outside (0, 1]"),
+        (["cop", "--r-list", "0.5,1e-320"], "ratio 1e-320 is subnormal"),
+        (["traj", "--n-list", _HUGE_N, "--r-list", "0.5,1e-300"], "heating probability underflows to 0"),
+        # two faults in one list: each stage checks the whole list before the
+        # next one runs (inputs, then the heating underflow, then cop's hot
+        # ratio, then the erasure work), so the earlier stage's fault is the
+        # one reported even where it comes later in the list
+        (["traj", "--n-list", _HUGE_N, "--r-list", "1e-300,0"], "ratio 0.0 outside (0, 1]"),
+        (["cop", "--n-list", "1", "--r-list", "0.5,0"], "ratio 0.0 outside (0, 1]"),
+        (
+            ["cop", "--beta-r", "0", "--n-list", _HUGE_N, "--r-list", "0.5,1e-300"],
+            f"heating probability underflows to 0 at n={_HUGE_N}, d=2, r=1e-300",
+        ),
+        # across slices the grid order holds: the huge N's underflow comes
+        # before the next slice's N = 1
+        (["traj", "--n-list", _HUGE_N + ",1", "--r-list", "1e-300"], "heating probability underflows to 0"),
+    )
+    for argv, message in cases:
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, ""), argv
+        assert f"usage error: {message}" in captured.err, argv
+
+
 # each grid command on a tiny grid: its list flags in grid order, then its
 # scalar flags, then format
 _TINY_GRIDS = {
@@ -597,7 +702,8 @@ def test_config_file_names_several_checks(tmp_path, capsys):
 
 
 def test_one_validation_and_one_kernel_per_row(monkeypatch, tmp_path):
-    # each grid row reads one operating point: one _validate, one _kernel
+    # each slice (the whole --r-list at one point of the other axes) reads
+    # its points with one _validate and one _kernel call
     calls = {}
 
     def count(name):
@@ -615,7 +721,7 @@ def test_one_validation_and_one_kernel_per_row(monkeypatch, tmp_path):
     for command in ("branches", "cop", "traj"):
         calls.update(_validate=0, _kernel=0)
         assert cli.main([command, *grid, "--out", str(tmp_path / f"{command}.csv")]) == 0
-        assert calls == {"_validate": 6, "_kernel": 6}, command
+        assert calls == {"_validate": 2, "_kernel": 2}, command
 
 
 def test_rows_follow_grid_order(capsys):

@@ -297,6 +297,15 @@ def test_run_cycles_matches_per_cycle_reference(scheme, dim, k, r0, max_cycles, 
     assert trace.audit_defect() <= 1e-13 * np.max(np.abs(trace.heat_cold))
 
 
+def test_cswap_cycle_whose_heating_weight_underflows_keeps_the_thermal_sum():
+    # N = 10^30 at r = 1e-300: the heating probability is 0, so the heating
+    # mediums hold the bath's thermal sum and the first cycle moves no heat
+    assert fridge._kernel("cswap", 10**30, 2)(1e-300, excited_weight(2, 1e-300))[1] == 0.0
+    trace = run_cycles("cswap", ReservoirEnsemble.from_ratio(1.0, 1e-300, n_cold=16), n=10**30)
+    assert (trace.stop_reason, trace.r_cold.tolist()) == ("converged", [1e-300])
+    assert (trace.heat_cold.tolist(), trace.heat_hot.tolist(), trace.entropy.tolist()) == ([0.0], [0.0], [0.0])
+
+
 def test_trace_columns_are_packed_arrays():
     # a k = 100 trace runs 26,251 cycles; what it keeps is counted by
     # tracemalloc, whose count repeats exactly run to run. Eight 8-byte
@@ -482,6 +491,36 @@ def test_kernel_float_and_array_paths_agree(scheme, dim):
                         assert float(batch[4][i]) == got[4]
                     else:
                         assert batch[4] is None and got[4] is None
+
+
+_POINT_VALUES = ("p_c", "p_h", "a", "e_cool", "e_heat", "p_heating", "entropy", "weighted_energy", "stop_ratio")
+
+
+@pytest.mark.parametrize("scheme, dim", (("ico", 2), ("ico", 3), ("cswap", 2), ("traj", 2)))
+def test_sequence_of_ratios_equals_the_float_calls(scheme, dim):
+    # OperatingPoint.at and cop on a list are their per-float calls, bit for
+    # bit, from the smallest normal ratio to r = 1 and at a million channels
+    ratios = [2.3e-308, 1e-300, 1e-9, 0.2, 1 - 2**-40, 1.0]
+    with np.errstate(divide="raise", invalid="raise"):
+        for n in (2, 5, 10**6):
+            many = OperatingPoint.at(scheme, n, dim, ratios)
+            assert (many.n, many.dim) == (n, dim)
+            for i, r in enumerate(ratios):
+                one = OperatingPoint.at(scheme, n, dim, r)
+                assert many.n_med == one.n_med
+                for name in _POINT_VALUES:
+                    assert float(getattr(many, name)[i]).hex() == getattr(one, name).hex(), (n, r, name)
+            for r_hot in (0.7, ratios):
+                hots = r_hot if isinstance(r_hot, list) else [r_hot] * len(ratios)
+                got = cop(n, dim, ratios, r_hot, 1.3, scheme)
+                want = [cop(n, dim, r, h, 1.3, scheme) for r, h in zip(ratios, hots)]
+                assert [v.hex() for v in got] == [v.hex() for v in want], (n, r_hot)
+        # np.log can miss math.log by an ulp on a few inputs in a thousand,
+        # so a dense list pins the entropy to math.log
+        dense = np.linspace(1e-3, 1.0, 4096).tolist()
+        for n in (2, 5):
+            got = OperatingPoint.at(scheme, n, dim, dense).entropy.tolist()
+            assert got == [OperatingPoint.at(scheme, n, dim, r).entropy for r in dense], n
 
 
 def _exact_branches(scheme, n, dim, r, x):
