@@ -25,8 +25,8 @@ demon, CLI tables) comes from one kernel, ``_kernel``: the heralded
 branches T + (N-1) M rho M^dag and T - M rho M^dag of a degenerate working
 system, with M = T (``ico``, ``cswap``) or M = A (``traj``). Every
 statistic at a thermal input is read from one validated ``OperatingPoint``;
-a sequence of ratios takes one array call of the kernel and gives, bit for
-bit, its ratios' points, entropy included (taken with ``math.log``).
+a list of ratios takes one array call of the kernel and gives, bit for bit,
+its ratios' points, entropy included (taken with ``math.log``).
 
 Reservoirs are mean field: a bath is its particle count and current ratio.
 A refrigeration run builds its step once and makes one call to it per
@@ -46,7 +46,7 @@ import math
 import operator
 import sys
 from array import array
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -75,10 +75,10 @@ _CSV_BLOCK = 4096  # rows formatted and written per string
 
 def _validate(scheme: str, n: int, dim: int, r) -> None:
     """Reject inputs the branch kernel is not defined for; N and D are
-    integers, ``r`` is a ratio or a sequence of ratios checked in order."""
+    integers, ``r`` is a ratio or a list or tuple of ratios checked in order."""
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
-    for x in r if isinstance(r, Sequence) else (r,):
+    for x in r if isinstance(r, (list, tuple)) else (r,):
         _validate_family(dim, x)
     if operator.index(n) < 2:
         raise ValueError("need at least two channels")
@@ -137,7 +137,7 @@ def _kernel(scheme: str, n: int, dim: int):
 
 class OperatingPoint(NamedTuple):
     """Branch statistics of one (scheme, N, D) at the thermal input of ratio r,
-    or at each ratio of a sequence, in arrays (see ``at``).
+    or at each ratio of a list, in arrays (see ``at``).
 
     ``p_c`` is the cooling probability and ``p_h`` that of each of the N-1
     heating branches; ``a`` is the bath's excited weight. ``e_cool`` and
@@ -159,7 +159,7 @@ class OperatingPoint(NamedTuple):
     def at(cls, scheme: str, n: int, dim: int, r) -> "OperatingPoint":
         """Validate (scheme, N, D, r) and evaluate the kernel there once.
 
-        ``r`` is a ratio or a sequence of ratios. A sequence is checked
+        ``r`` is a ratio or a list or tuple of ratios. A list is checked
         ratio by ratio, then evaluated in one array call of the kernel; each
         float field is then an array over the ratios, equal bit for bit to
         the ratios' own points. A heating probability that underflows to 0
@@ -167,7 +167,7 @@ class OperatingPoint(NamedTuple):
         and the register entropy vanish there.
         """
         _validate(scheme, n, dim, r)
-        many = isinstance(r, Sequence)
+        many = isinstance(r, (list, tuple))
         rs = np.array(r, dtype=float) if many else r
         a = excited_weight(dim, rs)
         p_c, p_h, e_cool, e_heat, x_res = _kernel(scheme, n, dim)(rs, a)
@@ -189,7 +189,7 @@ class OperatingPoint(NamedTuple):
         """Shannon entropy (nats) of the fine-grained measurement record.
 
         One cooling outcome and N-1 individually recorded heating outcomes:
-        S = -p_c ln p_c - (N-1) p_h ln p_h. Over a sequence of ratios each
+        S = -p_c ln p_c - (N-1) p_h ln p_h. Over a list of ratios each
         entry still comes from ``math.log``, which ``np.log`` may miss by an ulp.
         """
         if isinstance(self.p_c, np.ndarray):
@@ -251,13 +251,13 @@ def cop(n: int, dim: int, r, r_hot, beta_r: float, scheme: str = "ico"):
     branches) divided by the register erasure work. Zero exactly when the
     hot bath matches the heating-branch mediums; maximal at r_hot = r.
 
-    A sequence ``r`` gives the list of its ratios' values from one
-    ``OperatingPoint.at`` call; ``r_hot`` is then one ratio or a sequence as
+    A list (or tuple) ``r`` gives the list of its ratios' values from one
+    ``OperatingPoint.at`` call; ``r_hot`` is then one ratio or a list as
     long, and the hot-ratio and work checks run ratio by ratio.
     """
     point = OperatingPoint.at(scheme, n, dim, r)
-    many = isinstance(r, Sequence)
-    hots = r_hot if isinstance(r_hot, Sequence) else [r_hot] * (len(r) if many else 1)
+    many = isinstance(r, (list, tuple))
+    hots = r_hot if isinstance(r_hot, (list, tuple)) else [r_hot] * (len(r) if many else 1)
     for h in hots:
         # no upper bound: stop_ratio may round just above 1 and cop is zero there;
         # the ratio rule still rejects a subnormal r_hot

@@ -131,7 +131,8 @@ def _point_rows(command, config):
         ["cswap"],
         ["traj"],
         ["branches", "--n-list", "2,3,10", "--d-list", "2,3,6,9", "--r-list", "1e-300,2.3e-308,0.3,0.999999,1"],
-        ["cop", "--scheme", "ico,cswap,traj", "--n-list", "2,7,1000000", "--r-list", "1e-300,0.5,1", "--beta-r", "0.3"],
+        ["cop", "--scheme", "ico,cswap,traj", "--n-list", "2,7,1000000"]
+        + ["--r-list", "1e-300,0.5,1", "--beta-r", "0.3"],
         ["cop", "--r-hot", "0.7"],
         ["cswap", "--n-list", "2,16", "--r-list", "0.5,1"],
     ),
