@@ -16,11 +16,14 @@ Exit codes: 0 success, 1 usage error, 2 verification failure, 3 I/O failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
 import sys
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from . import demon, fridge, verify
 from .cswap import cooling_reservoir_marginal, cooling_target_marginal, cswap_populations
@@ -165,54 +168,88 @@ def _write(path: str | None, parts: Iterable[str]) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _table(columns: Sequence[str], rows, axes: tuple[str, ...]):
-    """A grid command over the list flags ``axes``, in their order. Each
-    ``rows(args, *point, values)`` returns one slice's rows: the last axis's
-    whole list ``values`` at one point of the product of the others."""
+def _table(columns: Sequence[str], block, axes: tuple[str, ...], per_block: tuple[str, ...] = ()):
+    """A grid command over the list flags ``axes``: one row per point of
+    their product, in that order. ``block(args, *point, *lists)`` evaluates
+    one block: ``point`` holds one value of each axis in ``per_block`` and
+    ``lists`` the other axes' lists whole, N (or k) and then r; it returns
+    the table's value columns, each broadcasting to len(N) x len(r). Every
+    value column becomes Python floats in one ``.tolist()`` and the rows
+    come from one zip in grid order.
+
+    On a fault in any block the grid is run again one slice at a time (the
+    last axis whole at each point of the others) in grid order, through the
+    same ``block``, so the fault reported is the first slice's.
+    """
+    whole = tuple(axis for axis in axes if axis not in per_block)
+
+    def rows(args) -> list[tuple]:
+        grid = {axis: getattr(args, axis) for axis in axes}
+        lists = [grid[axis] for axis in whole]
+        try:
+            blocks = [block(args, *point, *lists) for point in itertools.product(*(grid[a] for a in per_block))]
+        except ValueError:
+            *outer, last = axes
+            for point in itertools.product(*(grid[a] for a in outer)):
+                one = dict(zip(outer, point))
+                block(args, *(one[a] for a in per_block), *([one[a]] for a in whole[:-1]), grid[last])
+            raise
+        shape = [len(values) for values in lists]
+        cells = np.array([[np.broadcast_to(column, shape) for column in values] for values in blocks])
+        # (per-block point, column, N, r) -> (column, *axes): grid order
+        cells = cells.reshape(*(len(grid[a]) for a in per_block), -1, *shape)
+        held = [*per_block, None, *whole]
+        cells = cells.transpose([held.index(a) for a in (None, *axes)])
+        # each axis's values, each repeated once per point of the later axes
+        sizes = [len(values) for values in grid.values()]
+        keys = [
+            list(itertools.chain.from_iterable(itertools.repeat(v, math.prod(sizes[i + 1 :])) for v in values))
+            * math.prod(sizes[:i])
+            for i, values in enumerate(grid.values())
+        ]
+        return list(zip(*keys, *cells.reshape(len(cells), -1).tolist()))
 
     def run(args) -> int:
-        *outer, last = (getattr(args, axis) for axis in axes)
-        points = itertools.product(*outer)
-        _emit(columns, [row for point in points for row in rows(args, *point, last)], args)
+        # the blocks, cells and keys are freed before the table is written
+        _emit(columns, rows(args), args)
         return 0
 
     return run
 
 
-def _branches_rows(args, n, d, r_list):
-    p = fridge.OperatingPoint.at("ico", n, d, r_list)
-    columns = (p.p_c, p.p_heating, p.e_heat - p.a, p.e_cool - p.a, p.weighted_energy)
-    return [[n, d, *row] for row in zip(r_list, *(c.tolist() for c in columns))]
+def _branches_block(args, d, ns, rs):
+    p = fridge.OperatingPoint.at("ico", ns, d, rs)
+    return p.p_c, p.p_heating, p.e_heat - p.a, p.e_cool - p.a, p.weighted_energy
 
 
-def _cop_rows(args, scheme, n, d, r_list):
-    hots = r_list if args.r_hot is None else [args.r_hot] * len(r_list)
-    values = fridge.cop(n, d, r_list, hots, args.beta_r, scheme)
-    return [[scheme, n, d, r, r_hot, v, v / args.beta_r] for r, r_hot, v in zip(r_list, hots, values)]
+def _cop_block(args, scheme, d, ns, rs):
+    r_hot = rs if args.r_hot is None else args.r_hot
+    values = fridge.cop(ns, d, rs, r_hot, args.beta_r, scheme)
+    return r_hot, values, values / args.beta_r
 
 
-def _limits_rows(args, scheme, k, r_list):
-    return [[scheme, k, r, fridge.lowest_r(scheme, r, k)] for r in r_list]
+def _limits_block(args, scheme, ks, rs):
+    return (fridge.lowest_r(scheme, np.array(rs), np.array(ks)[:, None]),)
 
 
-def _cswap_rows(args, n, r_list):
-    rows = []
-    for r in r_list:
-        p_c, p_h_tot, cool, heat = cswap_populations(n, r)
-        t_pop = excited_weight(2, r)
-        target = float(cooling_target_marginal(n, r)[1, 1].real)
-        reservoir = float(cooling_reservoir_marginal(n, r)[1, 1].real)
-        total = sum(cool.tolist())
-        # at r = 1 no population moves and the ratio is 0/0, so the cell is NaN
-        ratio = (total - (n + 1) * t_pop) / (target - t_pop) if target != t_pop else math.nan
-        rows.append([n, r, p_c, p_h_tot, target, reservoir, float(heat[0]), ratio])
-    return rows
+def _cswap_block(args, ns, rs):
+    return np.moveaxis(np.array([[_cswap_point(n, r) for r in rs] for n in ns]), -1, 0)
 
 
-def _traj_rows(args, n, r_list):
-    p = fridge.OperatingPoint.at("traj", n, 2, r_list)
-    columns = (p.p_c, p.p_heating, p.weighted_energy, p.weighted_energy / p.entropy)
-    return [[n, *row] for row in zip(r_list, *(c.tolist() for c in columns))]
+def _cswap_point(n, r):
+    p_c, p_h_tot, cool, heat = cswap_populations(n, r)
+    t_pop = excited_weight(2, r)
+    target = float(cooling_target_marginal(n, r)[1, 1].real)
+    reservoir = float(cooling_reservoir_marginal(n, r)[1, 1].real)
+    total = sum(cool.tolist())
+    # at r = 1 no population moves and the ratio is 0/0, so the cell is NaN
+    ratio = (total - (n + 1) * t_pop) / (target - t_pop) if target != t_pop else math.nan
+    return p_c, p_h_tot, target, reservoir, float(heat[0]), ratio
+
+
+def _traj_block(args, ns, rs):
+    p = fridge.OperatingPoint.at("traj", ns, 2, rs)
+    return p.p_c, p.p_heating, p.weighted_energy, p.weighted_energy / p.entropy
 
 
 def _cmd_cycle(args) -> int:
@@ -275,7 +312,9 @@ _N_LIST = "2,3,4,10,100"
 _R_LIST = "0.1,0.3,0.5,0.7,0.9"
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built once per process."""
     parser = _Parser(prog="icofridge", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -291,7 +330,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--d-list", type=_int_list, default="2")
     p.add_argument("--r-list", type=_float_list, default=_R_LIST)
     columns = ["n", "d", "r", "p_c", "p_H", "dE_h", "dE_c", "weighted_dE_h"]
-    p.set_defaults(func=_table(columns, _branches_rows, ("n_list", "d_list", "r_list")))
+    p.set_defaults(func=_table(columns, _branches_block, ("n_list", "d_list", "r_list"), ("d_list",)))
 
     p = sub.add_parser("cop", help="coefficient of performance over a grid")
     common(p)
@@ -302,7 +341,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--r-hot", type=float, default=None, help="default: optimal case r_hot=r")
     p.add_argument("--beta-r", type=float, default=1.0)
     columns = ["scheme", "n", "d", "r", "r_hot", "cop", "cop_over_gap_beta"]
-    p.set_defaults(func=_table(columns, _cop_rows, ("scheme", "n_list", "d_list", "r_list")))
+    p.set_defaults(func=_table(columns, _cop_block, ("scheme", "n_list", "d_list", "r_list"), ("scheme", "d_list")))
 
     p = sub.add_parser("limits", help="lowest reachable cold ratio (closed form)")
     common(p)
@@ -310,7 +349,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--k-list", type=_float_list, default="0.5,1,5,100")
     p.add_argument("--r-list", type=_float_list, default=_R_LIST)
     columns = ["scheme", "k", "r_start", "r_lowest"]
-    p.set_defaults(func=_table(columns, _limits_rows, ("scheme", "k_list", "r_list")))
+    p.set_defaults(func=_table(columns, _limits_block, ("scheme", "k_list", "r_list"), ("scheme",)))
 
     p = sub.add_parser("cycle", help="finite-reservoir refrigeration trace")
     common(p, ("csv",))
@@ -330,14 +369,14 @@ def _build_parser() -> _Parser:
     p.add_argument("--r-list", type=_float_list, default=_R_LIST)
     columns = ["n", "r", "p_c", "p_H", "target_cool_pop", "reservoir_cool_pop"]
     columns += ["target_heat_pop", "total_over_target"]
-    p.set_defaults(func=_table(columns, _cswap_rows, ("n_list", "r_list")))
+    p.set_defaults(func=_table(columns, _cswap_block, ("n_list", "r_list")))
 
     p = sub.add_parser("traj", help="superposed-trajectory fridge data over a grid")
     common(p)
     p.add_argument("--n-list", type=_int_list, default=_N_LIST)
     p.add_argument("--r-list", type=_float_list, default=_R_LIST)
     columns = ["n", "r", "p_c", "p_H", "weighted_dE_h", "cop_over_gap_beta"]
-    p.set_defaults(func=_table(columns, _traj_rows, ("n_list", "r_list")))
+    p.set_defaults(func=_table(columns, _traj_block, ("n_list", "r_list")))
 
     p = sub.add_parser("demon", help="Maxwell-demon sorting experiment")
     common(p, ("json",))

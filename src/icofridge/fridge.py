@@ -25,8 +25,10 @@ demon, CLI tables) comes from one kernel, ``_kernel``: the heralded
 branches T + (N-1) M rho M^dag and T - M rho M^dag of a degenerate working
 system, with M = T (``ico``, ``cswap``) or M = A (``traj``). Every
 statistic at a thermal input is read from one validated ``OperatingPoint``;
-a list of ratios takes one array call of the kernel and gives, bit for bit,
-its ratios' points, entropy included (taken with ``math.log``).
+a list of ratios, or a list of N against one, takes one array call of the
+kernel and gives, bit for bit, its points, entropy included (taken with
+``math.log``). Each per-N constant is rounded once from its exact integer,
+as the float path's int-by-float products round it.
 
 Reservoirs are mean field: a bath is its particle count and current ratio.
 A refrigeration run builds its step once and makes one call to it per
@@ -73,22 +75,24 @@ _CSV_ROW = "%d,%s" + ",%.12g" * 6 + "\n"
 _CSV_BLOCK = 4096  # rows formatted and written per string
 
 
-def _validate(scheme: str, n: int, dim: int, r) -> None:
-    """Reject inputs the branch kernel is not defined for; N and D are
-    integers, ``r`` is a ratio or a list or tuple of ratios checked in order."""
+def _validate(scheme: str, n, dim: int, r) -> None:
+    """Reject inputs the branch kernel is not defined for; N is an integer or
+    a list of them, D an integer, and ``r`` a ratio or a list or tuple of
+    ratios. Lists are checked in order, the ratios before N."""
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     for x in r if isinstance(r, (list, tuple)) else (r,):
         _validate_family(dim, x)
-    if operator.index(n) < 2:
-        raise ValueError("need at least two channels")
-    if (n - 1) * (n - 2 if scheme == "cswap" else 1) > sys.float_info.max:
-        raise ValueError(f"number of channels overflows a float in the branch kernel: n={n}")
+    for k in n if isinstance(n, list) else (n,):
+        if operator.index(k) < 2:
+            raise ValueError("need at least two channels")
+        if (k - 1) * (k - 2 if scheme == "cswap" else 1) > sys.float_info.max:
+            raise ValueError(f"number of channels overflows a float in the branch kernel: n={k}")
     if scheme in ("cswap", "traj") and dim != 2:
         raise ValueError(f"scheme {scheme!r} is defined for qubit working systems")
 
 
-def _kernel(scheme: str, n: int, dim: int):
+def _kernel(scheme: str, n, dim: int):
     """The branch kernel for one (scheme, N, D): returns ``step(r, x)``.
 
     The input is diagonal with excited weight ``x`` spread evenly over the
@@ -103,10 +107,23 @@ def _kernel(scheme: str, n: int, dim: int):
     for ``cswap`` each reservoir qubit's cooling-branch excited weight from
     alpha T + beta T^3, valid at the thermal input only (None otherwise). Not
     validated; only + - * / touch ``x``, a float or an array.
+
+    ``n`` may be a list: each N constant is then an N x 1 column of floats,
+    each rounded once from its exact integer, so the outputs of an array
+    ``x`` are N x len(x) arrays equal to the float path's, bar x_heat, which
+    does not depend on N and keeps the shape of ``x``.
     """
-    d1, n1, nn = dim - 1, n - 1, n * n
+    d1 = dim - 1
     traj, cswap = scheme == "traj", scheme == "cswap"
-    c_alpha, beta = n1 * (n - 2), 2 * n1 / nn
+    if isinstance(n, list):
+        ns = n
+        # only cswap reads n^2 and (n-1)(n-2), and only its guard keeps them finite
+        ints = [(k, k - 1, k * k, (k - 1) * (k - 2)) if cswap else (k, k - 1, 0, 0) for k in ns]
+        n, n1, nn, c_alpha = np.array([[float(v) for v in row] for row in ints]).T[:, :, None]
+        beta = np.array([[2 * (k - 1) / (k * k)] for k in ns])
+    else:
+        n1, nn = n - 1, n * n
+        c_alpha, beta = n1 * (n - 2), 2 * n1 / nn
 
     def step(r, x):
         z = 1.0 + d1 * r
@@ -137,13 +154,15 @@ def _kernel(scheme: str, n: int, dim: int):
 
 class OperatingPoint(NamedTuple):
     """Branch statistics of one (scheme, N, D) at the thermal input of ratio r,
-    or at each ratio of a list, in arrays (see ``at``).
+    or at each point of a list of ratios, or of a list of N against them, in
+    arrays (see ``at``).
 
-    ``p_c`` is the cooling probability and ``p_h`` that of each of the N-1
-    heating branches; ``a`` is the bath's excited weight. ``e_cool`` and
-    ``e_heat`` are the branches' excited weights summed over the ``n_med``
-    working mediums: for ``cswap`` the N reservoir qubits are working
-    mediums too, and the heating-branch sum follows from energy conservation.
+    ``p_c`` is the cooling probability and ``p_h`` that of each of the
+    ``n_heat`` = N-1 heating branches; ``a`` is the bath's excited weight.
+    ``e_cool`` and ``e_heat`` are the branches' excited weights summed over
+    the ``n_med`` working mediums: for ``cswap`` the N reservoir qubits are
+    working mediums too, and the heating-branch sum follows from energy
+    conservation.
     """
 
     n: int
@@ -154,52 +173,70 @@ class OperatingPoint(NamedTuple):
     e_cool: float
     e_heat: float
     n_med: int
+    n_heat: int
 
     @classmethod
-    def at(cls, scheme: str, n: int, dim: int, r) -> "OperatingPoint":
+    def at(cls, scheme: str, n, dim: int, r) -> "OperatingPoint":
         """Validate (scheme, N, D, r) and evaluate the kernel there once.
 
-        ``r`` is a ratio or a list or tuple of ratios. A list is checked
-        ratio by ratio, then evaluated in one array call of the kernel; each
-        float field is then an array over the ratios, equal bit for bit to
-        the ratios' own points. A heating probability that underflows to 0
-        (huge N at a tiny r) is rejected, naming its r: the heating branch
-        and the register entropy vanish there.
+        ``r`` is a ratio or a list or tuple of ratios, and ``n`` an integer
+        or, with a list of ratios, a list of integers. Lists are checked
+        value by value, then evaluated in one array call of the kernel. Each
+        float field is then an array over the ratios, or an N x len(r) array
+        over a list of N, whose N columns ``n``, ``n_heat`` and ``n_med`` are
+        then N x 1 float columns; every entry equals, bit for bit, its own
+        point's. A heating probability that underflows to 0 (huge N at a
+        tiny r) is rejected, naming the first such N and r: the heating
+        branch and the register entropy vanish there.
         """
         _validate(scheme, n, dim, r)
-        many = isinstance(r, (list, tuple))
+        grid = isinstance(n, list)
+        many = grid or isinstance(r, (list, tuple))
         rs = np.array(r, dtype=float) if many else r
         a = excited_weight(dim, rs)
         p_c, p_h, e_cool, e_heat, x_res = _kernel(scheme, n, dim)(rs, a)
-        for x, p in zip(r, p_h.tolist()) if many else [(r, p_h)]:
-            if p == 0.0:
-                raise ValueError(f"heating probability underflows to 0 at n={n}, d={dim}, r={x}")
+        if many and not p_h.all():
+            i, j = np.argwhere(np.reshape(p_h, (-1, len(r))) == 0.0)[0]
+            k = n[i] if grid else n
+            raise ValueError(f"heating probability underflows to 0 at n={k}, d={dim}, r={r[j]}")
+        if not many and p_h == 0.0:
+            raise ValueError(f"heating probability underflows to 0 at n={n}, d={dim}, r={r}")
+        if grid:
+            n, n_heat, n_plus = np.array([[float(k), float(k - 1), float(k + 1)] for k in n]).T[:, :, None]
+        else:
+            n_heat, n_plus = n - 1, n + 1
         n_med = 1
         if scheme == "cswap":
-            e_cool, e_heat, n_med = _cswap_mediums(n, a, p_c, p_h, e_cool, x_res)
-        return cls(n, dim, p_c, p_h, a, e_cool, e_heat, n_med)
+            n_med = n_plus
+            e_cool, e_heat = _cswap_mediums(n, n_med, a, p_c, n_heat * p_h, e_cool, x_res)
+        if grid:
+            a, e_heat = (np.broadcast_to(v, p_c.shape) for v in (a, e_heat))
+        return cls(n, dim, p_c, p_h, a, e_cool, e_heat, n_med, n_heat)
 
     @property
     def p_heating(self) -> float:
         """Total probability of the N-1 heating branches."""
-        return (self.n - 1) * self.p_h
+        return self.n_heat * self.p_h
 
     @property
     def entropy(self) -> float:
         """Shannon entropy (nats) of the fine-grained measurement record.
 
         One cooling outcome and N-1 individually recorded heating outcomes:
-        S = -p_c ln p_c - (N-1) p_h ln p_h. Over a list of ratios each
-        entry still comes from ``math.log``, which ``np.log`` may miss by an ulp.
+        S = -p_c ln p_c - (N-1) p_h ln p_h. Over arrays every log still comes
+        from ``math.log``, mapped once over both flattened arrays: ``np.log``
+        may miss it by an ulp.
         """
         if isinstance(self.p_c, np.ndarray):
-            return np.array([_entropy(self.n, c, h) for c, h in zip(self.p_c.tolist(), self.p_h.tolist())])
-        return _entropy(self.n, self.p_c, self.p_h)
+            p = np.concatenate((self.p_c, self.p_h), axis=None)
+            log_c, log_h = np.fromiter(map(math.log, p.tolist()), float, p.size).reshape(2, *self.p_c.shape)
+            return -(self.p_c * log_c) - self.n_heat * (self.p_h * log_h)
+        return _entropy(self.n_heat, self.p_c, self.p_h)
 
     @property
     def weighted_energy(self) -> float:
         """Average heat moved per cycle, summed over all working mediums."""
-        return (self.n - 1) * self.p_h * (self.e_heat - self.n_med * self.a)
+        return self.n_heat * self.p_h * (self.e_heat - self.n_med * self.a)
 
     @property
     def stop_ratio(self) -> float:
@@ -212,38 +249,42 @@ class OperatingPoint(NamedTuple):
         return pop / (1.0 - pop) / (self.dim - 1)
 
 
-def _cswap_mediums(n: int, a, p_c, p_h, x_cool, x_res):
-    """cswap's (e_cool, e_heat, n_med) from one kernel step at bath weight ``a``.
+def _cswap_mediums(n, n_med, a, p_c, p_heating, x_cool, x_res):
+    """cswap's (e_cool, e_heat) from one kernel step at bath weight ``a``.
 
-    The target and the N reservoir qubits are the N+1 working mediums; the
-    heating-branch sum follows from energy conservation, and falls back to
-    the thermal sum when the heating branches have no weight. Only a float
-    step from ``run_cycles`` can have none: ``OperatingPoint.at`` rejects it.
+    The target and the N reservoir qubits are the ``n_med`` = N+1 working
+    mediums; the heating-branch sum follows from energy conservation, and
+    falls back to the thermal sum when the heating branches have no weight.
+    Only a float step from ``run_cycles`` can have none: ``OperatingPoint.at``
+    rejects it.
     """
     e_cool = x_cool + n * x_res
-    p_heating = (n - 1) * p_h
     if isinstance(p_heating, float) and not p_heating > 0:
-        return e_cool, (n + 1) * a, n + 1
-    return e_cool, ((n + 1) * a - p_c * e_cool) / p_heating, n + 1
+        return e_cool, n_med * a
+    return e_cool, (n_med * a - p_c * e_cool) / p_heating
 
 
-def _entropy(n: int, p_c: float, p_h: float) -> float:
-    return -_xlogx(p_c) - (n - 1) * _xlogx(p_h)
+def _entropy(n_heat, p_c, p_h):
+    return -_xlogx(p_c) - n_heat * _xlogx(p_h)
 
 
-def work_cost(entropy: float, beta_r: float) -> float:
-    """Erasure work for a register of given entropy against a bath at beta_r."""
-    if entropy < 0:
+def work_cost(entropy, beta_r: float):
+    """Erasure work for a register of given entropy, a float or an array,
+    against a bath at beta_r; an error names the first entry at fault."""
+    many = isinstance(entropy, np.ndarray)
+    if (entropy < 0).any() if many else entropy < 0:
         raise ValueError("entropy must be nonnegative")
     if not 0.0 < beta_r < math.inf:
         raise ValueError(f"erasure inverse temperature beta_r={beta_r} must be positive and finite")
-    work = entropy / beta_r
-    if work == math.inf:
-        raise ValueError(f"erasure work overflows at beta_r={beta_r} (entropy {entropy})")
+    with np.errstate(over="ignore"):  # the overflow is reported below, naming its entropy
+        work = entropy / beta_r
+    if (work == math.inf).any() if many else work == math.inf:
+        s = float(entropy[work == math.inf][0]) if many else entropy
+        raise ValueError(f"erasure work overflows at beta_r={beta_r} (entropy {s})")
     return work
 
 
-def cop(n: int, dim: int, r, r_hot, beta_r: float, scheme: str = "ico"):
+def cop(n, dim: int, r, r_hot, beta_r: float, scheme: str = "ico"):
     """Coefficient of performance at cold ratio ``r`` and hot ratio ``r_hot``.
 
     Average heat drawn from the cold reservoirs (cooling-branch extraction
@@ -251,47 +292,66 @@ def cop(n: int, dim: int, r, r_hot, beta_r: float, scheme: str = "ico"):
     branches) divided by the register erasure work. Zero exactly when the
     hot bath matches the heating-branch mediums; maximal at r_hot = r.
 
-    A list (or tuple) ``r`` gives the list of its ratios' values from one
-    ``OperatingPoint.at`` call; ``r_hot`` is then one ratio or a list as
-    long, and the hot-ratio and work checks run ratio by ratio.
+    A list (or tuple) ``r``, and with it a list ``n``, gives an array of the
+    values, shaped as ``OperatingPoint.at``'s fields, from one call of it;
+    ``r_hot`` is then one ratio or a list as long as ``r``. An ``r_hot``
+    equal to ``r`` has passed ``r``'s checks; any other is checked once per
+    value, all before the work checks, which run over the whole array.
     """
     point = OperatingPoint.at(scheme, n, dim, r)
-    many = isinstance(r, (list, tuple))
-    hots = r_hot if isinstance(r_hot, (list, tuple)) else [r_hot] * (len(r) if many else 1)
-    for h in hots:
-        # no upper bound: stop_ratio may round just above 1 and cop is zero there;
-        # the ratio rule still rejects a subnormal r_hot
-        if not 0.0 < h < math.inf:
-            raise ValueError(f"hot ratio {h} must be positive and finite")
-        _validate_ratio(min(h, 1.0))
-        if math.isnan(excited_weight(dim, h)):  # (dim - 1) * r_hot overflows
-            raise ValueError(f"hot ratio {h} overflows the bath energy at d={dim}")
-    a_hot = excited_weight(dim, np.array(hots) if many else r_hot)
+    hot_list = isinstance(r_hot, (list, tuple))
+    if r_hot != r:
+        for h in r_hot if hot_list else (r_hot,):
+            # no upper bound: stop_ratio may round just above 1 and cop is zero there;
+            # the ratio rule still rejects a subnormal r_hot
+            if not 0.0 < h < math.inf:
+                raise ValueError(f"hot ratio {h} must be positive and finite")
+            _validate_ratio(min(h, 1.0))
+            if math.isnan(excited_weight(dim, h)):  # (dim - 1) * r_hot overflows
+                raise ValueError(f"hot ratio {h} overflows the bath energy at d={dim}")
+    a_hot = excited_weight(dim, np.array(r_hot) if hot_list else r_hot)
     numerator = point.weighted_energy - point.p_heating * point.n_med * (a_hot - point.a)
-    if not many:
-        return numerator / work_cost(point.entropy, beta_r)
-    return [v / work_cost(s, beta_r) for v, s in zip(numerator.tolist(), point.entropy.tolist())]
+    return numerator / work_cost(point.entropy, beta_r)
 
 
-def lowest_r(scheme: str, r_start: float, k: float) -> float:
+def lowest_r(scheme: str, r_start, k):
     """Closed-form lowest cold-reservoir ratio reachable from ``r_start``.
 
     ``k`` is the hot-to-cold particle ratio. Negative raw values clamp to 0
     (the cold side can approach absolute zero); the result never exceeds the
     starting ratio.
+
+    ``r_start`` may be an array of ratios and ``k`` an array that broadcasts
+    against it (a column of k for a k x r grid); the result is then their
+    broadcast array. The checks run in the order one float call per ratio
+    meets them for a single k: the first ratio; each k; the scheme; each
+    k's overflow; then the other ratios.
     """
-    _validate_ratio(r_start)
-    _validate_size(f"reservoir size ratio k={k}", k)
+    ratios = r_start.ravel().tolist() if isinstance(r_start, np.ndarray) else [r_start]
+    sizes = k.ravel().tolist() if isinstance(k, np.ndarray) else [k]
+    _validate_ratio(ratios[0])
+    for x in sizes:
+        _validate_size(f"reservoir size ratio k={x}", x)
+    if scheme not in ("ico", "traj"):
+        raise ValueError(f"no closed-form temperature limit for scheme {scheme!r}")
+    for x in sizes:
+        if scheme == "ico" and 2 * x == math.inf:
+            raise ValueError(f"reservoir size ratio k={x} overflows the temperature limit")
+    for x in ratios[1:]:
+        _validate_ratio(x)
     r = r_start
     if scheme == "ico":
-        raw = (k - (2 * k + 3) * r) / (k * r - 3 - 2 * k)
-    elif scheme == "traj":
-        raw = (k - (k + 2) * r) / (k * r - 2 - k)
+        num, den = k - (2 * k + 3) * r, k * r - 3 - 2 * k
     else:
-        raise ValueError(f"no closed-form temperature limit for scheme {scheme!r}")
-    if math.isnan(raw):  # 2 * k overflows
-        raise ValueError(f"reservoir size ratio k={k} overflows the temperature limit")
-    return min(max(raw, 0.0), r_start) + 0.0  # normalize -0.0
+        # below -k for ico, but traj's rounds to 0 once k (1 - r) is lost next to k
+        num, den = k - (k + 2) * r, k * r - 2 - k
+    many = isinstance(den, np.ndarray)
+    if not den.all() if many else den == 0.0:
+        x, y = (float(np.broadcast_to(v, den.shape)[den == 0.0][0]) for v in (k, r)) if many else (k, r)
+        raise ValueError(f"reservoir size ratio k={x} is too large for the temperature limit at r_start={y}")
+    if many:
+        return np.minimum(np.maximum(num / den, 0.0), r) + 0.0
+    return min(max(num / den, 0.0), r) + 0.0  # normalize -0.0
 
 
 @dataclass(frozen=True)
@@ -420,7 +480,7 @@ def run_cycles(
     stop_reason = "budget"
     step = _kernel(scheme, n, dim)
     cswap = scheme == "cswap"
-    n_med = 1  # working mediums per branch; cswap's N+1 come with its sums
+    n_med = n + 1 if cswap else 1  # working mediums per branch
     for _ in range(max_cycles):
         # OperatingPoint.at(scheme, n, dim, r_cold) and thermal.excited_weight, inlined
         x = (dim - 1) * r_cold
@@ -428,7 +488,7 @@ def run_cycles(
         p_c, p_h, e_cool, e_heat, x_res = step(r_cold, a)
         p_heating = (n - 1) * p_h
         if cswap:
-            e_cool, e_heat, n_med = _cswap_mediums(n, a, p_c, p_h, e_cool, x_res)
+            e_cool, e_heat = _cswap_mediums(n, n_med, a, p_c, p_heating, e_cool, x_res)
         # heating-branch round trip: mediums equilibrate with the hot bath
         a_h_eq = (nh * a_h + e_heat) / (nh + n_med)
         d_cold = p_c * (e_cool - n_med * a_c) + p_heating * n_med * (a_h_eq - a_c)
@@ -457,7 +517,7 @@ def run_cycles(
     # the ratio each cycle started from
     r_c = np.concatenate(([r_first], cold[:-1]))
     p_c, p_h, *_ = step(r_c, excited_weight(dim, r_c))
-    entropy = _entropy(n, p_c, p_h)
+    entropy = _entropy(n - 1, p_c, p_h)
     cooling = np.random.default_rng(seed).random(m) < p_c
     return CycleTrace(
         cycles=np.arange(1, m + 1),

@@ -29,9 +29,12 @@ def _validate_ratio(r: float) -> None:
 
 
 def _validate_family(dim: int, r: float) -> None:
-    """Require an integer D >= 2 (TypeError for a non-integer) and a valid ratio."""
+    """Require an integer D >= 2 (TypeError for a non-integer) whose D-1 a
+    float holds, and a valid ratio."""
     if operator.index(dim) < 2:
         raise ValueError("dimension must be at least 2")
+    if dim - 1 > sys.float_info.max:
+        raise ValueError(f"dimension overflows a float: d={dim}")
     _validate_ratio(r)
 
 

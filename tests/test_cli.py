@@ -3,8 +3,10 @@ import itertools
 import json
 import math
 import re
+import sys
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from icofridge import cli, demon, fridge
@@ -523,6 +525,88 @@ def test_fault_after_a_good_ratio_in_one_list_exits_1(capsys):
         assert f"usage error: {message}" in captured.err, argv
 
 
+def test_faults_across_blocks_report_the_first_slice_fault(capsys):
+    # a table evaluates one block per (scheme, D) over every N, so faults in
+    # several slices must still be reported as one call per slice in grid
+    # order meets them: the first faulty slice, and in it the earlier stage
+    big = "1" + "0" * 15
+    cases = (
+        (["branches", "--n-list", "2,1", "--d-list", "2,1"], "dimension must be at least 2"),
+        (["branches", "--n-list", "1,2", "--d-list", "2,1"], "need at least two channels"),
+        (
+            ["branches", "--n-list", _HUGE_N + ",2", "--d-list", "2,1", "--r-list", "1e-300"],
+            f"heating probability underflows to 0 at n={_HUGE_N}, d=2, r=1e-300",
+        ),
+        (["cop", "--scheme", "ico,bogus", "--n-list", "1"], "need at least two channels"),
+        (["cop", "--scheme", "bogus,ico", "--n-list", "1"], "unknown scheme 'bogus'"),
+        (["cop", "--scheme", "ico,cswap", "--d-list", "3,2", "--n-list", "1,2"], "need at least two channels"),
+        (
+            ["cop", "--scheme", "ico,cswap", "--n-list", "2,1" + "0" * 200, "--d-list", "3,2"],
+            "scheme 'cswap' is defined for qubit working systems",
+        ),
+        (
+            ["cop", "--scheme", "traj,ico", "--n-list", "2," + _HUGE_N, "--r-list", "0.5,1e-300", "--beta-r", "0"],
+            "erasure inverse temperature beta_r=0.0 must be positive and finite",
+        ),
+        (
+            ["cop", "--n-list", "2," + big, "--r-list", "0.9,0.5", "--beta-r", "3e-308"],
+            "erasure work overflows at beta_r=3e-308 (entropy 26.39693192676302)",
+        ),
+        (
+            ["cop", "--n-list", "2,3", "--r-list", "0.5", "--r-hot", "1e308", "--d-list", "2,3"],
+            "hot ratio 1e+308 overflows the bath energy at d=3",
+        ),
+        (["traj", "--n-list", "2,1,1" + "0" * 34, "--r-list", "1e-300,0.5"], "need at least two channels"),
+        (["limits", "--scheme", "ico,foo", "--r-list", "0.5,0"], "ratio 0.0 outside (0, 1]"),
+        (["limits", "--scheme", "foo", "--r-list", "0.5,0"], "no closed-form temperature limit for scheme 'foo'"),
+        (["limits", "--k-list", "nan,1", "--r-list", "0.5,0"], "reservoir size ratio k=nan must be positive and finite"),
+        (["limits", "--k-list", "1,nan", "--r-list", "0.5,0"], "ratio 0.0 outside (0, 1]"),
+        (["limits", "--k-list", "1e308,1", "--r-list", "0.5,0"], "reservoir size ratio k=1e+308 overflows the temperature limit"),
+        (
+            ["limits", "--scheme", "traj,ico", "--k-list", "1e308,1", "--r-list", "0.5"],
+            "reservoir size ratio k=1e+308 overflows the temperature limit",
+        ),
+        (["cswap", "--n-list", "2,1,1001", "--r-list", "0.5,0"], "ratio 0.0 outside (0, 1]"),
+    )
+    for argv, message in cases:
+        code = cli.main(argv)
+        assert (code, capsys.readouterr()) == (1, ("", f"usage error: {message}\n")), argv
+
+
+def test_fault_only_a_whole_block_meets_is_still_reported():
+    # the slice-by-slice rerun only picks which fault to report; if no slice
+    # fails, the block's own fault still stops the table
+    def block(args, ns, rs):
+        if len(ns) > 1:
+            raise ValueError("whole block")
+        return (np.array(rs),)
+
+    table = cli._table(["n", "r", "x"], block, ("n_list", "r_list"))
+    with pytest.raises(ValueError, match="^whole block$"):
+        table(argparse.Namespace(n_list=[2, 3], r_list=[0.5]))
+
+
+def test_dimension_whose_d_minus_1_overflows_a_float_exits_1(capsys):
+    # D - 1 reaches the kernel and excited_weight as a float; one too large
+    # for it is named, like N, instead of raising OverflowError
+    huge = "1" + "0" * 400
+    for argv in (
+        ["branches", "--d-list", huge],
+        ["branches", "--d-list", "2," + huge],
+        ["cop", "--d-list", huge],
+        ["demon", "--d", huge],
+        ["cycle", "--d", huge],
+    ):
+        code = cli.main(argv)
+        assert (code, capsys.readouterr()) == (1, ("", f"usage error: dimension overflows a float: d={huge}\n")), argv
+    # the largest D whose D - 1 a float holds still runs; one more is named
+    top = int(sys.float_info.max) + 1
+    assert cli.main(["branches", "--n-list", "2", "--d-list", str(top), "--r-list", "1e-300"]) == 0
+    assert capsys.readouterr().out.splitlines()[2].startswith(f"2,{top},1e-300,")
+    assert cli.main(["branches", "--d-list", str(top + 1)]) == 1
+    assert capsys.readouterr().err == f"usage error: dimension overflows a float: d={top + 1}\n"
+
+
 # each grid command on a tiny grid: its list flags in grid order, then its
 # scalar flags, then format
 _TINY_GRIDS = {
@@ -703,8 +787,8 @@ def test_config_file_names_several_checks(tmp_path, capsys):
 
 
 def test_one_validation_and_one_kernel_per_row(monkeypatch, tmp_path):
-    # each slice (the whole --r-list at one point of the other axes) reads
-    # its points with one _validate and one _kernel call
+    # each (scheme, D) block (every N against the whole --r-list) reads its
+    # points with one _validate and one _kernel call
     calls = {}
 
     def count(name):
@@ -718,11 +802,12 @@ def test_one_validation_and_one_kernel_per_row(monkeypatch, tmp_path):
 
     count("_validate")
     count("_kernel")
-    grid = ["--n-list", "2,5", "--r-list", "0.1,0.5,0.9"]
-    for command in ("branches", "cop", "traj"):
+    grid = ["--n-list", "2,5,7", "--r-list", "0.1,0.5,0.9"]
+    blocks = (["branches", "--d-list", "2,3"], ["cop", "--scheme", "ico,traj"], ["cop", "--d-list", "2,3,4"], ["traj"])
+    for argv, count in zip(blocks, (2, 2, 3, 1)):
         calls.update(_validate=0, _kernel=0)
-        assert cli.main([command, *grid, "--out", str(tmp_path / f"{command}.csv")]) == 0
-        assert calls == {"_validate": 2, "_kernel": 2}, command
+        assert cli.main([*argv, *grid, "--out", str(tmp_path / f"{argv[0]}.csv")]) == 0
+        assert calls == {"_validate": count, "_kernel": count}, argv
 
 
 def test_rows_follow_grid_order(capsys):

@@ -523,6 +523,53 @@ def test_sequence_of_ratios_equals_the_float_calls(scheme, dim):
             assert got == [OperatingPoint.at(scheme, n, dim, r).entropy for r in dense], n
 
 
+_GRID_N = [2, 5, 10**6, 2**53 + 1, 10**20]
+_GRID_R = [2.3e-308, 1e-300, 1e-9, 0.2, 1 - 2**-40, 1.0]
+
+
+@pytest.mark.parametrize("scheme, dim", (("ico", 2), ("ico", 3), ("cswap", 2), ("traj", 2)))
+def test_list_of_n_equals_the_float_calls(scheme, dim):
+    # OperatingPoint.at and cop on a list of N against a list of ratios are
+    # their per-point float calls, bit for bit; 2^53 + 1 is where float(N) - 1
+    # and float(N - 1) part, and N = 10^20 has p_h underflow at r = 2.3e-308
+    for n in (_GRID_N, 10**20):
+        with pytest.raises(ValueError, match=f"^heating probability underflows to 0 at n={10**20}, d={dim}, r=2.3e-308$"):
+            OperatingPoint.at(scheme, n, dim, _GRID_R if n is _GRID_N else 2.3e-308)
+    with np.errstate(divide="raise", invalid="raise"):
+        for ns, ratios in ((_GRID_N, _GRID_R[1:]), (_GRID_N[:-1], _GRID_R)):
+            grid = OperatingPoint.at(scheme, ns, dim, ratios)
+            hot = [0.3, 0.9, 0.5, 0.7, 1.2, 0.4][: len(ratios)]
+            cops = [cop(ns, dim, ratios, r_hot, 1.3, scheme) for r_hot in (ratios, 0.7, hot)]
+            for i, n in enumerate(ns):
+                for j, r in enumerate(ratios):
+                    one = OperatingPoint.at(scheme, n, dim, r)
+                    for name in _POINT_VALUES:
+                        assert float(getattr(grid, name)[i, j]).hex() == getattr(one, name).hex(), (n, r, name)
+                    for got, r_hot in zip(cops, (r, 0.7, hot[j])):
+                        assert float(got[i, j]).hex() == cop(n, dim, r, r_hot, 1.3, scheme).hex(), (n, r, r_hot)
+
+
+def test_lowest_r_over_a_grid_equals_the_float_calls():
+    ks = [1e-300, 0.1, 1.0, 5.0, 1e300]
+    ratios = [2.3e-308, 1e-9, 0.3, 1 - 2**-40, 1.0]
+    got = lowest_r("ico", np.array(ratios), np.array(ks)[:, None])
+    assert got.shape == (len(ks), len(ratios))
+    want = [[lowest_r("ico", r, k) for r in ratios] for k in ks]
+    assert [[v.hex() for v in row] for row in got.tolist()] == [[v.hex() for v in row] for row in want]
+    got = lowest_r("traj", np.array(ratios[:-1]), np.array(ks)[:, None])
+    assert got.tolist() == [[lowest_r("traj", r, k) for r in ratios[:-1]] for k in ks]
+    # 2k overflows for ico; traj's denominator k r - 2 - k rounds to 0 at r = 1
+    for args, message in (
+        (("ico", 0.5, 1e308), "reservoir size ratio k=1e+308 overflows the temperature limit"),
+        (("traj", 1.0, 1e300), "reservoir size ratio k=1e+300 is too large for the temperature limit at r_start=1.0"),
+    ):
+        scheme, r, k = args
+        for r_arg, k_arg in ((r, k), (np.array([0.5, r]), np.array([[1.0], [k]]))):
+            with pytest.raises(ValueError) as err:
+                lowest_r(scheme, r_arg, k_arg)
+            assert str(err.value) == message
+
+
 def _exact_branches(scheme, n, dim, r, x):
     """The kernel's defining expressions in exact rational arithmetic."""
     r, x = Fraction(r), Fraction(x)
