@@ -186,35 +186,41 @@ def _table(columns: Sequence[str], block, axes: tuple[str, ...], per_block: tupl
     def rows(args) -> list[tuple]:
         grid = {axis: getattr(args, axis) for axis in axes}
         lists = [grid[axis] for axis in whole]
+        # the value columns over (column, *axes), in grid order, filled one
+        # block at a time through a view ordered (column, *per_block, *whole)
+        cells = np.empty((len(columns) - len(axes), *(len(values) for values in grid.values())))
+        held = cells.transpose([0, *(1 + axes.index(a) for a in (*per_block, *whole))])
         try:
-            blocks = [block(args, *point, *lists) for point in itertools.product(*(grid[a] for a in per_block))]
+            for point in itertools.product(*(range(len(grid[a])) for a in per_block)):
+                values = block(args, *(grid[a][i] for a, i in zip(per_block, point)), *lists)
+                for column, value in zip(held[(slice(None), *point)], values, strict=True):
+                    column[...] = value
         except ValueError:
             *outer, last = axes
             for point in itertools.product(*(grid[a] for a in outer)):
                 one = dict(zip(outer, point))
                 block(args, *(one[a] for a in per_block), *([one[a]] for a in whole[:-1]), grid[last])
             raise
-        shape = [len(values) for values in lists]
-        cells = np.array([[np.broadcast_to(column, shape) for column in values] for values in blocks])
-        # (per-block point, column, N, r) -> (column, *axes): grid order
-        cells = cells.reshape(*(len(grid[a]) for a in per_block), -1, *shape)
-        held = [*per_block, None, *whole]
-        cells = cells.transpose([held.index(a) for a in (None, *axes)])
-        # each axis's values, each repeated once per point of the later axes
         sizes = [len(values) for values in grid.values()]
         keys = [
-            list(itertools.chain.from_iterable(itertools.repeat(v, math.prod(sizes[i + 1 :])) for v in values))
-            * math.prod(sizes[:i])
+            _repeated(values, math.prod(sizes[i + 1 :]), math.prod(sizes[:i]))
             for i, values in enumerate(grid.values())
         ]
         return list(zip(*keys, *cells.reshape(len(cells), -1).tolist()))
 
     def run(args) -> int:
-        # the blocks, cells and keys are freed before the table is written
+        # the cells and keys are freed before the table is written
         _emit(columns, rows(args), args)
         return 0
 
     return run
+
+
+def _repeated(values, inner: int, outer: int):
+    """An axis's key column in grid order, as an iterator: each value
+    ``inner`` times (once per point of the later axes), that run ``outer``
+    times (once per point of the earlier ones)."""
+    return itertools.chain.from_iterable(itertools.repeat(v, inner) for _ in range(outer) for v in values)
 
 
 def _branches_block(args, d, ns, rs):
