@@ -20,8 +20,9 @@ import functools
 import itertools
 import json
 import math
+import os
 import sys
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -107,54 +108,83 @@ def _config_comment(config: dict) -> str:
     return "# config: " + " ".join(f"{k}={v}" for k, v in config.items()) + "\n"
 
 
-def _csv(columns: Sequence[str], rows) -> str:
-    """The column line and one line per row, all rows formatted by one ``%``
-    template built from the first row's cells: ``%.12g`` for a float, ``%s``
-    for any other cell."""
-    rows = list(rows)
-    template = ",".join(["%.12g" if isinstance(v, float) else "%s" for v in (rows or [()])[0]]) + "\n"
-    return ",".join(columns) + "\n" + "".join([template % tuple(row) for row in rows])
+def _cell(fmt: str):
+    """How ``fmt`` writes one cell that is not in a float column: a float as
+    ``%.12g`` (CSV) or its repr (JSON, ``null`` when not finite), any other
+    cell as ``str`` (CSV) or through ``json.dumps``."""
+    if fmt == "csv":
+        return lambda v: "%.12g" % v if isinstance(v, float) else str(v)
+    return lambda v: "null" if isinstance(v, float) and not math.isfinite(v) else json.dumps(v)
+
+
+def _text(columns: Sequence[str], cells: list, rows: int, fmt: str, config: dict | None = None) -> Iterator[str]:
+    """A table of ``rows`` rows in ``fmt`` as strings of at most
+    ``fridge._CSV_BLOCK`` rows each, after its head: in CSV the ``# config:``
+    line (when ``config`` is given) and the column line, in JSON the layout of
+    ``json.dumps(table, indent=1)``, one cell per line. ``cells`` holds each
+    column: a float array, whose cells each block formats with one ``%``
+    template (``%.12g`` in CSV, ``%r`` in JSON, where a cell that is not
+    finite is ``null``), or an iterable of the cells as written (``%s``).
+    The head is built before the first string is taken."""
+    if fmt == "csv":
+        head = ("" if config is None else _config_comment(config)) + ",".join(columns) + "\n"
+        number, open_row, comma, close_row, between, tail = "%.12g", "", ",", "\n", "", ""
+    else:
+        head = json.dumps({"config": config, "columns": list(columns), "rows": []}, indent=1, allow_nan=False)
+        if not rows:
+            return iter([head + "\n"])
+        head = head.removesuffix("[]\n}") + "[\n"
+        number, open_row, comma, close_row, between, tail = "%r", "  [\n   ", ",\n   ", "\n  ]", ",\n", "\n ]\n}\n"
+
+    def blocks():
+        size = fridge._CSV_BLOCK
+        sources = [column if isinstance(column, np.ndarray) else iter(column) for column in cells]
+        for start in range(0, rows, size):
+            slots, parts = [], []
+            for column in sources:
+                if not isinstance(column, np.ndarray):
+                    slots.append("%s")
+                    parts.append(itertools.islice(column, size))
+                    continue
+                values = column[start : start + size]
+                if fmt == "json" and not np.isfinite(values).all():
+                    slots.append("%s")
+                    finite = np.isfinite(values).tolist()
+                    parts.append([repr(v) if ok else "null" for v, ok in zip(values.tolist(), finite)])
+                else:
+                    slots.append(number)
+                    parts.append(values.tolist())
+            template = open_row + comma.join(slots) + close_row
+            yield (between if start else "") + between.join([template % row for row in zip(*parts)])
+
+    return itertools.chain([head], blocks(), [tail])
 
 
 def _emit(columns: Sequence[str], rows: list[list], args):
-    """Write ``rows`` in ``args.format`` to ``args.out``, headed by the config
-    echo. A NaN or infinite cell is ``nan`` or ``inf`` in CSV and ``null`` in
-    JSON, which has no such numbers."""
-    config = _config(args)
-    if args.format == "csv":
-        text = _config_comment(config) + _csv(columns, rows)
-    else:
-        head = {"config": config, "columns": list(columns), "rows": []}
-        text = json.dumps(head, indent=1, allow_nan=False)
-        if rows:
-            try:
-                body = _encode_rows(rows)
-            except ValueError:
-                # only a table that holds a non-finite cell pays for this pass
-                body = _encode_rows([[None if _non_finite(v) else v for v in row] for row in rows])
-            # JSON escapes a newline inside a string, so "],\n   [" only
-            # falls between two rows
-            body = body[2:-2].replace("],\n   [", "\n  ],\n  [\n   ")
-            text = text.removesuffix("[]\n}") + "[\n  [\n   " + body + "\n  ]\n ]\n}"
-        text += "\n"
-    _write(args.out, [text])
-
-
-def _encode_rows(rows: list[list]) -> str:
-    """``rows`` with each cell on its own line, as ``indent=1`` lays them out,
-    from the C encoder: ``json.dumps`` with an indent runs the Python one."""
-    return json.JSONEncoder(allow_nan=False, separators=(",\n   ", ": ")).encode(rows)
-
-
-def _non_finite(v) -> bool:
-    return isinstance(v, float) and not math.isfinite(v)
+    """Write ``rows``, a short table of any cells, in ``args.format`` to
+    ``args.out``, headed by the config echo; each cell is written as ``_cell``
+    says."""
+    cell = _cell(args.format)
+    cells = [[cell(v) for v in column] for column in zip(*rows)]
+    _write(args.out, _text(columns, cells, len(rows), args.format, _config(args)))
 
 
 def _write(path: str | None, parts: Iterable[str]) -> None:
     """Write the strings ``parts`` in turn to ``path``, or to stdout when no
-    path is given; a long table is passed as blocks and never held whole."""
+    path is given; a long table is passed as blocks and never held whole.
+
+    When the reader of stdout has gone, the ``BrokenPipeError`` is raised
+    once: stdout is pointed at the null device first, so the flush at exit
+    does not fail again."""
     if path is None:
-        sys.stdout.writelines(parts)
+        try:
+            sys.stdout.writelines(parts)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, sys.stdout.fileno())
+            os.close(null)
+            raise
         return
     try:
         with open(path, "w", encoding="utf-8") as fh:
@@ -173,17 +203,18 @@ def _table(columns: Sequence[str], block, axes: tuple[str, ...], per_block: tupl
     their product, in that order. ``block(args, *point, *lists)`` evaluates
     one block: ``point`` holds one value of each axis in ``per_block`` and
     ``lists`` the other axes' lists whole, N (or k) and then r; it returns
-    the table's value columns, each broadcasting to len(N) x len(r). Every
-    value column becomes Python floats in one ``.tolist()`` and the rows
-    come from one zip in grid order.
+    the table's value columns, each broadcasting to len(N) x len(r), which
+    fill one float array in grid order.
 
     On a fault in any block the grid is run again one slice at a time (the
     last axis whole at each point of the others) in grid order, through the
-    same ``block``, so the fault reported is the first slice's.
+    same ``block``, so the fault reported is the first slice's. Only then is
+    the output opened: the key columns repeat each axis value formatted once,
+    and ``_text`` formats the value array one block of rows at a time.
     """
     whole = tuple(axis for axis in axes if axis not in per_block)
 
-    def rows(args) -> list[tuple]:
+    def run(args) -> int:
         grid = {axis: getattr(args, axis) for axis in axes}
         lists = [grid[axis] for axis in whole]
         # the value columns over (column, *axes), in grid order, filled one
@@ -201,22 +232,20 @@ def _table(columns: Sequence[str], block, axes: tuple[str, ...], per_block: tupl
                 one = dict(zip(outer, point))
                 block(args, *(one[a] for a in per_block), *([one[a]] for a in whole[:-1]), grid[last])
             raise
+        cell = _cell(args.format)
         sizes = [len(values) for values in grid.values()]
         keys = [
-            _repeated(values, math.prod(sizes[i + 1 :]), math.prod(sizes[:i]))
+            _repeated([cell(v) for v in values], math.prod(sizes[i + 1 :]), math.prod(sizes[:i]))
             for i, values in enumerate(grid.values())
         ]
-        return list(zip(*keys, *cells.reshape(len(cells), -1).tolist()))
-
-    def run(args) -> int:
-        # the cells and keys are freed before the table is written
-        _emit(columns, rows(args), args)
+        values = cells.reshape(len(cells), -1)
+        _write(args.out, _text(columns, [*keys, *values], values.shape[1], args.format, _config(args)))
         return 0
 
     return run
 
 
-def _repeated(values, inner: int, outer: int):
+def _repeated(values: list, inner: int, outer: int):
     """An axis's key column in grid order, as an iterator: each value
     ``inner`` times (once per point of the later axes), that run ``outer``
     times (once per point of the earlier ones)."""
@@ -286,8 +315,8 @@ def _cmd_demon(args) -> int:
     _emit(columns, [row], args)
     if args.out is not None:
         edges, c_counts, d_counts = report.histogram()
-        rows = zip(edges[:-1], edges[1:], c_counts, d_counts)
-        _write(args.out + ".hist.csv", [_csv(["bin_left", "bin_right", "count_boxC", "count_boxD"], rows)])
+        cells = [edges[:-1], edges[1:], c_counts.tolist(), d_counts.tolist()]
+        _write(args.out + ".hist.csv", _text(["bin_left", "bin_right", "count_boxC", "count_boxD"], cells, len(c_counts), "csv"))
     return 0
 
 

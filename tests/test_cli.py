@@ -2,6 +2,7 @@ import argparse
 import itertools
 import json
 import math
+import os
 import re
 import sys
 import tracemalloc
@@ -9,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from icofridge import cli, demon, fridge
+from icofridge import cli, demon, fridge, verify
 from icofridge.cswap import cooling_reservoir_marginal, cooling_target_marginal, cswap_populations
 from icofridge.thermal import excited_weight
 
@@ -829,3 +830,122 @@ def test_cycle_and_demon_io_error_exit_code(capsys):
     assert cli.main(["cycle", "--max-cycles", "5", "--out", "/nonexistent/dir/x.csv"]) == 3
     assert cli.main(["demon", "--particles", "10", "--out", "/nonexistent/dir/x.json"]) == 3
     assert "cannot write /nonexistent/dir/x.json" in capsys.readouterr().err
+
+
+def test_text_yields_one_string_per_block(monkeypatch):
+    # the head, then one string per block of rows, then the JSON tail
+    monkeypatch.setattr(fridge, "_CSV_BLOCK", 3)
+    cells = [["1", "2", "3", "4"], np.array([0.5, math.nan, 2.0, -math.inf])]
+    assert list(cli._text(["k", "x"], cells, 4, "csv")) == ["k,x\n", "1,0.5\n2,nan\n3,2\n", "4,-inf\n", ""]
+    parts = list(cli._text(["k", "x"], cells, 4, "json", {"command": "t"}))
+    assert parts[1:] == ["  [\n   1,\n   0.5\n  ],\n  [\n   2,\n   null\n  ],\n  [\n   3,\n   2.0\n  ]",
+                         ",\n  [\n   4,\n   null\n  ]", "\n ]\n}\n"]
+    assert json.loads("".join(parts))["rows"] == [[1, 0.5], [2, None], [3, 2.0], [4, None]]
+
+
+def _fixed_checks(names=None):
+    # seven rows over three 3-row blocks: NaN defects (a check that raised)
+    # in the first and a later block, a failed check, a non-ASCII detail
+    rows = [("qmat_algebra", True, "ok", 0.25, 1e-15, 1e-12), ("kraus_completeness", False, "raised", 0.5)]
+    rows += [(f"check_{i}", i != 4, f"kälte {i}", 0.125 * i, 10.0**-i, 1e-9) for i in range(2, 6)]
+    rows += [("last", True, "raised ☃", 2.0, math.nan, 1e-3)]
+    return [verify.CheckResult(*row) for row in rows]
+
+
+# at a block size of 3 every table writes the bytes of the default size: NaN
+# total_over_target cells in a later block, a one-row grid, verify's rows
+# with NaN defects, demon's row and 50-bin histogram
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ["cswap", "--n-list", "2,3,4", "--r-list", "0.5,1"],
+        ["cswap", "--n-list", "2,3,4", "--r-list", "0.5,1", "--format", "json"],
+        ["branches", "--n-list", "2", "--d-list", "3", "--r-list", "0.5"],
+        ["branches", "--n-list", "2", "--d-list", "3", "--r-list", "0.5", "--format", "json"],
+        ["cop", "--scheme", "ico,cswap,traj", "--n-list", "2,3", "--format", "json"],
+        ["verify", "--format", "json"],
+        ["demon", "--particles", "300", "--r", "0.3"],
+    ),
+    ids=" ".join,
+)
+def test_tables_do_not_depend_on_the_block_size(argv, monkeypatch, tmp_path):
+    monkeypatch.setattr(cli.verify, "run_checks", _fixed_checks)
+
+    def written(name):
+        (tmp_path / name).mkdir()
+        assert cli.main([*argv, "--out", str(tmp_path / name / "table")]) in (0, 2)
+        return {path.name: path.read_bytes() for path in (tmp_path / name).iterdir()}
+
+    default = written("default")
+    monkeypatch.setattr(fridge, "_CSV_BLOCK", 3)
+    assert written("three") == default
+
+
+def test_verify_json_writes_a_nan_defect_as_null(monkeypatch, capsys):
+    monkeypatch.setattr(cli.verify, "run_checks", _fixed_checks)
+    code, out = run(["verify", "--format", "json"], capsys)
+    assert code == 2
+    doc = json.loads(out, parse_constant=_reject_constant)
+    rows = [[None if isinstance(v, float) and not math.isfinite(v) else v for v in row] for row in
+            [[r.name, r.passed, r.defect, r.tol, r.seconds, r.detail] for r in _fixed_checks()]]
+    assert out == json.dumps(doc | {"rows": rows}, indent=1) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ["cswap", "--n-list", "2,3", "--r-list", "0.5,0"],
+        ["branches", "--d-list", "2,1" + "0" * 400],
+        ["cop", "--scheme", "ico,foo"],
+    ),
+    ids=("first block", "later D block", "later scheme block"),
+)
+@pytest.mark.parametrize("fmt", ("csv", "json"))
+def test_grid_fault_with_out_creates_no_file(argv, fmt, tmp_path, capsys):
+    # every block is evaluated and checked before the output is opened
+    out = tmp_path / "table"
+    assert cli.main([*argv, "--format", fmt, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("usage error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fmt", ("csv", "json"))
+def test_grid_table_memory_grows_by_its_value_array(fmt, tmp_path):
+    # a branches table holds its five float value columns (40 B a row) and
+    # one block of formatted rows; a writer that formats the whole table
+    # before writing it grows by 470 (CSV) to 680 B (JSON) a row
+    def peak(n):
+        argv = ["branches", "--n-list", ",".join(map(str, range(2, 2 + n))), "--d-list", "2,3,4,5,8"]
+        argv += ["--r-list", ",".join(str(i / 30) for i in range(1, 31)), "--format", fmt]
+        tracemalloc.start()
+        try:
+            assert cli.main([*argv, "--out", str(tmp_path / "table")]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(2)  # first-call allocations
+    small, large = peak(80), peak(160)  # 12,000 and 24,000 rows
+    assert (large - small) / 12_000 < 150
+
+
+def test_broken_pipe_points_stdout_at_the_null_device(tmp_path, monkeypatch, capsys):
+    # the reader has gone: the error is reported once, and what stdout still
+    # holds for the flush at exit goes to the null device, not to the pipe
+    class Closed:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def writelines(self, parts):
+            next(iter(parts))
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def fileno(self):
+            return self.fh.fileno()
+
+    with open(tmp_path / "stdout", "wb") as fh:
+        monkeypatch.setattr(sys, "stdout", Closed(fh))
+        code = cli.main(["branches"])
+        os.write(fh.fileno(), b"flushed at exit")
+    assert (code, capsys.readouterr().err) == (3, "io error: [Errno 32] Broken pipe\n")
+    assert (tmp_path / "stdout").read_bytes() == b""

@@ -16,10 +16,13 @@ from icofridge import verify
 SRC = str(Path(icofridge.__file__).resolve().parents[1])
 
 
+def _env():
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH")))))
+
+
 def icofridge_cli(args, cwd):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH")))))
     return subprocess.run(
-        [sys.executable, "-m", "icofridge.cli", *args], cwd=cwd, env=env, capture_output=True, check=False
+        [sys.executable, "-m", "icofridge.cli", *args], cwd=cwd, env=_env(), capture_output=True, check=False
     )
 
 
@@ -61,3 +64,35 @@ def test_json_rows_hold_every_defect_and_tolerance(tmp_path):
     assert len(rows) == 30
     assert [row["name"] for row in rows] == list(verify.CHECKS)
     assert all(row["passed"] and row["defect"] <= row["tol"] for row in rows)
+
+
+# 20,000 rows, five blocks: far more than a pipe holds
+_LONG_GRID = ["--n-list", ",".join(map(str, range(2, 802))), "--d-list", "2,3,4,5,8"]
+
+
+@pytest.mark.parametrize("buffered", (True, False), ids=("buffered", "unbuffered"))
+@pytest.mark.parametrize(
+    "args, take",
+    (
+        (["branches", *_LONG_GRID], 16),
+        (["branches", *_LONG_GRID, "--format", "json"], 16),
+        (["cycle", "--k", "100"], 16),
+        (["demon", "--particles", "100"], 0),
+        (["verify", "--checks", "qmat_algebra"], 0),
+    ),
+    ids=("branches csv", "branches json", "cycle", "demon", "verify"),
+)
+def test_closed_stdout_exits_3_with_one_line(args, take, buffered, tmp_path):
+    # the reader takes a few bytes of a long table, or none of a short one,
+    # and closes its end: the next write fails with EPIPE, reported once,
+    # and the flush at exit stays silent whether or not stdout is buffered
+    env = {key: value for key, value in _env().items() if key != "PYTHONUNBUFFERED"}
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    argv = [sys.executable, "-m", "icofridge.cli", *args]
+    with subprocess.Popen(argv, cwd=tmp_path, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert len(proc.stdout.read(take)) == take
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert (code, err.decode()) == (3, "io error: [Errno 32] Broken pipe\n")
