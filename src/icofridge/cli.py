@@ -245,7 +245,7 @@ def _table(columns: Sequence[str], block, axes: tuple[str, ...], per_block: tupl
     return run
 
 
-def _repeated(values: list, inner: int, outer: int):
+def _repeated(values, inner: int, outer: int):
     """An axis's key column in grid order, as an iterator: each value
     ``inner`` times (once per point of the later axes), that run ``outer``
     times (once per point of the earlier ones)."""
@@ -315,8 +315,9 @@ def _cmd_demon(args) -> int:
     _emit(columns, [row], args)
     if args.out is not None:
         edges, c_counts, d_counts = report.histogram()
+        bins = ["bin_left", "bin_right", "count_boxC", "count_boxD"]
         cells = [edges[:-1], edges[1:], c_counts.tolist(), d_counts.tolist()]
-        _write(args.out + ".hist.csv", _text(["bin_left", "bin_right", "count_boxC", "count_boxD"], cells, len(c_counts), "csv"))
+        _write(args.out + ".hist.csv", _text(bins, cells, len(c_counts), "csv"))
     return 0
 
 
