@@ -24,11 +24,10 @@ Every branch statistic in the package (switch, controlled SWAP, cycles,
 demon, CLI tables) comes from one kernel, ``_kernel``: the heralded
 branches T + (N-1) M rho M^dag and T - M rho M^dag of a degenerate working
 system, with M = T (``ico``, ``cswap``) or M = A (``traj``). Every
-statistic at a thermal input is read from one validated ``OperatingPoint``;
-a list of ratios, or a list of N against one, takes one array call of the
-kernel and gives, bit for bit, its points, entropy included (taken with
-``math.log``). Each per-N constant is rounded once from its exact integer,
-as the float path's int-by-float products round it.
+statistic at a thermal input is read from one validated ``OperatingPoint``,
+in one array call of the kernel. A ratio argument is a ratio or an
+array-like of ratios (list, tuple or 1-d array); a list of N against it
+gives N x len(r) arrays, and one ratio gives Python floats.
 
 Reservoirs are mean field: a bath is its particle count and current ratio.
 A refrigeration run builds its step once and makes one call to it per
@@ -77,11 +76,11 @@ _CSV_BLOCK = 4096  # rows formatted and written per string
 
 def _validate(scheme: str, n, dim: int, r) -> None:
     """Reject inputs the branch kernel is not defined for; N is an integer or
-    a list of them, D an integer, and ``r`` a ratio or a list or tuple of
-    ratios. Lists are checked in order, the ratios before N."""
+    a list of them, D an integer, and ``r`` a ratio or an array-like of
+    them. Lists are checked in order, the ratios before N."""
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
-    for x in r if isinstance(r, (list, tuple)) else (r,):
+    for x in np.ravel(r).tolist():
         _validate_family(dim, x)
     for k in n if isinstance(n, list) else (n,):
         if operator.index(k) < 2:
@@ -108,22 +107,20 @@ def _kernel(scheme: str, n, dim: int):
     alpha T + beta T^3, valid at the thermal input only (None otherwise). Not
     validated; only + - * / touch ``x``, a float or an array.
 
-    ``n`` may be a list: each N constant is then an N x 1 column of floats,
-    each rounded once from its exact integer, so the outputs of an array
-    ``x`` are N x len(x) arrays equal to the float path's, bar x_heat, which
-    does not depend on N and keeps the shape of ``x``.
+    Each N constant is rounded once from its exact integer: a float for one
+    N, an N x 1 column for a list of N, which makes every output but x_heat
+    (free of N) an N x len(x) array.
     """
     d1 = dim - 1
     traj, cswap = scheme == "traj", scheme == "cswap"
-    if isinstance(n, list):
-        ns = n
-        # only cswap reads n^2 and (n-1)(n-2), and only its guard keeps them finite
-        ints = [(k, k - 1, k * k, (k - 1) * (k - 2)) if cswap else (k, k - 1, 0, 0) for k in ns]
-        n, n1, nn, c_alpha = np.array([[float(v) for v in row] for row in ints]).T[:, :, None]
-        beta = np.array([[2 * (k - 1) / (k * k)] for k in ns])
-    else:
-        n1, nn = n - 1, n * n
-        c_alpha, beta = n1 * (n - 2), 2 * n1 / nn
+    grid = isinstance(n, list)
+    # only cswap reads n^2, (n-1)(n-2) and 2(n-1)/n^2, and only its guard keeps them finite
+    exact = [
+        (k, k - 1, k * k, (k - 1) * (k - 2), 2 * (k - 1) / (k * k)) if cswap else (k, k - 1, 0, 0, 0)
+        for k in (n if grid else [n])
+    ]
+    consts = np.array([[float(v) for v in row] for row in exact])
+    n, n1, nn, c_alpha, beta = consts.T[:, :, None] if grid else consts[0].tolist()
 
     def step(r, x):
         z = 1.0 + d1 * r
@@ -154,8 +151,7 @@ def _kernel(scheme: str, n, dim: int):
 
 class OperatingPoint(NamedTuple):
     """Branch statistics of one (scheme, N, D) at the thermal input of ratio r,
-    or at each point of a list of ratios, or of a list of N against them, in
-    arrays (see ``at``).
+    or in arrays over ratios and a list of N (see ``at``).
 
     ``p_c`` is the cooling probability and ``p_h`` that of each of the
     ``n_heat`` = N-1 heating branches; ``a`` is the bath's excited weight.
@@ -179,28 +175,22 @@ class OperatingPoint(NamedTuple):
     def at(cls, scheme: str, n, dim: int, r) -> "OperatingPoint":
         """Validate (scheme, N, D, r) and evaluate the kernel there once.
 
-        ``r`` is a ratio or a list or tuple of ratios, and ``n`` an integer
-        or, with a list of ratios, a list of integers. Lists are checked
-        value by value, then evaluated in one array call of the kernel. Each
-        float field is then an array over the ratios, or an N x len(r) array
-        over a list of N, whose N columns ``n``, ``n_heat`` and ``n_med`` are
-        then N x 1 float columns; every entry equals, bit for bit, its own
-        point's. A heating probability that underflows to 0 (huge N at a
-        tiny r) is rejected, naming the first such N and r: the heating
+        ``n`` is an integer or a list of them. Each float field is an array
+        over the ratios, N x len(r) over a list of N, whose N columns ``n``,
+        ``n_heat`` and ``n_med`` are then N x 1 float columns; one ratio
+        gives floats. A heating probability that underflows to 0 (huge N at
+        a tiny r) is rejected, naming the first such N and r: the heating
         branch and the register entropy vanish there.
         """
         _validate(scheme, n, dim, r)
-        grid = isinstance(n, list)
-        many = grid or isinstance(r, (list, tuple))
-        rs = np.array(r, dtype=float) if many else r
+        rs = np.array(r, dtype=float)
         a = excited_weight(dim, rs)
         p_c, p_h, e_cool, e_heat, x_res = _kernel(scheme, n, dim)(rs, a)
-        if many and not p_h.all():
-            i, j = np.argwhere(np.reshape(p_h, (-1, len(r))) == 0.0)[0]
+        grid = isinstance(n, list)
+        if not p_h.all():
+            i, j = np.argwhere(np.reshape(p_h, (-1, rs.size)) == 0.0)[0]
             k = n[i] if grid else n
-            raise ValueError(f"heating probability underflows to 0 at n={k}, d={dim}, r={r[j]}")
-        if not many and p_h == 0.0:
-            raise ValueError(f"heating probability underflows to 0 at n={n}, d={dim}, r={r}")
+            raise ValueError(f"heating probability underflows to 0 at n={k}, d={dim}, r={rs.ravel().tolist()[j]}")
         if grid:
             n, n_heat, n_plus = np.array([[float(k), float(k - 1), float(k + 1)] for k in n]).T[:, :, None]
         else:
@@ -209,9 +199,8 @@ class OperatingPoint(NamedTuple):
         if scheme == "cswap":
             n_med = n_plus
             e_cool, e_heat = _cswap_mediums(n, n_med, a, p_c, n_heat * p_h, e_cool, x_res)
-        if grid:
-            a, e_heat = (np.broadcast_to(v, p_c.shape) for v in (a, e_heat))
-        return cls(n, dim, p_c, p_h, a, e_cool, e_heat, n_med, n_heat)
+        a, e_heat = (np.broadcast_to(v, p_c.shape) for v in (a, e_heat))
+        return cls(n, dim, *map(_out, (p_c, p_h, a, e_cool, e_heat)), n_med, n_heat)
 
     @property
     def p_heating(self) -> float:
@@ -223,15 +212,12 @@ class OperatingPoint(NamedTuple):
         """Shannon entropy (nats) of the fine-grained measurement record.
 
         One cooling outcome and N-1 individually recorded heating outcomes:
-        S = -p_c ln p_c - (N-1) p_h ln p_h. Over arrays every log still comes
-        from ``math.log``, mapped once over both flattened arrays: ``np.log``
-        may miss it by an ulp.
+        S = -p_c ln p_c - (N-1) p_h ln p_h. Every log comes from ``math.log``,
+        mapped once over both probabilities: ``np.log`` may miss it by an ulp.
         """
-        if isinstance(self.p_c, np.ndarray):
-            p = np.concatenate((self.p_c, self.p_h), axis=None)
-            log_c, log_h = np.fromiter(map(math.log, p.tolist()), float, p.size).reshape(2, *self.p_c.shape)
-            return -(self.p_c * log_c) - self.n_heat * (self.p_h * log_h)
-        return _entropy(self.n_heat, self.p_c, self.p_h)
+        p = np.array([self.p_c, self.p_h])
+        log_c, log_h = np.fromiter(map(math.log, p.ravel().tolist()), float, p.size).reshape(p.shape)
+        return _out(-(self.p_c * log_c) - self.n_heat * (self.p_h * log_h))
 
     @property
     def weighted_energy(self) -> float:
@@ -264,24 +250,27 @@ def _cswap_mediums(n, n_med, a, p_c, p_heating, x_cool, x_res):
     return e_cool, (n_med * a - p_c * e_cool) / p_heating
 
 
-def _entropy(n_heat, p_c, p_h):
-    return -_xlogx(p_c) - n_heat * _xlogx(p_h)
+def _out(v):
+    """A result as returned: an array, or a Python float for a 0-d one,
+    since numpy 2 prints a numpy scalar as ``np.float64(...)``."""
+    return v if np.ndim(v) else float(v)
 
 
 def work_cost(entropy, beta_r: float):
-    """Erasure work for a register of given entropy, a float or an array,
-    against a bath at beta_r; an error names the first entry at fault."""
-    many = isinstance(entropy, np.ndarray)
-    if (entropy < 0).any() if many else entropy < 0:
+    """Erasure work for a register of given entropy, one value or an
+    array-like of them, against a bath at beta_r; an error names the first
+    entry at fault."""
+    entropy = np.asarray(entropy)
+    if (entropy < 0).any():
         raise ValueError("entropy must be nonnegative")
     if not 0.0 < beta_r < math.inf:
         raise ValueError(f"erasure inverse temperature beta_r={beta_r} must be positive and finite")
     with np.errstate(over="ignore"):  # the overflow is reported below, naming its entropy
         work = entropy / beta_r
-    if (work == math.inf).any() if many else work == math.inf:
-        s = float(entropy[work == math.inf][0]) if many else entropy
-        raise ValueError(f"erasure work overflows at beta_r={beta_r} (entropy {s})")
-    return work
+    overflows = entropy[work == math.inf].tolist()
+    if overflows:
+        raise ValueError(f"erasure work overflows at beta_r={beta_r} (entropy {overflows[0]})")
+    return _out(work)
 
 
 def cop(n, dim: int, r, r_hot, beta_r: float, scheme: str = "ico"):
@@ -292,16 +281,16 @@ def cop(n, dim: int, r, r_hot, beta_r: float, scheme: str = "ico"):
     branches) divided by the register erasure work. Zero exactly when the
     hot bath matches the heating-branch mediums; maximal at r_hot = r.
 
-    A list (or tuple) ``r``, and with it a list ``n``, gives an array of the
-    values, shaped as ``OperatingPoint.at``'s fields, from one call of it;
-    ``r_hot`` is then one ratio or a list as long as ``r``. An ``r_hot``
-    equal to ``r`` has passed ``r``'s checks; any other is checked once per
-    value, all before the work checks, which run over the whole array.
+    The values are shaped as ``OperatingPoint.at``'s fields, from one call
+    of it; ``r_hot`` is one ratio or an array-like as long as ``r``. An
+    ``r_hot`` equal to ``r`` has passed ``r``'s checks; any other is checked
+    once per value, all before the work checks, which run over the whole
+    array.
     """
     point = OperatingPoint.at(scheme, n, dim, r)
-    hot_list = isinstance(r_hot, (list, tuple))
-    if r_hot != r:
-        for h in r_hot if hot_list else (r_hot,):
+    hot = np.ravel(r_hot).tolist()
+    if hot != np.ravel(r).tolist():
+        for h in hot:
             # no upper bound: stop_ratio may round just above 1 and cop is zero there;
             # the ratio rule still rejects a subnormal r_hot
             if not 0.0 < h < math.inf:
@@ -309,9 +298,9 @@ def cop(n, dim: int, r, r_hot, beta_r: float, scheme: str = "ico"):
             _validate_ratio(min(h, 1.0))
             if math.isnan(excited_weight(dim, h)):  # (dim - 1) * r_hot overflows
                 raise ValueError(f"hot ratio {h} overflows the bath energy at d={dim}")
-    a_hot = excited_weight(dim, np.array(r_hot) if hot_list else r_hot)
+    a_hot = excited_weight(dim, np.array(r_hot, dtype=float))
     numerator = point.weighted_energy - point.p_heating * point.n_med * (a_hot - point.a)
-    return numerator / work_cost(point.entropy, beta_r)
+    return _out(numerator / work_cost(point.entropy, beta_r))
 
 
 def lowest_r(scheme: str, r_start, k):
@@ -321,14 +310,13 @@ def lowest_r(scheme: str, r_start, k):
     (the cold side can approach absolute zero); the result never exceeds the
     starting ratio.
 
-    ``r_start`` may be an array of ratios and ``k`` an array that broadcasts
-    against it (a column of k for a k x r grid); the result is then their
-    broadcast array. The checks run in the order one float call per ratio
-    meets them for a single k: the first ratio; each k; the scheme; each
-    k's overflow; then the other ratios.
+    ``k`` may be an array-like that broadcasts against ``r_start`` (a
+    column of k for a k x r grid); the result is their broadcast array. The
+    checks run in this order: the first ratio; each k; the scheme; each k's
+    overflow; then the other ratios.
     """
-    ratios = r_start.ravel().tolist() if isinstance(r_start, np.ndarray) else [r_start]
-    sizes = k.ravel().tolist() if isinstance(k, np.ndarray) else [k]
+    r, k = np.asarray(r_start), np.asarray(k)
+    ratios, sizes = r.ravel().tolist(), k.ravel().tolist()
     _validate_ratio(ratios[0])
     for x in sizes:
         _validate_size(f"reservoir size ratio k={x}", x)
@@ -339,19 +327,15 @@ def lowest_r(scheme: str, r_start, k):
             raise ValueError(f"reservoir size ratio k={x} overflows the temperature limit")
     for x in ratios[1:]:
         _validate_ratio(x)
-    r = r_start
     if scheme == "ico":
         num, den = k - (2 * k + 3) * r, k * r - 3 - 2 * k
     else:
         # below -k for ico, but traj's rounds to 0 once k (1 - r) is lost next to k
         num, den = k - (k + 2) * r, k * r - 2 - k
-    many = isinstance(den, np.ndarray)
-    if not den.all() if many else den == 0.0:
-        x, y = (float(np.broadcast_to(v, den.shape)[den == 0.0][0]) for v in (k, r)) if many else (k, r)
+    if not den.all():
+        x, y = (np.broadcast_to(v, den.shape)[den == 0.0].tolist()[0] for v in (k, r))
         raise ValueError(f"reservoir size ratio k={x} is too large for the temperature limit at r_start={y}")
-    if many:
-        return np.minimum(np.maximum(num / den, 0.0), r) + 0.0
-    return min(max(num / den, 0.0), r) + 0.0  # normalize -0.0
+    return _out(np.minimum(np.maximum(num / den, 0.0), r) + 0.0)  # + 0.0 normalizes -0.0
 
 
 @dataclass(frozen=True)
@@ -517,7 +501,7 @@ def run_cycles(
     # the ratio each cycle started from
     r_c = np.concatenate(([r_first], cold[:-1]))
     p_c, p_h, *_ = step(r_c, excited_weight(dim, r_c))
-    entropy = _entropy(n - 1, p_c, p_h)
+    entropy = -_xlogx(p_c) - (n - 1) * _xlogx(p_h)
     cooling = np.random.default_rng(seed).random(m) < p_c
     return CycleTrace(
         cycles=np.arange(1, m + 1),

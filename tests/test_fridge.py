@@ -519,8 +519,11 @@ def test_sequence_of_ratios_equals_the_float_calls(scheme, dim):
         # so a dense list pins the entropy to math.log
         dense = np.linspace(1e-3, 1.0, 4096).tolist()
         for n in (2, 5):
-            got = OperatingPoint.at(scheme, n, dim, dense).entropy.tolist()
+            point = OperatingPoint.at(scheme, n, dim, dense)
+            got = point.entropy.tolist()
             assert got == [OperatingPoint.at(scheme, n, dim, r).entropy for r in dense], n
+            probabilities = zip(point.p_c.tolist(), point.p_h.tolist())
+            assert got == [-(c * math.log(c)) - (n - 1) * (h * math.log(h)) for c, h in probabilities], n
 
 
 _GRID_N = [2, 5, 10**6, 2**53 + 1, 10**20]
@@ -570,6 +573,52 @@ def test_lowest_r_over_a_grid_equals_the_float_calls():
             assert str(err.value) == message
 
 
+@pytest.mark.parametrize("kind", (list, tuple, np.array))
+def test_array_like_ratios_equal_the_list_call(kind):
+    # a tuple or a 1-d array of ratios is the list call, for every public
+    # closed form, and its faults keep their messages
+    ratios = [1e-9, 0.3, 0.5, 1.0]
+    hots = [0.7, 0.2, 1.2, 0.4]
+    for scheme in fridge.SCHEMES:
+        for n in (3, [2, 5]):
+            want = OperatingPoint.at(scheme, n, 2, ratios)
+            got = OperatingPoint.at(scheme, n, 2, kind(ratios))
+            for name in _POINT_VALUES:
+                assert np.array_equal(getattr(got, name), getattr(want, name)), (scheme, n, name)
+            for r_hot in (ratios, hots, 0.7):
+                hot = kind(r_hot) if isinstance(r_hot, list) else r_hot
+                want = cop(n, 2, ratios, r_hot, 1.3, scheme)
+                assert np.array_equal(cop(n, 2, kind(ratios), hot, 1.3, scheme), want), (scheme, n, r_hot)
+    for scheme in ("ico", "traj"):
+        assert lowest_r(scheme, kind(ratios), 5.0).tolist() == [lowest_r(scheme, r, 5.0) for r in ratios]
+    assert work_cost(kind([0.1, 0.2]), 1.0).tolist() == [0.1, 0.2]
+    for call, message in (
+        (lambda: OperatingPoint.at("ico", 2, 2, kind([0.5, 0.0])), "ratio 0.0 outside (0, 1]"),
+        (lambda: cop(2, 2, kind([0.5, 0.6]), kind([0.5, 0.0]), 1.0), "hot ratio 0.0 must be positive and finite"),
+        (lambda: lowest_r("ico", kind([0.5, 2.0]), 5.0), "ratio 2.0 outside (0, 1]"),
+        (lambda: work_cost(kind([0.1, -0.2]), 1.0), "entropy must be nonnegative"),
+        (lambda: work_cost(kind([0.1, 1e300]), 1e-10), "erasure work overflows at beta_r=1e-10 (entropy 1e+300)"),
+    ):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == message
+
+
+@pytest.mark.parametrize("scheme", fridge.SCHEMES)
+def test_one_ratio_gives_python_floats(scheme):
+    # numpy 2 prints a numpy scalar as np.float64(...); a one-ratio call
+    # returns Python floats equal to the one-element list call's entries
+    one, many = OperatingPoint.at(scheme, 3, 2, 0.3), OperatingPoint.at(scheme, 3, 2, [0.3])
+    pairs = [(getattr(one, name), getattr(many, name)[0]) for name in _POINT_VALUES]
+    pairs.append((cop(3, 2, 0.3, 0.7, 1.3, scheme), cop(3, 2, [0.3], 0.7, 1.3, scheme)[0]))
+    pairs.append((work_cost(one.entropy, 1.3), work_cost([one.entropy], 1.3)[0]))
+    if scheme != "cswap":
+        pairs.append((lowest_r(scheme, 0.3, 5.0), lowest_r(scheme, [0.3], 5.0)[0]))
+    for v, entry in pairs:
+        assert type(v) is float and v.hex() == float(entry).hex()
+    assert "np." not in repr(one)
+
+
 def _exact_branches(scheme, n, dim, r, x):
     """The kernel's defining expressions in exact rational arithmetic."""
     r, x = Fraction(r), Fraction(x)
@@ -587,6 +636,39 @@ def _exact_branches(scheme, n, dim, r, x):
         beta = Fraction(2 * (n - 1), n * n)
         out.append((alpha * a + beta * m_e) / (alpha + beta * (m_g + m_e)))
     return out
+
+
+def _int_constant_step(scheme, n, dim, r, x):
+    """The kernel's step on Python floats with N's constants left as ints,
+    each rounded once where it meets a float."""
+    d1 = dim - 1
+    z = 1.0 + d1 * r
+    g, a, k = 1.0 / z, d1 * r / z, r / z
+    if scheme == "traj":
+        m_g, m_e, heat_g, heat_e = g * (1.0 - x), k * x, g * x, k * (d1 - x)
+    else:
+        m_g, m_e = g * g * (1.0 - x), k * k * x
+        heat_g, heat_e = g * (a + g * x), a - m_e
+    cool_e = a + (n - 1) * m_e
+    tr_c, tr_h = g + (n - 1) * m_g + cool_e, heat_g + heat_e
+    out = [tr_c / n, tr_h / n, cool_e / tr_c, heat_e / tr_h]
+    if scheme == "cswap":
+        alpha = (n + (n - 1) * (n - 2) * (m_g + m_e)) / (n * n)
+        beta = 2 * (n - 1) / (n * n)
+        out.append((alpha * a + beta * m_e) / (alpha + beta * (m_g + m_e)))
+    return out
+
+
+@pytest.mark.parametrize("scheme, dim", (("ico", 2), ("ico", 3), ("cswap", 2), ("traj", 2)))
+def test_kernel_rounds_each_n_constant_once(scheme, dim):
+    # above 2^53 float(N) - 1 is not float(N - 1), nor float(N)^2 float(N^2):
+    # each constant of one N is its exact int rounded once
+    for n in (2, 5, 2**53 + 1, 3 * 2**60 + 7, 10**20):
+        step = fridge._kernel(scheme, n, dim)
+        for r in (1e-300, 1e-9, 0.3, 1.0):
+            for x in (0.0, 0.4, excited_weight(dim, r)):
+                want = _int_constant_step(scheme, n, dim, r, x)
+                assert [v.hex() for v in step(r, x)[: len(want)]] == [v.hex() for v in want], (n, r, x)
 
 
 @pytest.mark.parametrize("scheme, dim", (("ico", 2), ("ico", 3), ("cswap", 2), ("traj", 2), ("traj", 3)))

@@ -18,6 +18,9 @@ def test_library_tour_runs_and_every_export_resolves():
     missing = [name for name in icofridge.__all__ if not hasattr(icofridge, name)]
     assert not missing
     assert set(icofridge.__all__) <= namespace.keys()
+    # the comment under the tour's point is its repr, as printed
+    shown = re.search(r"^point = .*\n((?:# .*\n)+)", tour, re.MULTILINE).group(1)
+    assert " ".join(line[1:].strip() for line in shown.splitlines()) == repr(namespace["point"])
 
 
 def _cell_words(cell):
