@@ -27,7 +27,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from . import demon, fridge, verify
-from .cswap import cooling_reservoir_marginal, cooling_target_marginal, cswap_populations
+from .cswap import cswap_populations
 # kept as cli.cswap_evolve: the benchmark tests wrap it there
 from .cswap import cswap_evolve  # noqa: F401
 from .thermal import excited_weight
@@ -268,18 +268,16 @@ def _limits_block(args, scheme, ks, rs):
 
 
 def _cswap_block(args, ns, rs):
-    return np.moveaxis(np.array([[_cswap_point(n, r) for r in rs] for n in ns]), -1, 0)
-
-
-def _cswap_point(n, r):
-    p_c, p_h_tot, cool, heat = cswap_populations(n, r)
+    fridge._validate("cswap", ns, 2, rs)
+    r = np.array(rs)
     t_pop = excited_weight(2, r)
-    target = float(cooling_target_marginal(n, r)[1, 1].real)
-    reservoir = float(cooling_reservoir_marginal(n, r)[1, 1].real)
-    total = sum(cool.tolist())
+    _, _, target, _, reservoir = fridge._kernel("cswap", ns, 2)(r, t_pop)
+    p_c, p_h, cool, heat = zip(*(cswap_populations(n, r) for n in ns))
+    excess = [pops.sum(axis=-1) - (n + 1) * t_pop for n, pops in zip(ns, cool)]
+    shift = target - t_pop
     # at r = 1 no population moves and the ratio is 0/0, so the cell is NaN
-    ratio = (total - (n + 1) * t_pop) / (target - t_pop) if target != t_pop else math.nan
-    return p_c, p_h_tot, target, reservoir, float(heat[0]), ratio
+    ratio = np.divide(excess, shift, out=np.full_like(shift, math.nan), where=shift != 0)
+    return p_c, p_h, target, reservoir, [pops[:, 0] for pops in heat], ratio
 
 
 def _traj_block(args, ns, rs):

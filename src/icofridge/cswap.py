@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qmat
-from .fridge import _kernel, _validate
+from .fridge import _kernel, _out, _validate
 from .nswitch import SwitchOutput, branch_stats
 from .qmat import ALGEBRA_TOL
 from .thermal import ThermalSpec, degenerate_state, excited_weight, gibbs_state
@@ -131,7 +131,7 @@ def qubit_marginal(rho: np.ndarray, q: int) -> np.ndarray:
     return qmat.partial_trace(rho, (2,) * _qubit_count(rho), keep={q})
 
 
-def cswap_populations(n: int, r: float) -> tuple[float, float, np.ndarray, np.ndarray]:
+def cswap_populations(n: int, r) -> tuple[float, float, np.ndarray, np.ndarray]:
     """Branch probabilities and excited populations without the joint state.
 
     Returns (p_c, p_H, cooling, heating): the two branch probabilities and
@@ -146,25 +146,26 @@ def cswap_populations(n: int, r: float) -> tuple[float, float, np.ndarray, np.nd
     difference, and each exchangeable reservoir holds the mean w/N. No
     branch closed form enters, so this is an oracle for them; the dense
     reference at n <= MAX_QUBITS is ``cswap_branches(cswap_evolve(n, r))``.
+
+    ``r`` is a ratio or an array-like of ratios: p_c and p_H take its shape,
+    the populations add an axis of N+1 qubits, and one ratio gives floats.
+    The classes lie on the last axis, so each row sums as its one-ratio call.
     """
     _validate("cswap", n, 2, r)
     if n > MAX_POPULATION_QUBITS:
         raise ValueError(f"{n} reservoir qubits exceed the population guard (n <= {MAX_POPULATION_QUBITS})")
-    classes = [(t, w) for t in (0, 1) for w in range(n + 1)]
-    weights = [float(math.comb(n, w)) * r ** (t + w) for t, w in classes]
-    total = math.fsum(weights)
-    agree = [n + m * (m - 1) for m in (w if t else n - w for t, w in classes)]
-    # normalized before the 1/N^2, so a tiny ratio's terms stay normal
-    cool = [p / total * (a / n**2) for p, a in zip(weights, agree)]
-    heat = [p / total * ((n**2 - a) / n**2) for p, a in zip(weights, agree)]
-
-    def populations(branch: list[float], p: float) -> np.ndarray:
-        target = math.fsum(b * t for b, (t, _) in zip(branch, classes)) / p
-        reservoir = math.fsum(b * (w / n) for b, (_, w) in zip(branch, classes)) / p
-        return np.array([target] + [reservoir] * n)
-
-    p_c, p_h = math.fsum(cool), math.fsum(heat)
-    return p_c, p_h, populations(cool, p_c), populations(heat, p_h)
+    t, w = np.divmod(np.arange(2 * (n + 1)), n + 1)  # class (t, w) at index t(N+1) + w
+    comb = np.array([float(math.comb(n, k)) for k in range(n + 1)] * 2)
+    weights = comb * np.asarray(r, dtype=float)[..., None] ** (t + w)
+    agree = n + (m := np.where(t, w, n - w)) * (m - 1)
+    # normalized before the 1/N^2, so a tiny ratio's terms stay normal; sums run
+    # in long double, which on x86 Linux nearly always rounds them as math.fsum
+    weights /= weights.sum(axis=-1, keepdims=True, dtype=np.longdouble).astype(float)
+    branches = weights[..., None, :] * (np.array([agree, n**2 - agree]) / n**2)
+    p = branches.sum(axis=-1, dtype=np.longdouble).astype(float)
+    pops = np.stack([(branches * x).sum(axis=-1, dtype=np.longdouble).astype(float) / p for x in (t, w / n)], -1)
+    pops = np.repeat(pops, [1, n], axis=-1)  # the target, then N exchangeable reservoirs
+    return _out(p[..., 0]), _out(p[..., 1]), pops[..., 0, :], pops[..., 1, :]
 
 
 def cooling_reservoir_marginal(n: int, r: float) -> np.ndarray:

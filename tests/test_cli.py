@@ -89,7 +89,7 @@ def _points(config, *keys):
 
 
 def _point_rows(command, config):
-    """A grid command's rows, one float call of the closed forms per point."""
+    """A grid command's rows, a one-ratio call of the closed forms per point."""
     if command == "branches":
         rows = []
         for n, d, r in _points(config, "n_list", "d_list", "r_list"):
@@ -118,7 +118,7 @@ def _point_rows(command, config):
         t_pop = excited_weight(2, r)
         target = float(cooling_target_marginal(n, r)[1, 1].real)
         reservoir = float(cooling_reservoir_marginal(n, r)[1, 1].real)
-        ratio = (sum(cool.tolist()) - (n + 1) * t_pop) / (target - t_pop) if target != t_pop else math.nan
+        ratio = (cool.sum() - (n + 1) * t_pop) / (target - t_pop) if target != t_pop else math.nan
         rows.append([n, r, p_c, p_h, target, reservoir, float(heat[0]), ratio])
     return rows
 
@@ -142,7 +142,7 @@ def _point_rows(command, config):
     ids=" ".join,
 )
 def test_grid_tables_equal_their_points_one_at_a_time(argv, capsys):
-    # a whole --r-list per kernel call writes the bytes that one float call
+    # a whole --r-list per kernel call writes the bytes that a one-ratio call
     # per point, formatted cell by cell, gives
     code, out = run([*argv, "--format", "json"], capsys)
     assert code == 0
@@ -788,8 +788,8 @@ def test_config_file_names_several_checks(tmp_path, capsys):
 
 
 def test_one_validation_and_one_kernel_per_row(monkeypatch, tmp_path):
-    # each (scheme, D) block (every N against the whole --r-list) reads its
-    # points with one _validate and one _kernel call
+    # each (scheme, D) block (every N against the whole --r-list), and the
+    # cswap table, reads its points with one _validate and one _kernel call
     calls = {}
 
     def count(name):
@@ -804,8 +804,8 @@ def test_one_validation_and_one_kernel_per_row(monkeypatch, tmp_path):
     count("_validate")
     count("_kernel")
     grid = ["--n-list", "2,5,7", "--r-list", "0.1,0.5,0.9"]
-    blocks = (["branches", "--d-list", "2,3"], ["cop", "--scheme", "ico,traj"], ["cop", "--d-list", "2,3,4"], ["traj"])
-    for argv, count in zip(blocks, (2, 2, 3, 1)):
+    blocks = (["branches", "--d-list", "2,3"], ["cop", "--scheme", "ico,traj"], ["cop", "--d-list", "2,3,4"], ["traj"], ["cswap"])
+    for argv, count in zip(blocks, (2, 2, 3, 1, 1), strict=True):
         calls.update(_validate=0, _kernel=0)
         assert cli.main([*argv, *grid, "--out", str(tmp_path / f"{argv[0]}.csv")]) == 0
         assert calls == {"_validate": count, "_kernel": count}, argv

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 from fractions import Fraction
 from itertools import permutations
 
@@ -271,20 +272,25 @@ def test_evolve_rejects_invalid_ratios():
 
 def exact_populations(n, r):
     """``cswap_populations``' class sums in rationals: (p_c, p_H, cooling,
-    heating), each population pair (target, one reservoir)."""
-    r = Fraction(r)
-    cool, heat = [0, 0, 0], [0, 0, 0]  # branch weight, target and reservoir excitations
+    heating), each population pair (target, one reservoir). With r = p/q
+    every class weight is an integer over q^(N+1), so the sums stay integers
+    and one division per result cancels the common denominator."""
+    p, q = Fraction(r).as_integer_ratio()
+    cool, heat = [0, 0, 0], [0, 0, 0]  # branch weight, target and N x reservoir excitations
     for t in (0, 1):
         for w in range(n + 1):
             m = w if t else n - w
-            rho = math.comb(n, w) * r ** (t + w)
+            rho = math.comb(n, w) * p ** (t + w) * q ** (n + 1 - t - w)
             for sums, pairs in ((cool, n + m * (m - 1)), (heat, n * (n - 1) - m * (m - 1))):
                 sums[0] += rho * pairs
                 sums[1] += t * rho * pairs
-                sums[2] += Fraction(w, n) * rho * pairs
-    norm = n * n * (1 + r) ** (n + 1)
+                sums[2] += w * rho * pairs
+    norm = n * n * (p + q) ** (n + 1)
     return (
-        cool[0] / norm, heat[0] / norm, (cool[1] / cool[0], cool[2] / cool[0]), (heat[1] / heat[0], heat[2] / heat[0])
+        Fraction(cool[0], norm),
+        Fraction(heat[0], norm),
+        (Fraction(cool[1], cool[0]), Fraction(cool[2], n * cool[0])),
+        (Fraction(heat[1], heat[0]), Fraction(heat[2], n * heat[0])),
     )
 
 
@@ -298,6 +304,38 @@ def test_populations_match_exact_class_sums(n, r):
     pairs += [(got, cool_r) for got in cooling[1:]] + [(got, heat_r) for got in heating[1:]]
     for got, want in pairs:
         assert abs(Fraction(got) / want - 1) <= 4e-15, (got, float(want))
+
+
+@pytest.mark.parametrize("n", (2, 20, 100))
+def test_populations_over_a_ratio_array_equal_the_one_ratio_calls(n):
+    # one call over the exact-class-sum test's ratios and the smallest normal
+    # one; each row carries the same bits as that ratio's own call. At
+    # n = 100, r = 2.3e-308 the target's cooling population is 2.3e-310, a
+    # subnormal float spaced 2e-14 apart relative to it: there the bound is
+    # taken relative to the smallest normal float
+    rs = [1e-6, 0.3, 0.999999, 1.0, 2.3e-308]
+    p_c, p_h, cooling, heating = cswap_populations(n, rs)
+    assert p_c.shape == p_h.shape == (len(rs),) and cooling.shape == heating.shape == (len(rs), n + 1)
+    for i, r in enumerate(rs):
+        want_c, want_h, (cool_t, cool_r), (heat_t, heat_r) = exact_populations(n, r)
+        pairs = [(p_c[i], want_c), (p_h[i], want_h), (cooling[i, 0], cool_t), (heating[i, 0], heat_t)]
+        pairs += [(got, cool_r) for got in cooling[i, 1:]] + [(got, heat_r) for got in heating[i, 1:]]
+        for got, want in pairs:
+            assert abs(Fraction(float(got)) - want) <= 4e-15 * max(want, sys.float_info.min), (r, float(got), float(want))
+        one = cswap_populations(n, r)
+        assert [type(v) for v in one] == [float, float, np.ndarray, np.ndarray]
+        assert one[2].shape == one[3].shape == (n + 1,) and one[2].dtype == one[3].dtype == np.float64
+        row = [p_c[i], p_h[i], *cooling[i], *heating[i]]
+        assert [float(v).hex() for v in row] == [float(v).hex() for v in [one[0], one[1], *one[2], *one[3]]], r
+
+
+def test_population_rows_at_the_guard_equal_the_one_ratio_calls():
+    # 31 ratios x 2 branches x 2002 classes run past numpy's 8192-element
+    # reduction buffer
+    rs = [0.01 + 0.03 * k for k in range(31)]
+    rows = cswap_populations(1000, rs)
+    for i, r in enumerate(rs):
+        assert all(np.array_equal(got[i], one) for got, one in zip(rows, cswap_populations(1000, r), strict=True)), r
 
 
 def test_cli_rows_match_closed_forms_beyond_the_dense_register(capsys):
