@@ -21,7 +21,6 @@ against direct partial traces of those arrays, and against
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,7 +154,7 @@ def cswap_populations(n: int, r) -> tuple[float, float, np.ndarray, np.ndarray]:
     if n > MAX_POPULATION_QUBITS:
         raise ValueError(f"{n} reservoir qubits exceed the population guard (n <= {MAX_POPULATION_QUBITS})")
     t, w = np.divmod(np.arange(2 * (n + 1)), n + 1)  # class (t, w) at index t(N+1) + w
-    comb = np.array([float(math.comb(n, k)) for k in range(n + 1)] * 2)
+    comb = np.array([float(c) for c in _binomial_row(n)] * 2)
     weights = comb * np.asarray(r, dtype=float)[..., None] ** (t + w)
     agree = n + (m := np.where(t, w, n - w)) * (m - 1)
     # normalized before the 1/N^2, so a tiny ratio's terms stay normal; sums run
@@ -166,6 +165,15 @@ def cswap_populations(n: int, r) -> tuple[float, float, np.ndarray, np.ndarray]:
     pops = np.stack([(branches * x).sum(axis=-1, dtype=np.longdouble).astype(float) / p for x in (t, w / n)], -1)
     pops = np.repeat(pops, [1, n], axis=-1)  # the target, then N exchangeable reservoirs
     return _out(p[..., 0]), _out(p[..., 1]), pops[..., 0, :], pops[..., 1, :]
+
+
+def _binomial_row(n: int) -> list[int]:
+    """C(n, 0), ..., C(n, n) as exact integers, each from the one before:
+    C(n, w+1) = C(n, w)(n - w) / (w + 1) divides exactly."""
+    row = [1]
+    for w in range(n):
+        row.append(row[-1] * (n - w) // (w + 1))
+    return row
 
 
 def cooling_reservoir_marginal(n: int, r: float) -> np.ndarray:

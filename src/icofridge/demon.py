@@ -123,18 +123,25 @@ def _rounds(cfg: DemonConfig):
     heating) children. The table is compacted to the histories still held
     once it outgrows the sample, which bounds it for any number of rounds.
 
+    Every code is below min(2**rounds, 2 * particles): the table doubles
+    each round and, once compacted, holds at most one entry per particle.
+    ``code`` (and the compaction's rank remap) therefore take the narrowest
+    unsigned dtype that holds the largest code, 1 or 2 bytes per particle at
+    up to 16 rounds or 32,768 particles, instead of 8.
+
     Every loop runs over ``_CHUNK``-sized slices, so a round holds no
     temporaries the size of the sample or the table. The kernel writes each
     slice's heating probabilities and children into preallocated arrays;
     ``code`` and ``heated`` are updated in place, so the yielded ones are
     overwritten by the next round. Each chunk's draws continue one generator
     stream, the same numbers as a single (rounds, particles) draw. Consumers
-    gather ``table[code]`` only for the rounds they read.
+    gather ``table[code]`` only for the rounds they read; a fancy index casts
+    the narrow codes chunk by chunk, so the gather holds no intp copy of them.
     """
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
     step = _kernel(cfg.scheme, cfg.n, cfg.dim)
     table = np.array([excited_weight(cfg.dim, cfg.r)])
-    code = np.zeros(cfg.particles, dtype=np.intp)
+    code = np.zeros(cfg.particles, dtype=np.min_scalar_type(min(2**cfg.rounds, 2 * cfg.particles) - 1))
     heated = np.empty(cfg.particles, dtype=bool)
     u = np.empty(min(_CHUNK, cfg.particles))
     for _ in range(cfg.rounds):
@@ -157,15 +164,15 @@ def _rounds(cfg: DemonConfig):
         del ph
         if table.size > cfg.particles:
             # the held histories in sorted order, as np.unique lists them,
-            # and each one's rank among them as its new code
+            # and each one's rank among them as its new code; a held code's
+            # count is at least 1, so the unsigned subtraction never wraps
             held = np.zeros(table.size, dtype=bool)
             for start in range(0, cfg.particles, _CHUNK):
                 held[code[start : start + _CHUNK]] = True
-            remap = np.cumsum(held)
-            remap -= 1
+            remap = np.cumsum(held, dtype=code.dtype)
             for start in range(0, cfg.particles, _CHUNK):
                 c = code[start : start + _CHUNK]
-                c[:] = remap[c]
+                np.subtract(remap[c], 1, out=c)
             table = table[held]
             del held, remap
         yield table, code, heated

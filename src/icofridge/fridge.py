@@ -34,11 +34,12 @@ A refrigeration run builds its step once and makes one call to it per
 cycle; it iterates the bath state, and the trace is derived from it. Per
 cycle the reservoir energies move by the probability-weighted heat flows of
 the two branches, which conserves total energy identically and drives the
-cold ratio to the closed-form fixed point. After the loop, one kernel call
-on the array of cold ratios the run passed through gives every cycle's
-branch probabilities, and from them its register entropy, cumulative
-erasure work and sampled branch label. Energies are in units of the level
-gap; work uses a unit-inverse-temperature erasure reservoir.
+cold ratio to the closed-form fixed point. After the loop, kernel calls
+on arrays of the cold ratios the run passed through, at most
+``_TRACE_SLICE`` cycles each, give every cycle's branch probabilities, and
+from them its register entropy, cumulative erasure work and sampled branch
+label. Energies are in units of the level gap; work uses a
+unit-inverse-temperature erasure reservoir.
 """
 
 from __future__ import annotations
@@ -71,7 +72,12 @@ _LABELS = np.array(["heating", "cooling"], dtype=object)
 
 # one trace row: cycle, branch label and six numbers at 12 significant digits
 _CSV_ROW = "%d,%s" + ",%.12g" * 6 + "\n"
-_CSV_BLOCK = 4096  # rows formatted and written per string
+# rows formatted and written per string: a trace block's text and Python
+# numbers peak near 650 kB, a quarter of a 4,096-row block's, at the same speed
+_CSV_BLOCK = 1024
+# cycles per post-loop kernel call of run_cycles: bounds the kernel's
+# temporaries, and one call covers nearly every run verify makes
+_TRACE_SLICE = 8192
 
 
 def _validate(scheme: str, n, dim: int, r) -> None:
@@ -199,7 +205,8 @@ class OperatingPoint(NamedTuple):
         if scheme == "cswap":
             n_med = n_plus
             e_cool, e_heat = _cswap_mediums(n, n_med, a, p_c, n_heat * p_h, e_cool, x_res)
-        a, e_heat = (np.broadcast_to(v, p_c.shape) for v in (a, e_heat))
+        if grid:  # a and x_heat are free of N
+            a, e_heat = (np.broadcast_to(v, p_c.shape) for v in (a, e_heat))
         return cls(n, dim, *map(_out, (p_c, p_h, a, e_cool, e_heat)), n_med, n_heat)
 
     @property
@@ -447,10 +454,12 @@ def run_cycles(
 
     The loop records the cold ratio, the hot excited weight and the two
     flows of each cycle in float64 buffers, which the trace's arrays then
-    share. After it, one kernel call on the cold ratios the run passed
-    through gives every cycle's branch probabilities; from them come the
-    register entropy, the cumulative erasure work and the branch labels,
-    drawn from ``seed``'s generator one uniform per cycle.
+    share. After it, one kernel call per ``_TRACE_SLICE`` cycles on the cold
+    ratios the run passed through gives every cycle's branch probabilities
+    and register entropy, written into two preallocated arrays, so the
+    kernel's temporaries span one slice, not the run. The cumulative erasure
+    work and the branch labels, drawn from ``seed``'s generator one uniform
+    per cycle, are then taken over the whole run.
     """
     _validate(scheme, n, dim, ensemble.r_cold)
     if max_cycles < 1:
@@ -498,10 +507,13 @@ def run_cycles(
 
     m = len(cold_ratios)
     cold = np.frombuffer(cold_ratios)
-    # the ratio each cycle started from
-    r_c = np.concatenate(([r_first], cold[:-1]))
-    p_c, p_h, *_ = step(r_c, excited_weight(dim, r_c))
-    entropy = -_xlogx(p_c) - (n - 1) * _xlogx(p_h)
+    p_c, entropy = np.empty(m), np.empty(m)
+    for start in range(0, m, _TRACE_SLICE):
+        stop = min(start + _TRACE_SLICE, m)
+        # the ratio each cycle started from
+        r_c = cold[start - 1 : stop - 1] if start else np.concatenate(([r_first], cold[: stop - 1]))
+        p_c[start:stop], p_h, *_ = step(r_c, excited_weight(dim, r_c))
+        entropy[start:stop] = -_xlogx(p_c[start:stop]) - (n - 1) * _xlogx(p_h)
     cooling = np.random.default_rng(seed).random(m) < p_c
     return CycleTrace(
         cycles=np.arange(1, m + 1),

@@ -338,6 +338,15 @@ def test_population_rows_at_the_guard_equal_the_one_ratio_calls():
         assert all(np.array_equal(got[i], one) for got, one in zip(rows, cswap_populations(1000, r), strict=True)), r
 
 
+@pytest.mark.parametrize("n", (2, 17, 1000))
+def test_binomial_row_equals_math_comb(n):
+    # the recurrence's exact integers are math.comb's, so the populations'
+    # float weights are too
+    row = cswap._binomial_row(n)
+    assert row == [math.comb(n, k) for k in range(n + 1)]
+    assert all(type(c) is int for c in row)
+
+
 def test_cli_rows_match_closed_forms_beyond_the_dense_register(capsys):
     # verify's cswap_marginals (1e-10) and cswap_tripling (1e-9 relative)
     # tolerances, at N the dense register and the old enumeration never reached

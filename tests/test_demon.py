@@ -299,16 +299,17 @@ def test_heat_jump_matches_gathered_rounds(cfg):
 
 
 def test_rounds_hold_no_per_particle_temporaries():
-    # code (8 B) and heated (1 B) are updated in place and the report gathers
-    # the final weights (8 B): 17 B per particle. A round that builds its
-    # draws, gathered probabilities and next codes whole peaks above 26 B.
-    # From 19 rounds the history table outgrows the sample. Running the
-    # kernel one chunk of the table at a time and compacting with a held mask
-    # and a rank remap peaks at 71 B at 19 and 24 rounds; the kernel on the
-    # whole table (about 11 table-sized temporaries) followed by np.unique
-    # peaked at 107 and 112 B
+    # code (1 B at 4 rounds, uint8) and heated (1 B) are updated in place and
+    # the report gathers the final weights (8 B): 10.3 B per particle, where
+    # intp codes held 17 B. A round that builds its draws, gathered
+    # probabilities and next codes whole peaks above 26 B. From 19 rounds the
+    # history table outgrows the sample. Running the kernel one chunk of the
+    # table at a time and compacting with a held mask and a rank remap peaks
+    # at 67 B at 19 and 24 rounds with uint32 codes (71 B with intp codes);
+    # the kernel on the whole table (about 11 table-sized temporaries)
+    # followed by np.unique peaked at 107 and 112 B
     run_demon(DemonConfig(particles=10, n=10, r=0.3, rounds=4))  # first-call allocations
-    for rounds, bytes_per_particle in ((4, 20), (19, 74), (24, 74)):
+    for rounds, bytes_per_particle in ((4, 11), (19, 68), (24, 68)):
         cfg = DemonConfig(particles=2**18, n=10, r=0.3, rounds=rounds, seed=12)
         assert demon._CHUNK < cfg.particles
         tracemalloc.start()
@@ -322,11 +323,12 @@ def test_rounds_hold_no_per_particle_temporaries():
 
 def test_heat_jump_scan_drops_each_rounds_weights():
     # the scan gathers each round's weights (8 B per particle) and its new
-    # inversions (1 B) and drops both before the next round runs: 72 B at 24
-    # rounds and 22 B at 4, against run_demon's 71 and 17. Holding them into
-    # the next round peaked at 81 and 29 B
+    # inversions (1 B) and drops both before the next round runs: 68 B at 24
+    # rounds and 15 B at 4, against run_demon's 67 and 10.3 (72 and 22 B
+    # with intp codes). Holding them into the next round peaked at 81 and
+    # 29 B with intp codes
     heat_jump_scan(DemonConfig(particles=10, n=10, r=0.3, rounds=4))  # first-call allocations
-    for rounds, bytes_per_particle in ((4, 25), (24, 76)):
+    for rounds, bytes_per_particle in ((4, 16), (24, 69)):
         cfg = DemonConfig(particles=2**18, n=10, r=0.3, rounds=rounds, seed=12)
         tracemalloc.start()
         try:
@@ -377,3 +379,55 @@ def test_compacting_runs_are_pinned(cfg, counts, digest):
     assert rep.rounds_heated_count == counts
     got = hashlib.sha256(rep.final_energies.astype("<f8").tobytes() + rep.heated.tobytes())
     assert got.hexdigest() == digest
+
+
+def _intp_rounds(cfg):
+    """``demon._rounds`` with intp codes and remap, as it was written before
+    the codes were narrowed; also yields the largest code a round reached
+    before its compaction."""
+    rng = np.random.Generator(np.random.Philox(key=cfg.seed))
+    step = _kernel(cfg.scheme, cfg.n, cfg.dim)
+    table = np.array([excited_weight(cfg.dim, cfg.r)])
+    code = np.zeros(cfg.particles, dtype=np.intp)
+    for _ in range(cfg.rounds):
+        _, p_h, x_cool, x_heat, _ = step(cfg.r, table)
+        table = np.column_stack((x_cool, x_heat)).ravel()
+        heated = rng.random(cfg.particles) < (cfg.n - 1) * p_h[code]
+        code = 2 * code + heated
+        largest = int(code.max())
+        if table.size > cfg.particles:
+            held = np.zeros(table.size, dtype=bool)
+            held[code] = True
+            code = np.cumsum(held)[code] - 1
+            table = table[held]
+        yield table, code, heated, largest
+
+
+@pytest.mark.parametrize(
+    "particles, rounds, dtype, largest",
+    (
+        (1000, 8, np.uint8, 255),  # 2**8 histories, none compacted
+        (128, 8, np.uint8, 255),  # 256 histories compacted to the sample
+        (128, 10, np.uint8, 255),
+        (70_000, 16, np.uint16, 65_535),  # more particles than one chunk
+        (32_768, 16, np.uint16, 65_535),
+        (32_768, 20, np.uint16, 65_535),
+        (131_072, 17, np.uint32, 131_071),  # codes past the uint16 maximum
+        (70_000, 17, np.uint32, 131_071),
+    ),
+)
+def test_narrow_codes_at_each_dtype_edge_equal_intp_codes(particles, rounds, dtype, largest):
+    # at r = 0.9, D = 3 and N = 100 a particle heats with probability 0.88,
+    # so some particle heats in every round and its code reaches the
+    # largest history, 2**rounds - 1 or 2 * particles - 1: the dtype's
+    # maximum for uint8 and uint16. uint32's cannot be reached at a test's
+    # size, so its cases are the first codes uint16 cannot hold
+    cfg = DemonConfig(particles=particles, n=100, r=0.9, dim=3, rounds=rounds, seed=3)
+    assert all(code.dtype == dtype for _, code, _ in demon._rounds(cfg))
+    wide = list(_intp_rounds(cfg))
+    assert max(seen for *_, seen in wide) == largest
+    table, code, heated, _ = wide[-1]
+    rep = run_demon(cfg)
+    assert rep.final_energies.dtype == np.float64 and rep.heated.dtype == bool
+    assert np.array_equal(rep.final_energies, table[code]) and np.array_equal(rep.heated, heated)
+    assert rep.rounds_heated_count == [int(np.count_nonzero(h)) for _, _, h, _ in wide]
