@@ -80,7 +80,7 @@ def cswap_evolve(n: int, r: float) -> SwitchOutput:
     if n > MAX_QUBITS:
         raise ValueError(f"joint dimension {n * 2 ** (n + 1)} exceeds the desk-scale guard")
     _validate("cswap", n, 2, r)
-    rho_q = qmat.kron_all([gibbs_state(ThermalSpec.qubit(r)).real] * (n + 1))
+    rho_q = qmat.kron_all([gibbs_state(ThermalSpec.qubit(r))] * (n + 1))
     # SWAPs are involutions, so block (i, j) = S_i rho S_j
     perms = np.concatenate([_swap_permutation(n + 1, 0, k + 1) for k in range(n)])
     return SwitchOutput(joint=_gather(rho_q, perms, n), control_dim=n, target_dim=2 ** (n + 1))
@@ -205,8 +205,8 @@ def cswap_energy_identity(n: int, r: float) -> tuple[float, float]:
     """
     (cooling, _), _ = cswap_branches(cswap_evolve(n, r))
     t_pop = excited_weight(2, r)
-    res_pop = float(qubit_marginal(cooling, 1)[1, 1].real)
-    tgt_pop = float(qubit_marginal(cooling, 0)[1, 1].real)
+    res_pop = float(qubit_marginal(cooling, 1)[1, 1])
+    tgt_pop = float(qubit_marginal(cooling, 0)[1, 1])
     return n * (res_pop - t_pop), 2 * (tgt_pop - t_pop)
 
 
@@ -237,7 +237,7 @@ def sequential_discard(
     order = [int(q) for q in order]
     if sorted(set(order)) != sorted(order) or any(q < 0 or q >= n_sub for q in order):
         raise ValueError(f"invalid discard order {order} for {n_sub} qubits")
-    t = gibbs_state(spec).real
+    t = gibbs_state(spec)
     t_energy = float(t[1, 1])
     dims = (2,) * n_sub
     bits = _excited_bits(n_sub)
@@ -272,7 +272,7 @@ def ico_cswap_equivalent(r: float) -> tuple[np.ndarray, np.ndarray]:
     coincide.
     """
     plain = cswap_evolve(2, r).joint
-    rho_q = qmat.kron_all([gibbs_state(ThermalSpec.qubit(r)).real] * 3)
+    rho_q = qmat.kron_all([gibbs_state(ThermalSpec.qubit(r))] * 3)
     s1 = _swap_permutation(3, 0, 1)
     s2 = _swap_permutation(3, 0, 2)
     # branch 0: swap R1 then R2; branch 1: reverse. Block (i, j) is rho

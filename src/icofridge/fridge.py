@@ -69,12 +69,9 @@ COLD_EXHAUSTED_TOL = 1e-7
 # branch labels indexed by "cooling drawn": a trace's label array holds these
 # two objects, not one new string per cycle
 _LABELS = np.array(["heating", "cooling"], dtype=object)
+# the trace's CSV column line, in the order to_csv passes the columns
+_TRACE_COLUMNS = ("cycle", "branch", "r_cold", "r_hot", "heat_cold", "heat_hot", "work", "entropy")
 
-# one trace row: cycle, branch label and six numbers at 12 significant digits
-_CSV_ROW = "%d,%s" + ",%.12g" * 6 + "\n"
-# rows formatted and written per string: a trace block's text and Python
-# numbers peak near 650 kB, a quarter of a 4,096-row block's, at the same speed
-_CSV_BLOCK = 1024
 # cycles per post-loop kernel call of run_cycles: bounds the kernel's
 # temporaries, and one call covers nearly every run verify makes
 _TRACE_SLICE = 8192
@@ -412,23 +409,16 @@ class CycleTrace:
         return float(np.max(np.abs(np.subtract(self.heat_cold, self.heat_hot))))
 
     def to_csv(self) -> Iterator[str]:
-        """Yield the column line, then the rows as one string per
-        ``_CSV_BLOCK`` cycles; ``cli`` writes the config header. Each block's
-        columns become Python numbers once, so the whole table is never held."""
-        yield "cycle,branch,r_cold,r_hot,heat_cold,heat_hot,work,entropy\n"
-        columns = (
-            self.cycles,
-            self.branches,
-            self.r_cold,
-            self.r_hot,
-            self.heat_cold,
-            self.heat_hot,
-            self.work,
-            self.entropy,
-        )
-        for start in range(0, len(self.cycles), _CSV_BLOCK):
-            block = [np.asarray(column[start : start + _CSV_BLOCK]).tolist() for column in columns]
-            yield "".join([_CSV_ROW % row for row in zip(*block)])
+        """The trace as CSV strings from ``cli._text``, the writer of every
+        table: the column line, then one string per block of rows; ``cli``
+        writes the config header. Each block's columns become Python numbers
+        once, so the whole table is never held."""
+        # cli imports this module, so its writer is imported at the call
+        from .cli import _text
+
+        numbers = (self.r_cold, self.r_hot, self.heat_cold, self.heat_hot, self.work, self.entropy)
+        cells = [np.asarray(self.cycles), iter(self.branches), *(np.asarray(x, dtype=float) for x in numbers)]
+        return _text(_TRACE_COLUMNS, cells, len(self.cycles), "csv")
 
 
 def run_cycles(

@@ -99,17 +99,17 @@ class SwitchOutput:
 def switch_closed_form(n: int, rho: np.ndarray, thermal_state: np.ndarray) -> SwitchOutput:
     """Analytic cyclic-order switch output for a uniform control state.
 
-    joint = (1/N) [ I_N (x) T  +  sum_{i != j} |i><j| (x) T rho T ].
+    joint = (1/N) [ I_N (x) T  +  sum_{i != j} |i><j| (x) T rho T ],
+    real for real inputs and complex when either input is.
     """
-    rho = np.asarray(rho, dtype=complex)
-    t = np.asarray(thermal_state, dtype=complex)
+    rho = np.asarray(rho)
+    t = np.asarray(thermal_state)
     if rho.shape != t.shape:
         raise ValueError(f"dimension mismatch: {rho.shape} vs {t.shape}")
     if n < 2:
         raise ValueError("need at least two channels")
     off = t @ rho @ t
-    ones = np.ones((n, n), dtype=complex)
-    joint = (np.kron(np.eye(n, dtype=complex), t) + np.kron(ones - np.eye(n), off)) / n
+    joint = (np.kron(np.eye(n), t) + np.kron(np.ones((n, n)) - np.eye(n), off)) / n
     return SwitchOutput(joint=joint, control_dim=n, target_dim=t.shape[0])
 
 

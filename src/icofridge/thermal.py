@@ -76,20 +76,20 @@ class ThermalSpec:
 
 
 def gibbs_state(spec: ThermalSpec) -> np.ndarray:
-    """Thermal state diag(1, r, ..., r) / Z with Z = 1 + (D-1) r."""
-    weights = np.array((1.0,) + (spec.r,) * (spec.dim - 1), dtype=complex)
-    return np.diag(weights / weights.real.sum())
+    """Thermal state diag(1, r, ..., r) / Z with Z = 1 + (D-1) r, real float64."""
+    weights = np.array((1.0,) + (spec.r,) * (spec.dim - 1))
+    return np.diag(weights / weights.sum())
 
 
 def degenerate_state(dim: int, x: float) -> np.ndarray:
     """Diagonal D-level state with excited weight x spread evenly over the
     D-1 excited levels; the Gibbs state when x = excited_weight(D, r)."""
-    return np.diag(np.array((1.0 - x,) + (x / (dim - 1),) * (dim - 1), dtype=complex))
+    return np.diag(np.array((1.0 - x,) + (x / (dim - 1),) * (dim - 1)))
 
 
 def hamiltonian(spec: ThermalSpec) -> np.ndarray:
     """Diagonal Hamiltonian diag(0, 1, ..., 1) in units of the qubit gap."""
-    return np.diag(np.array((0.0,) + (1.0,) * (spec.dim - 1), dtype=complex))
+    return np.diag(np.array((0.0,) + (1.0,) * (spec.dim - 1)))
 
 
 def mean_energy(rho: np.ndarray, h: np.ndarray) -> float:

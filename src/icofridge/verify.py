@@ -196,7 +196,7 @@ def _check_measured_branches():
             stats = nswitch.branch_stats(n, spec)
             t3 = np.linalg.matrix_power(t, 3)
             cool, heat = t + (n - 1) * t3, t - t3
-            tr_cool, tr_heat = float(np.trace(cool).real), float(np.trace(heat).real)
+            tr_cool, tr_heat = float(np.trace(cool)), float(np.trace(heat))
             yield from (
                 abs(sum(o.probability for o in outcomes) - 1.0),
                 abs(outcomes[0].probability - stats.p_c),
@@ -262,8 +262,8 @@ def _check_cswap_tripling():
         for r in (0.1, 0.3, 0.5, 0.7, 0.9):
             (cool, _), _ = cswap.cswap_branches(cswap.cswap_evolve(n, r))
             t_pop = thermal.excited_weight(2, r)
-            total = sum(float(cswap.qubit_marginal(cool, q)[1, 1].real) - t_pop for q in range(n + 1))
-            target = float(cswap.qubit_marginal(cool, 0)[1, 1].real) - t_pop
+            total = sum(float(cswap.qubit_marginal(cool, q)[1, 1]) - t_pop for q in range(n + 1))
+            target = float(cswap.qubit_marginal(cool, 0)[1, 1]) - t_pop
             yield abs(total / target - 3.0) / 3.0
 
 
@@ -273,7 +273,7 @@ def _check_cswap_sequential_discard():
         r = 0.5
         spec = thermal.ThermalSpec.qubit(r)
         (cool, _), _ = cswap.cswap_branches(cswap.cswap_evolve(n, r))
-        initial_pops = [float(cswap.qubit_marginal(cool, q)[1, 1].real) for q in range(n + 1)]
+        initial_pops = [float(cswap.qubit_marginal(cool, q)[1, 1]) for q in range(n + 1)]
         t_pop = thermal.excited_weight(2, r)
         all_at_once = sum(p - t_pop for p in initial_pops)
         for order in permutations(range(n + 1)):
@@ -383,7 +383,7 @@ def _check_demon_statistics():
         frac = demon.run_demon(c).cooled_count / c.particles
         # measured_branches' closed side, not the kernel: tr(T + (N-1)T^3) / N
         t = thermal.gibbs_state(thermal.ThermalSpec.qubit(r))
-        p_c = float(np.trace(t + (n - 1) * np.linalg.matrix_power(t, 3)).real) / n
+        p_c = float(np.trace(t + (n - 1) * np.linalg.matrix_power(t, 3))) / n
         band = 4 * math.sqrt(p_c * (1 - p_c) / c.particles)
         message = f"cooled fraction {frac:.4f} outside 4-sigma of {p_c:.4f}"
         _require(abs(frac - p_c) <= band, message)

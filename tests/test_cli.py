@@ -834,7 +834,7 @@ def test_cycle_and_demon_io_error_exit_code(capsys):
 
 def test_text_yields_one_string_per_block(monkeypatch):
     # the head, then one string per block of rows, then the JSON tail
-    monkeypatch.setattr(fridge, "_CSV_BLOCK", 3)
+    monkeypatch.setattr(cli, "_CSV_BLOCK", 3)
     cells = [["1", "2", "3", "4"], np.array([0.5, math.nan, 2.0, -math.inf])]
     assert list(cli._text(["k", "x"], cells, 4, "csv")) == ["k,x\n", "1,0.5\n2,nan\n3,2\n", "4,-inf\n", ""]
     parts = list(cli._text(["k", "x"], cells, 4, "json", {"command": "t"}))
@@ -854,7 +854,7 @@ def _fixed_checks(names=None):
 
 # at a block size of 3 every table writes the bytes of the default size: NaN
 # total_over_target cells in a later block, a one-row grid, verify's rows
-# with NaN defects, demon's row and 50-bin histogram
+# with NaN defects, demon's row and 50-bin histogram, a 7-cycle trace
 @pytest.mark.parametrize(
     "argv",
     (
@@ -865,6 +865,7 @@ def _fixed_checks(names=None):
         ["cop", "--scheme", "ico,cswap,traj", "--n-list", "2,3", "--format", "json"],
         ["verify", "--format", "json"],
         ["demon", "--particles", "300", "--r", "0.3"],
+        ["cycle", "--max-cycles", "7"],
     ),
     ids=" ".join,
 )
@@ -877,7 +878,7 @@ def test_tables_do_not_depend_on_the_block_size(argv, monkeypatch, tmp_path):
         return {path.name: path.read_bytes() for path in (tmp_path / name).iterdir()}
 
     default = written("default")
-    monkeypatch.setattr(fridge, "_CSV_BLOCK", 3)
+    monkeypatch.setattr(cli, "_CSV_BLOCK", 3)
     assert written("three") == default
 
 

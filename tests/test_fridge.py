@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from icofridge import fridge
+from icofridge import cli, fridge
 from icofridge.demon import DemonConfig
 from icofridge.fridge import OperatingPoint, ReservoirEnsemble, cop, lowest_r, run_cycles, work_cost
 from icofridge.measurement import build_basis, measure_control
@@ -209,21 +209,33 @@ def test_trace_csv_blocks_match_fstring_reference(cycles):
     trace = run_cycles("ico", ReservoirEnsemble.from_ratio(1.0, 0.2, n_cold=16), n=2, seed=9, max_cycles=cycles)
     assert len(trace.cycles) == cycles and trace.stop_reason == "budget"
     blocks = list(trace.to_csv())
-    assert len(blocks) == 1 + -(-cycles // fridge._CSV_BLOCK)
+    # the column line, the blocks and the writer's empty CSV tail
+    assert len(blocks) == 2 + -(-cycles // cli._CSV_BLOCK)
     assert "".join(blocks) == _fstring_csv(trace)
 
 
 def test_trace_csv_extreme_values_match_fstring_reference():
-    values = [-0.0, 1e-300, 1e300, 0.1 + 0.2, -1.5e-7, 123456789012345.0]
+    values = [-0.0, 1e-300, 1e300, math.nan, math.inf, -math.inf, 0.1 + 0.2, -1.5e-7, 123456789012345.0]
     m = len(values)
     trace = fridge.CycleTrace(
         cycles=list(range(1, m + 1)),
-        branches=["cooling", "heating"] * (m // 2), r_cold=values, r_hot=values[::-1],
+        branches=(["cooling", "heating"] * m)[:m], r_cold=values, r_hot=values[::-1],
         heat_cold=values, heat_hot=values[::-1], work=values, entropy=values[::-1],
     )
     text = "".join(trace.to_csv())
     assert text == _fstring_csv(trace)
     assert "\n1,cooling,-0,1.23456789012e+14,-0," in text and ",1e+300," in text
+    assert "\n4,heating,nan,-inf,nan," in text and "\n5,cooling,inf,inf,inf," in text
+
+
+def test_trace_csv_is_written_by_the_table_writer(monkeypatch):
+    # the trace has no row format of its own: cli._text writes it, once
+    calls = []
+    text = cli._text
+    monkeypatch.setattr(cli, "_text", lambda *args: calls.append(args[0]) or text(*args))
+    trace = run_cycles("ico", ReservoirEnsemble.from_ratio(1.0, 0.5, n_cold=16), n=2, seed=7, max_cycles=5)
+    lines = "".join(trace.to_csv()).splitlines()
+    assert calls == [fridge._TRACE_COLUMNS] and len(lines) == 1 + 5
 
 
 def _reference_cycles(scheme, ens, n, dim, seed, max_cycles):

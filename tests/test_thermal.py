@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from icofridge import thermal
+from icofridge.nswitch import switch_closed_form
 from icofridge.thermal import ThermalSpec
 
 
@@ -27,9 +28,14 @@ def test_gibbs_r_point_one():
 @pytest.mark.parametrize("dim", [2, 3, 5])
 @pytest.mark.parametrize("r", [0.01, 0.5, 1.0])
 def test_gibbs_unit_trace_nonnegative(dim, r):
-    rho = thermal.gibbs_state(ThermalSpec.degenerate(dim, r))
+    spec = ThermalSpec.degenerate(dim, r)
+    rho = thermal.gibbs_state(spec)
     assert abs(np.trace(rho).real - 1.0) < 1e-14
     assert np.min(np.diag(rho).real) >= 0.0
+    # real where the physics is real; a complex input still gives a complex joint
+    assert rho.dtype == thermal.degenerate_state(dim, 0.5).dtype == thermal.hamiltonian(spec).dtype == np.float64
+    assert switch_closed_form(3, rho, rho).joint.dtype == np.float64
+    assert switch_closed_form(3, rho.astype(complex), rho).joint.dtype == np.complex128
 
 
 def test_degenerate_excited_population():
