@@ -56,13 +56,22 @@ def _excited_bits(n_qubits: int) -> np.ndarray:
 
 
 def _gather(rho_q: np.ndarray, perms: np.ndarray, n: int) -> np.ndarray:
-    """Control blocks of the uniform-control register from one gather.
+    """Control blocks of the uniform-control register, one row block at a time.
 
     ``perms`` concatenates the N branch permutations; block (i, j) is
-    ``rho_q`` reindexed by permutations i and j, divided in place by N so a
-    register (134 MB of float64 at n=8) is never held twice.
+    ``rho_q`` reindexed by permutations i and j. Each branch's rows of
+    ``rho_q`` go into one ``rho_q``-sized temporary, and one ``take`` of its
+    columns fills that branch's row block of the preallocated register
+    (``mode="clip"``: the indices are in range, and it lets ``take`` write
+    into ``out`` unbuffered). The division by N is in place, so besides the
+    register (134 MB of float64 at n=8) only one block is ever held.
     """
-    joint = rho_q[np.ix_(perms, perms)]
+    q = rho_q.shape[0]
+    joint = np.empty((n * q, n * q), dtype=rho_q.dtype)
+    rows = np.empty_like(rho_q)
+    for i in range(n):
+        np.take(rho_q, perms[i * q : (i + 1) * q], axis=0, out=rows, mode="clip")
+        np.take(rows, perms, axis=1, out=joint[i * q : (i + 1) * q], mode="clip")
     joint /= n
     return joint
 

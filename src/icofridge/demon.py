@@ -48,6 +48,8 @@ class DemonConfig:
     def __post_init__(self):
         if self.particles < 1 or self.rounds < 1:
             raise ValueError("particles and rounds must be positive")
+        if not 0 <= self.seed < 2**128:  # Philox's key range
+            raise ValueError(f"seed must be in [0, 2**128), got {self.seed}")
         if self.scheme not in ("ico", "traj"):
             raise ValueError("demon runs support schemes 'ico' and 'traj'")
         _validate(self.scheme, self.n, self.dim, self.r)

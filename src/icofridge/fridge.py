@@ -108,13 +108,16 @@ def _kernel(scheme: str, n, dim: int):
     trace, summed level by level, over N; its normalized excited weight; and
     for ``cswap`` each reservoir qubit's cooling-branch excited weight from
     alpha T + beta T^3, valid at the thermal input only (None otherwise). Not
-    validated; only + - * / touch ``x``, a float or an array.
+    validated; only + - * / touch ``x``, a float or an array. Without ``x``
+    the input is thermal: ``x`` is T's own excited weight, the value
+    ``thermal.excited_weight(dim, r)`` gives.
 
-    Each N constant is rounded once from its exact integer: a float for one
-    N, an N x 1 column for a list of N, which makes every output but x_heat
-    (free of N) an N x len(x) array.
+    Each N constant, and D-1, is rounded once from its exact integer: a
+    float for one N, an N x 1 column for a list of N, which makes every
+    output but x_heat (free of N) an N x len(x) array. A float scalar run
+    through ``step`` thus meets only floats.
     """
-    d1 = dim - 1
+    d1 = float(dim - 1)
     traj, cswap = scheme == "traj", scheme == "cswap"
     grid = isinstance(n, list)
     # only cswap reads n^2, (n-1)(n-2) and 2(n-1)/n^2, and only its guard keeps them finite
@@ -125,11 +128,14 @@ def _kernel(scheme: str, n, dim: int):
     consts = np.array([[float(v) for v in row] for row in exact])
     n, n1, nn, c_alpha, beta = consts.T[:, :, None] if grid else consts[0].tolist()
 
-    def step(r, x):
-        z = 1.0 + d1 * r
+    def step(r, x=None):
+        dr = d1 * r
+        z = 1.0 + dr
         g = 1.0 / z  # ground weight of T
-        a = d1 * r / z  # excited weight of T
+        a = dr / z  # excited weight of T
         k = r / z  # weight of each excited level of T
+        if x is None:
+            x = a
         # diagonal of M rho M^dag; the heating weights g - m_g and a - m_e are
         # written out (1 - g = a, a = (D-1) k) because the subtractions lose
         # every digit as r -> 0 and, for traj at D = 2, as x -> 1
@@ -433,11 +439,16 @@ def run_cycles(
 
     The loop iterates the bath state; the trace is derived from it. The
     kernel's step is built once, before the loop; each cycle calls it at the
-    current cold ratio (bath energy and ratio update are inline; cswap's
-    medium sums come from ``_cswap_mediums``, as in ``OperatingPoint.at``)
-    and applies the mean-field heat flows: cooling-branch extraction from
-    the cold pool, and the heating mediums' round trip through the hot
-    bath. Cold-side loss equals hot-side gain every cycle. The run stops
+    current cold ratio, on the thermal input the step weighs itself (the
+    ratio update is inline; cswap's medium sums come from
+    ``_cswap_mediums``, as in ``OperatingPoint.at``), and applies the
+    mean-field heat flows: cooling-branch extraction from the cold pool, and
+    the heating mediums' round trip through the hot bath. Every constant
+    the loop reads (N-1, D-1, the medium count, the bath sizes and nh plus
+    the medium count) is made a float once, before it: each is exact in a
+    float, so every value is the one the ints give, and each per-cycle
+    operation is a float-float one, which CPython runs on its specialised
+    opcodes. Cold-side loss equals hot-side gain every cycle. The run stops
     when the heating-branch mediums match the hot bath within
     STOP_POPULATION_TOL in excited population, when the cold ratio falls
     below COLD_EXHAUSTED_TOL, or after ``max_cycles`` (at least 1) cycles.
@@ -454,7 +465,9 @@ def run_cycles(
     _validate(scheme, n, dim, ensemble.r_cold)
     if max_cycles < 1:
         raise ValueError(f"max_cycles must be at least 1, got {max_cycles}")
-    nc, nh = ensemble.n_cold, ensemble.n_hot
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
+    nc, nh = float(ensemble.n_cold), float(ensemble.n_hot)
     a_c = excited_weight(dim, ensemble.r_cold)
     a_h = excited_weight(dim, ensemble.r_hot)
     r_cold = r_first = float(ratio_of_weight(dim, a_c))
@@ -463,17 +476,23 @@ def run_cycles(
     stop_reason = "budget"
     step = _kernel(scheme, n, dim)
     cswap = scheme == "cswap"
-    n_med = n + 1 if cswap else 1  # working mediums per branch
+    # the loop's constants as floats (see above)
+    n_f, n1, d1 = float(n), float(n - 1), float(dim - 1)
+    n_med = float(n + 1) if cswap else 1.0  # working mediums per branch
+    nh_med = nh + n_med
+    put_cold, put_hot, put_heat_cold, put_heat_hot = (
+        b.append for b in (cold_ratios, hot_weights, heat_cold, heat_hot)
+    )
     for _ in range(max_cycles):
-        # OperatingPoint.at(scheme, n, dim, r_cold) and thermal.excited_weight, inlined
-        x = (dim - 1) * r_cold
-        a = x / (1.0 + x)
-        p_c, p_h, e_cool, e_heat, x_res = step(r_cold, a)
-        p_heating = (n - 1) * p_h
+        # OperatingPoint.at(scheme, n, dim, r_cold), inlined; step weighs its
+        # own thermal input
+        p_c, p_h, e_cool, e_heat, x_res = step(r_cold)
+        p_heating = n1 * p_h
         if cswap:
-            e_cool, e_heat = _cswap_mediums(n, n_med, a, p_c, p_heating, e_cool, x_res)
+            x = d1 * r_cold
+            e_cool, e_heat = _cswap_mediums(n_f, n_med, x / (1.0 + x), p_c, p_heating, e_cool, x_res)
         # heating-branch round trip: mediums equilibrate with the hot bath
-        a_h_eq = (nh * a_h + e_heat) / (nh + n_med)
+        a_h_eq = (nh * a_h + e_heat) / nh_med
         d_cold = p_c * (e_cool - n_med * a_c) + p_heating * n_med * (a_h_eq - a_c)
         d_hot = p_heating * nh * (a_h_eq - a_h)
         a_c += d_cold / nc
@@ -482,12 +501,12 @@ def run_cycles(
         # as conditionals because the builtins cost about four times as much
         a = 0.0 if a_c < 0.0 else a_c
         a = 1.0 - 1e-15 if a > 1.0 - 1e-15 else a
-        x = a / (1.0 - a) / (dim - 1)
+        x = a / (1.0 - a) / d1
         r_cold = 1.0 if x > 1.0 else x
-        cold_ratios.append(r_cold)
-        hot_weights.append(a_h)
-        heat_cold.append(-d_cold)
-        heat_hot.append(d_hot)
+        put_cold(r_cold)
+        put_hot(a_h)
+        put_heat_cold(-d_cold)
+        put_heat_hot(d_hot)
         if abs(e_heat / n_med - a_h) < STOP_POPULATION_TOL:
             stop_reason = "converged"
             break
@@ -502,8 +521,8 @@ def run_cycles(
         stop = min(start + _TRACE_SLICE, m)
         # the ratio each cycle started from
         r_c = cold[start - 1 : stop - 1] if start else np.concatenate(([r_first], cold[: stop - 1]))
-        p_c[start:stop], p_h, *_ = step(r_c, excited_weight(dim, r_c))
-        entropy[start:stop] = -_xlogx(p_c[start:stop]) - (n - 1) * _xlogx(p_h)
+        p_c[start:stop], p_h, *_ = step(r_c)
+        entropy[start:stop] = -_xlogx(p_c[start:stop]) - n1 * _xlogx(p_h)
     cooling = np.random.default_rng(seed).random(m) < p_c
     return CycleTrace(
         cycles=np.arange(1, m + 1),

@@ -72,17 +72,18 @@ def replace_subsystem(
     This is the action of a channel that traces out one factor and reprepares
     it; marginals of all other subsystems are untouched. ``dims`` has at
     least two factors, ``index`` names one of them and ``fresh`` is
-    ``dims[index]`` on a side; the caller checks these.
+    ``dims[index]`` on a side; the caller checks these, so the remaining
+    factors come from one ``np.trace`` over subsystem ``index``'s row and
+    column axes, not a validating ``partial_trace``.
     """
     dims = tuple(int(d) for d in dims)
     n = len(dims)
     fresh = np.asarray(fresh)
-    keep = [k for k in range(n) if k != index]
-    rest = partial_trace(m, dims, keep)
-    rest_dims = tuple(dims[k] for k in keep)
+    # the other factors' rows, then their columns, as partial_trace keeps them
+    rest = np.trace(np.asarray(m).reshape(dims + dims), axis1=index, axis2=n + index)
     # fresh (x) rest as a tensor: fresh's row and column axes lead; move them
     # to subsystem ``index``'s row and column slots
-    tensor = np.multiply.outer(fresh, rest.reshape(rest_dims + rest_dims))
+    tensor = np.multiply.outer(fresh, rest)
     tensor = np.moveaxis(tensor, (0, 1), (index, n + index))
     return tensor.reshape(math.prod(dims), -1)
 

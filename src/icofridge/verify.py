@@ -465,11 +465,15 @@ CHECKS: dict[str, tuple[Callable[[], Iterable[float]], float]] = {
 
 
 def run_checks(names: list[str] | None = None) -> list[CheckResult]:
-    """Run the named checks (all by default), in declaration order."""
+    """Run the named checks in the order given (all, in declaration order,
+    by default); a name that is unknown or given twice is an error."""
     selected = list(CHECKS) if names is None else list(names)
     unknown = [n for n in selected if n not in CHECKS]
     if unknown:
         raise ValueError(f"unknown checks: {unknown}")
+    repeated = list(dict.fromkeys(n for n in selected if selected.count(n) > 1))
+    if repeated:
+        raise ValueError(f"repeated checks: {repeated}")
 
     def run_one(name: str) -> CheckResult:
         check, tol = CHECKS[name]

@@ -950,3 +950,25 @@ def test_broken_pipe_points_stdout_at_the_null_device(tmp_path, monkeypatch, cap
         os.write(fh.fileno(), b"flushed at exit")
     assert (code, capsys.readouterr().err) == (3, "io error: [Errno 32] Broken pipe\n")
     assert (tmp_path / "stdout").read_bytes() == b""
+
+
+def test_invalid_seed_is_named_before_any_work(monkeypatch, capsys):
+    def no_kernel(*args):
+        raise AssertionError("the kernel was built before the seed was checked")
+
+    monkeypatch.setattr(fridge, "_kernel", no_kernel)
+    ens = fridge.ReservoirEnsemble.from_ratio(100.0, 0.5, n_cold=16)
+    with pytest.raises(ValueError, match=r"^seed must be nonnegative, got -1$"):
+        fridge.run_cycles("ico", ens, n=2, seed=-1)
+    assert cli.main(["cycle", "--k", "100", "--seed", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "usage error: seed must be nonnegative, got -1" in captured.err
+    # Philox takes a key in [0, 2**128): both ends are named, 0 and the top key run
+    for seed in (-1, 2**128):
+        with pytest.raises(ValueError, match=re.escape(f"seed must be in [0, 2**128), got {seed}")):
+            demon.DemonConfig(particles=10, n=2, r=0.3, seed=seed)
+    for seed in (0, 2**128 - 1):
+        assert demon.run_demon(demon.DemonConfig(particles=10, n=2, r=0.3, seed=seed)).cooled_count >= 0
+    assert cli.main(["demon", "--seed", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "usage error: seed must be in [0, 2**128), got -1" in captured.err

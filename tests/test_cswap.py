@@ -222,7 +222,7 @@ def test_populations_match_kernel_at_tiny_ratios(n):
         assert abs(cooling[0] - x_cool) <= 3e-15 * x_cool, r
 
 
-@pytest.mark.parametrize("n", range(2, 6))
+@pytest.mark.parametrize("n", range(2, 7))
 def test_evolve_matches_block_reference(n):
     # each control block S_i rho S_j built on its own, divided by N
     for r in (0.1, 0.5, 1.0):

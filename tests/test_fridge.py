@@ -272,7 +272,7 @@ def _reference_cycles(scheme, ens, n, dim, seed, max_cycles):
     return cols, stop
 
 
-@pytest.mark.parametrize("scheme, dim", (("ico", 2), ("cswap", 2), ("traj", 2), ("ico", 3)))
+@pytest.mark.parametrize("scheme, dim", (("ico", 2), ("cswap", 2), ("traj", 2), ("ico", 3), ("ico", 4)))
 @pytest.mark.parametrize(
     "k, r0, max_cycles, stop",
     (
@@ -521,6 +521,11 @@ def test_kernel_float_and_array_paths_agree(scheme, dim):
                         assert float(batch[4][i]) == got[4]
                     else:
                         assert batch[4] is None and got[4] is None
+                # without x the input is thermal, at excited_weight's value
+                thermal = np.array([r, r])
+                assert step(r) == step(r, excited_weight(dim, r))
+                for got, want in zip(step(thermal), step(thermal, excited_weight(dim, thermal))):
+                    assert got is want is None or np.array_equal(got, want)
 
 
 _POINT_VALUES = ("p_c", "p_h", "a", "e_cool", "e_heat", "p_heating", "entropy", "weighted_energy", "stop_ratio")

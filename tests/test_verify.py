@@ -4,6 +4,7 @@ import re
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from icofridge import cli, fridge, nswitch, verify
 
@@ -105,3 +106,15 @@ def test_cswap_checks_hold_one_dense_joint_at_a_time():
         tracemalloc.stop()
     assert result.passed
     assert peak < 1.5 * joint_bytes
+
+
+def test_repeated_check_names_are_a_usage_error(monkeypatch, capsys):
+    ran = []
+    monkeypatch.setitem(verify.CHECKS, "qmat_algebra", (lambda: ran.append(1) or iter([0.0]), 1e-12))
+    names = ["qmat_algebra", "kraus_completeness", "qmat_algebra", "kraus_completeness", "qudit_boost"]
+    with pytest.raises(ValueError, match=re.escape("repeated checks: ['qmat_algebra', 'kraus_completeness']")):
+        verify.run_checks(names)
+    assert cli.main(["verify", "--checks", "qmat_algebra,qmat_algebra"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "usage error: repeated checks: ['qmat_algebra']" in captured.err
+    assert ran == []  # rejected before any check runs
