@@ -110,8 +110,7 @@ def cswap_branches(
     reference to the joint, which is freed as it returns, so a loop over grid
     points holds one joint at a time.
     """
-    n, q = out.control_dim, out.target_dim
-    blocks = out.joint.reshape(n, q, n, q)
+    n, blocks = out.control_dim, out.blocks
     cool = blocks.sum(axis=(0, 2)) / n
     heat = np.einsum("iaib->ab", blocks) - cool
     p_c = float(np.trace(cool).real)

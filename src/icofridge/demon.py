@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fridge import _kernel, _validate
+from .fridge import _integer, _kernel, _validate
 from .thermal import _validate_ratio, excited_weight, inversion_weight
 
 # particles or table entries per slice of a round: bounds its draw, gather
@@ -48,7 +48,7 @@ class DemonConfig:
     def __post_init__(self):
         if self.particles < 1 or self.rounds < 1:
             raise ValueError("particles and rounds must be positive")
-        if not 0 <= self.seed < 2**128:  # Philox's key range
+        if not 0 <= _integer("seed", self.seed) < 2**128:  # Philox's key range
             raise ValueError(f"seed must be in [0, 2**128), got {self.seed}")
         if self.scheme not in ("ico", "traj"):
             raise ValueError("demon runs support schemes 'ico' and 'traj'")

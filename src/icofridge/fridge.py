@@ -94,6 +94,14 @@ def _validate(scheme: str, n, dim: int, r) -> None:
         raise ValueError(f"scheme {scheme!r} is defined for qubit working systems")
 
 
+def _integer(name: str, x) -> int:
+    """``x`` as an int; a non-integer is a TypeError that names ``name``."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {x!r}") from None
+
+
 def _kernel(scheme: str, n, dim: int):
     """The branch kernel for one (scheme, N, D): returns ``step(r, x)``.
 
@@ -465,7 +473,7 @@ def run_cycles(
     _validate(scheme, n, dim, ensemble.r_cold)
     if max_cycles < 1:
         raise ValueError(f"max_cycles must be at least 1, got {max_cycles}")
-    if seed < 0:
+    if _integer("seed", seed) < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
     nc, nh = float(ensemble.n_cold), float(ensemble.n_hot)
     a_c = excited_weight(dim, ensemble.r_cold)

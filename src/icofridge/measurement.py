@@ -83,8 +83,7 @@ def measure_control(out: SwitchOutput, basis: MeasurementBasis) -> list[BranchOu
         raise ValueError(f"basis dimension {basis.dim} does not match control {n}")
     v = basis.vectors
     # outcome i: sum over control blocks (j, k) of conj(v_ij) v_ik <j|joint|k>
-    blocks = out.joint.reshape(n, d, n, d)
-    unnorms = np.einsum("ij,ik,jakb->iab", v.conj(), v, blocks, optimize=True)
+    unnorms = np.einsum("ij,ik,jakb->iab", v.conj(), v, out.blocks, optimize=True)
     outcomes = []
     for i, unnorm in enumerate(unnorms):
         p = float(np.trace(unnorm).real)

@@ -23,8 +23,7 @@ import numpy as np
 
 from .channels import KrausSet, TransformationMatrix, apply_channel, thermalizing_kraus, transformation_matrix
 from .measurement import build_basis, measure_control
-from .nswitch import BranchStats, SwitchOutput
-from .qmat import dagger
+from .nswitch import BranchStats, SwitchOutput, _from_blocks
 from .thermal import ThermalSpec, gibbs_state
 
 # Ceiling on the dilation's pure-state vector length.
@@ -52,8 +51,8 @@ class TrajectoryConfig:
             norm = sum(abs(c) ** 2 for c in o)
             # weight below 1 is legal: the unit environment state may have
             # support outside the span of the dilation's pointer states
-            if norm > 1.0 + 1e-9:
-                raise ValueError(f"environment overlap weight {norm} exceeds 1")
+            if not norm <= 1.0 + 1e-9:  # a NaN weight fails too
+                raise ValueError(f"environment overlap weight {norm} {'exceeds 1' if np.isfinite(norm) else 'is not finite'}")
         object.__setattr__(self, "env_overlaps", overlaps)
 
     def transformation_matrices(self) -> list[TransformationMatrix]:
@@ -82,15 +81,10 @@ def traj_output(cfg: TrajectoryConfig, rho: np.ndarray) -> SwitchOutput:
     d = cfg.kraus.dim
     if rho.shape != (d, d):
         raise ValueError(f"state shape {rho.shape} does not match channel dim {d}")
-    fixed = apply_channel(cfg.kraus, rho)
-    ms = [tm.matrix for tm in cfg.transformation_matrices()]
-    n = cfg.n
-    joint = np.zeros((n * d, n * d), dtype=complex)
-    for k in range(n):
-        for kp in range(n):
-            block = fixed if k == kp else ms[k] @ rho @ dagger(ms[kp])
-            joint[k * d : (k + 1) * d, kp * d : (kp + 1) * d] = block / n
-    return SwitchOutput(joint=joint, control_dim=n, target_dim=d)
+    ms = np.stack([tm.matrix for tm in cfg.transformation_matrices()])
+    # every block M_k rho M_k'^dag from one stacked product
+    cross = (ms @ rho)[:, None] @ ms.conj().transpose(0, 2, 1)[None]
+    return _from_blocks(apply_channel(cfg.kraus, rho), cross)
 
 
 def dilation_oracle(cfg: TrajectoryConfig, rho: np.ndarray) -> SwitchOutput:
@@ -157,18 +151,10 @@ def traj_branches(cfg: TrajectoryConfig, spec: ThermalSpec) -> BranchStats:
     t = gibbs_state(spec)
     out = traj_output(cfg, t)
     outcomes = measure_control(out, build_basis(cfg.n))
-    cooling = outcomes[0]
-    heating = outcomes[1:]
-    for o in heating[1:]:
-        if (
-            abs(o.probability - heating[0].probability) > 1e-9
-            or np.max(np.abs(o.state - heating[0].state)) > 1e-9
-        ):
-            raise ValueError("heating branches differ; per-path overlaps must agree")
-    return BranchStats(
-        n=cfg.n,
-        p_c=cooling.probability,
-        p_h=heating[0].probability,
-        rho_c=cooling.state,
-        rho_h=heating[0].state,
-    )
+    cooling, heating = outcomes[0], outcomes[1:]
+    p = np.array([o.probability for o in heating])
+    states = np.array([o.state for o in heating])
+    # one whole-array test, which a NaN fails
+    if not (np.all(np.abs(p - p[0]) <= 1e-9) and np.all(np.abs(states - states[0]) <= 1e-9)):
+        raise ValueError("heating branches differ; per-path overlaps must agree")
+    return BranchStats(cfg.n, cooling.probability, heating[0].probability, cooling.state, heating[0].state)

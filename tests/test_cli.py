@@ -963,6 +963,11 @@ def test_invalid_seed_is_named_before_any_work(monkeypatch, capsys):
     assert cli.main(["cycle", "--k", "100", "--seed", "-1"]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and "usage error: seed must be nonnegative, got -1" in captured.err
+    # a non-integer seed is a TypeError, as a float D or N is
+    with pytest.raises(TypeError, match=r"^seed must be an integer, got 1\.5$"):
+        fridge.run_cycles("ico", ens, n=2, seed=1.5)
+    with pytest.raises(TypeError, match=r"^seed must be an integer, got 1\.5$"):
+        demon.DemonConfig(particles=100, n=2, r=0.3, seed=1.5)
     # Philox takes a key in [0, 2**128): both ends are named, 0 and the top key run
     for seed in (-1, 2**128):
         with pytest.raises(ValueError, match=re.escape(f"seed must be in [0, 2**128), got {seed}")):

@@ -194,6 +194,41 @@ def test_repeated_order_breaks_offdiagonal_uniformity():
     assert not nswitch.offdiagonal_blocks_equal(out)
 
 
+def test_offdiagonal_blocks_equal_fails_on_nan_and_passes_one_order():
+    spec = ThermalSpec.qubit(0.4)
+    t = thermal.gibbs_state(spec)
+    assert nswitch.offdiagonal_blocks_equal(switch_closed_form(3, t, t))
+    # one NaN entry, in the reference block <0|.|1> or in another one
+    for i, j in ((0, 1), (2, 1)):
+        bad = nswitch.SwitchOutput(joint=switch_closed_form(3, t, t).joint, control_dim=3, target_dim=2)
+        bad.blocks[i, 0, j, 1] = np.nan
+        assert not nswitch.offdiagonal_blocks_equal(bad)
+    one = switch_bruteforce(OrderSet(orders=((1, 2),)), t, spec)
+    assert one.control_dim == 1 and nswitch.offdiagonal_blocks_equal(one)
+
+
+def test_blocks_is_a_view_of_the_joint():
+    t = gibbs(0.3, 3)
+    out = switch_closed_form(4, t, np.eye(3) / 3)
+    assert out.blocks.shape == (4, 3, 4, 3) and np.shares_memory(out.blocks, out.joint)
+    for i, j in ((0, 0), (1, 3), (3, 2)):
+        assert np.array_equal(out.block(i, j), out.joint[3 * i : 3 * i + 3, 3 * j : 3 * j + 3])
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("real", [True, False])
+def test_closed_form_is_byte_identical_to_kron_reference(dim, n, real):
+    rng = np.random.default_rng(100 * dim + 10 * n + real)
+    t = gibbs(0.3, dim)
+    m = rng.normal(size=(dim, dim)) + (0 if real else 1j * rng.normal(size=(dim, dim)))
+    rho = m @ m.conj().T
+    rho /= np.trace(rho).real
+    ref = (np.kron(np.eye(n), t) + np.kron(np.ones((n, n)) - np.eye(n), t @ rho @ t)) / n
+    joint = switch_closed_form(n, rho, t).joint
+    assert joint.dtype == ref.dtype and joint.shape == ref.shape and joint.tobytes() == ref.tobytes()
+
+
 def test_bruteforce_budget_guard():
     spec = ThermalSpec.qubit(0.5)
     t = thermal.gibbs_state(spec)

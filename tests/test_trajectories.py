@@ -125,6 +125,50 @@ def test_mismatched_heating_branches_rejected():
         traj_branches(cfg, spec)
 
 
+def test_nan_kraus_entry_is_rejected_not_returned():
+    spec = ThermalSpec.qubit(0.5)
+    ops = [k.copy() for k in channels.thermalizing_kraus(spec).operators]
+    ops[1][0, 1] = np.nan
+    cfg = TrajectoryConfig(n=2, kraus=channels.KrausSet(tuple(ops)), env_overlaps=((1.0, 0, 0, 0),) * 2)
+    with pytest.raises(ValueError, match="heating branches differ"):
+        traj_branches(cfg, spec)
+
+
+def _per_block(cfg, rho):
+    """Reference joint, one control block at a time: the channel's fixed
+    point on the diagonal, M_k rho M_k'^dag off it, all over N."""
+    d, n = cfg.kraus.dim, cfg.n
+    fixed = channels.apply_channel(cfg.kraus, rho)
+    ms = [tm.matrix for tm in cfg.transformation_matrices()]
+    joint = np.zeros((n * d, n * d), dtype=complex)
+    for k in range(n):
+        for kp in range(n):
+            block = fixed if k == kp else ms[k] @ rho @ dagger(ms[kp])
+            joint[k * d : (k + 1) * d, kp * d : (kp + 1) * d] = block / n
+    return joint
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("real", [True, False])
+def test_output_is_byte_identical_to_per_block_reference(dim, n, real):
+    rng = np.random.default_rng(100 * dim + 10 * n + real)
+    kraus = channels.thermalizing_kraus(ThermalSpec.degenerate(dim, 0.3))
+    n_ops = len(kraus.operators)
+    overlaps = []
+    for _ in range(n):  # a different overlap list on every path
+        o = rng.normal(size=n_ops) + 1j * rng.normal(size=n_ops)
+        o /= np.linalg.norm(o) * rng.uniform(1.0, 2.0)
+        overlaps.append(tuple(o))
+    cfg = TrajectoryConfig(n=n, kraus=kraus, env_overlaps=tuple(overlaps))
+    m = rng.normal(size=(dim, dim)) + (0 if real else 1j * rng.normal(size=(dim, dim)))
+    rho = (m @ m.conj().T).astype(complex)  # traj_output works in complex
+    rho /= np.trace(rho).real
+    joint = traj_output(cfg, rho).joint
+    ref = _per_block(cfg, rho)
+    assert joint.dtype == ref.dtype and joint.shape == ref.shape and joint.tobytes() == ref.tobytes()
+
+
 def test_config_validation():
     spec = ThermalSpec.qubit(0.5)
     kraus = channels.thermalizing_kraus(spec)
@@ -136,6 +180,12 @@ def test_config_validation():
         TrajectoryConfig(n=2, kraus=kraus, env_overlaps=((1, 0, 0), (1, 0, 0)))
     with pytest.raises(ValueError):
         TrajectoryConfig(n=2, kraus=kraus, env_overlaps=((2.0, 0, 0, 0), (1, 0, 0, 0)))
+    with pytest.raises(ValueError, match=r"^environment overlap weight 4\.0 exceeds 1$"):
+        TrajectoryConfig(n=2, kraus=kraus, env_overlaps=((2.0, 0, 0, 0), (1, 0, 0, 0)))
+    # a NaN weight compares False with the bound, so it is named on its own
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=rf"^environment overlap weight {bad} is not finite$"):
+            TrajectoryConfig(n=2, kraus=kraus, env_overlaps=((bad, 0, 0, 0),) * 2)
 
 
 def test_output_rejects_wrong_state_shape():
