@@ -52,7 +52,8 @@ class TrajectoryConfig:
             # weight below 1 is legal: the unit environment state may have
             # support outside the span of the dilation's pointer states
             if not norm <= 1.0 + 1e-9:  # a NaN weight fails too
-                raise ValueError(f"environment overlap weight {norm} {'exceeds 1' if np.isfinite(norm) else 'is not finite'}")
+                why = "exceeds 1" if np.isfinite(norm) else "is not finite"
+                raise ValueError(f"environment overlap weight {norm} {why}")
         object.__setattr__(self, "env_overlaps", overlaps)
 
     def transformation_matrices(self) -> list[TransformationMatrix]:
